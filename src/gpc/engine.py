@@ -5,9 +5,14 @@ result for a pattern is exactly the set of its answers whose witness path
 has length at most the bound. Repetitions run as a worklist over
 incremental group states (closed groups plus the open run of edgeless
 segments), so open upper bounds terminate without enumerating segment
-counts. Restrictors filter at the query level; `shortest` evaluates its
-operand in strata of increasing length and stops once every endpoint
-pair that the pattern can connect has received its minimum.
+counts. Restrictors filter at the query level. A static match-length
+window (`match_lengths`) caps the bound at the longest match the pattern
+can have; `shortest` evaluates its operand in strata of increasing
+length from the shortest possible match and stops at the window's end,
+or earlier once every endpoint pair that the pattern can connect has
+received its minimum. Joins hash-partition the right operand's answers
+on the values of the shared variables and unify each left answer only
+within its own bucket.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -15,7 +20,6 @@ graph concurrently since all inputs are immutable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -225,6 +229,35 @@ def default_length_bound(
                 min((len(graph.nodes) + graph.edge_count) << size, ceiling)
             )
     return min(bounds)
+
+
+def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
+    """Static (lo, hi) window holding the length of every match of the pattern.
+
+    hi is None when an open repetition leaves the length unbounded. A
+    repetition of an edgeless body matches only edgeless paths, whatever
+    its counts.
+    """
+    if isinstance(pattern, NodePat):
+        return 0, 0
+    if isinstance(pattern, EdgePat):
+        return 1, 1
+    if isinstance(pattern, Cond):
+        return match_lengths(pattern.pattern)
+    if isinstance(pattern, (Concat, Union_)):
+        lo1, hi1 = match_lengths(pattern.left)
+        lo2, hi2 = match_lengths(pattern.right)
+        if isinstance(pattern, Concat):
+            return lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
+        return min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
+    if isinstance(pattern, Repeat):
+        lo, hi = match_lengths(pattern.pattern)
+        if hi == 0:
+            return 0, 0
+        if hi is None or pattern.hi is None:
+            return lo * pattern.lo, None
+        return lo * pattern.lo, hi * pattern.hi
+    raise TypeError(f"not a pattern: {pattern!r}")
 
 
 # -- relation helpers (pair DP for the variable-free check) ------------------
@@ -916,6 +949,11 @@ def _eval_restricted(
         if cfg.max_len is not None
         else default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
     )
+    # No match is shorter than lo or longer than hi, so capping the bound at
+    # hi and starting the strata at lo leave the answers unchanged.
+    lo, hi = match_lengths(pattern)
+    if hi is not None:
+        bound = min(bound, hi)
     base = restrictor.base
     # The subpath-relation check realizes grouping-mode repetition (its
     # relational powers pass through edgeless steps), so the fast path is
@@ -933,7 +971,7 @@ def _eval_restricted(
         return {(p, mu) for p, mu in answers if _base_ok(base, p)}
 
     # shortest: stratify by length; a pair's first stratum is its minimum.
-    sat = satisfiable_pairs(graph, pattern, cfg.collect_mode)
+    sat: Optional[set[tuple[str, str]]] = None
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
 
@@ -957,7 +995,7 @@ def _eval_restricted(
                         if (0, p.length) in pairs_no_vars(graph, pattern, p)
                     )
         else:
-            for level in range(bound + 1):
+            for level in range(lo, bound + 1):
                 answers = _Evaluator(graph, cfg, level).answers(pattern)
                 yield level, (
                     (p, mu)
@@ -970,6 +1008,12 @@ def _eval_restricted(
             pair = (p.src, p.tgt)
             if best.setdefault(pair, level) == level:
                 kept.add((p, mu))
+        if level >= bound:
+            break
+        # The pair analysis runs only once a later stratum could still be
+        # skipped, so a leg whose window is a single length never pays it.
+        if sat is None:
+            sat = satisfiable_pairs(graph, pattern, cfg.collect_mode)
         if sat <= best.keys():
             break
     return kept
@@ -1002,14 +1046,21 @@ def _eval_query(graph: PropertyGraph, query: Query, cfg: EvalConfig) -> set[Answ
     if isinstance(query, Join):
         left = _eval_query(graph, query.left, cfg)
         right = _eval_query(graph, query.right, cfg)
+        # Shared join variables are node/edge singletons and unification is
+        # strict, so two answers unify exactly when their keys are equal, and
+        # their merge is then the plain union of the two assignments.
+        shared = sorted(set(infer_schema(query.left)) & set(infer_schema(query.right)))
+        buckets: dict[tuple[Value, ...], list[Answer]] = {}
+        for ra in right:
+            buckets.setdefault(tuple(ra.bindings[x] for x in shared), []).append(ra)
         out = set()
-        for la, ra in itertools.product(left, right):
-            merged = unify(la.bindings, ra.bindings)
-            if merged is not None:
+        for la in left:
+            for ra in buckets.get(tuple(la.bindings[x] for x in shared), ()):
+                merged = Assignment({**la.bindings, **ra.bindings})
                 out.add(Answer(la.paths + ra.paths, merged))
-            if len(out) > cfg.max_answers:
-                raise ResourceLimitError(
-                    f"answer set exceeded the ceiling of {cfg.max_answers}"
-                )
+                if len(out) > cfg.max_answers:
+                    raise ResourceLimitError(
+                        f"answer set exceeded the ceiling of {cfg.max_answers}"
+                    )
         return out
     raise TypeError(f"not a query: {query!r}")

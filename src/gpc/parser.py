@@ -22,7 +22,9 @@ A '<' opens a condition only when not immediately followed by '-';
 '<-' always begins a backward edge (and doubles as the rule arrow).
 Postfix conditions and quantifiers bind to the nearest preceding atom.
 Variables starting with the reserved prefix '_v' are rejected; that
-prefix is kept for machine-generated rule sets.
+prefix is kept for machine-generated rule sets. Bracket groups,
+parenthesized conditions and NOT may nest at most MAX_NESTING deep, so
+that deep input is a ParseError rather than a recursion overflow.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ from .ast import (
 )
 
 RESERVED_VAR_PREFIX = "_v"
+
+MAX_NESTING = 100
 
 KEYWORDS = {"AND", "OR", "NOT", "SIMPLE", "TRAIL", "SHORTEST", "ANS", "TRUE", "FALSE"}
 
@@ -183,6 +187,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------
 
@@ -218,6 +223,12 @@ class _Parser:
         if tok.kind == "EOF":
             return "end of input"
         return repr(tok.value)
+
+    def nest(self) -> None:
+        """Enter one more nesting level; callers leave it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", set())
 
     def expect_eof(self) -> None:
         if not self.at("EOF"):
@@ -303,8 +314,10 @@ class _Parser:
         if self.accept("--"):
             return EdgePat(Direction.UNDIRECTED, Descriptor(), pos=where)
         if self.accept("["):
+            self.nest()
             inner = self.pattern()
             self.expect("]")
+            self.depth -= 1
             return inner
         self.fail(f"unexpected {self.describe(tok)}", set(_ATOM_STARTS))
         raise AssertionError("unreachable")
@@ -336,10 +349,15 @@ class _Parser:
     def not_condition(self) -> Condition:
         tok = self.peek()
         if self.accept("NOT"):
-            return Not(self.not_condition(), pos=(tok.line, tok.column))
+            self.nest()
+            operand = self.not_condition()
+            self.depth -= 1
+            return Not(operand, pos=(tok.line, tok.column))
         if self.accept("("):
+            self.nest()
             inner = self.condition()
             self.expect(")")
+            self.depth -= 1
             return inner
         return self.atom_condition()
 

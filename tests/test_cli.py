@@ -109,6 +109,16 @@ def test_run_oracle_agreement(capsys, graph_file, tmp_path):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_run_deep_nesting_is_parse_error(capsys, graph_file, tmp_path):
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST " + "[" * 600 + "(x)" + "]" * 600)
+    code, out, err = run_cli(capsys, "run", graph_file, str(query))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "parse"
+
+
 def test_run_rejects_bare_pattern(capsys, graph_file, tmp_path):
     query = tmp_path / "q.gpc"
     query.write_text("(x) -> (y)")

@@ -11,12 +11,15 @@ from gpc import (
     NOTHING,
     ResourceLimitError,
     Restrictor,
+    brute_force_query,
     collect_fn,
     default_length_bound,
     eval_pattern,
+    eval_query,
     infer_schema,
     pairs_no_vars,
     parse_pattern,
+    parse_query,
     path,
     power,
     refactor,
@@ -24,7 +27,8 @@ from gpc import (
     unify,
     validate_graph,
 )
-from gpc.engine import satisfiable_pairs
+from gpc import engine
+from gpc.engine import COLLECT_MODES, match_lengths, satisfiable_pairs
 from gpc.values import EMPTY
 
 import gen
@@ -416,6 +420,65 @@ def test_satisfiable_pairs_cover_observed_pairs():
         observed = {(p.src, p.tgt) for p, _ in answers}
         sat = satisfiable_pairs(g, query.pattern, cfg.collect_mode)
         assert observed <= sat
+
+
+# -- match-length window -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, window",
+    [
+        ("(x) -[e]-> (y) -> (z)", (2, 2)),
+        ("[-[:a]->] + [-[:a]-> -[:b]->]", (1, 2)),
+        ("-[e]->{2..3}", (2, 3)),
+        ("[-> <-]{1..}", (2, None)),
+        ("[() + ->]{0..2}", (0, 2)),
+        ("[(x) (y)]{1..}", (0, 0)),
+        ("[(x) -> (y)] <x.k = 1>", (1, 1)),
+    ],
+)
+def test_match_lengths(text, window):
+    assert match_lengths(parse_pattern(text)) == window
+
+
+@pytest.mark.parametrize("mode", COLLECT_MODES)
+@pytest.mark.parametrize("restrictor", ["SHORTEST", "SHORTEST TRAIL", "SHORTEST SIMPLE"])
+@pytest.mark.parametrize(
+    "text, longest",
+    [
+        ("(x) -[e]->{2..3} (y)", 3),
+        ("(x) [[-[:a]->] + [-[:a]-> -[:b]->]] (y)", 2),
+    ],
+)
+def test_shortest_window_matches_oracle_at_default_bounds(text, longest, restrictor, mode):
+    query = parse_query(f"{restrictor} {text}")
+    rng = random.Random(37)
+    for _ in range(30):
+        g = gen.rand_graph(rng)
+        # No match is longer than `longest`, so the oracle's answers at that
+        # bound are its answers at any larger one; the default SHORTEST bound
+        # itself lies beyond the oracle's path budget.
+        expected = brute_force_query(
+            g, query, EvalConfig(collect_mode=mode, max_len=longest)
+        )
+        assert eval_query(g, query, EvalConfig(collect_mode=mode)) == expected
+
+
+def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
+    calls = []
+    original = engine.satisfiable_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "satisfiable_pairs", counting)
+    answers = eval_query(g_intro, parse_query("SHORTEST (x)-[e]->(y)"))
+    assert len(answers) == 3
+    assert calls == []
+    # an open repetition still needs the analysis to stop early
+    eval_query(g_intro, parse_query("SHORTEST (x)-[e]->{1..}(y)"))
+    assert calls
 
 
 def test_lenient_unify_enlarges_grouping_answers():

@@ -24,6 +24,7 @@ from gpc import (
     render,
 )
 from gpc.ast import PropEqConst
+from gpc.parser import MAX_NESTING
 
 import gen
 
@@ -167,6 +168,24 @@ def test_trailing_input_rejected():
 def test_bad_quantifier_bounds():
     with pytest.raises(ParseError):
         parse_pattern("-[:a]->{3..1}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 600 + "(x)" + "]" * 600,
+        "(x) <" + "NOT " * 600 + "x.k = 1>",
+        "(x) <" + "(" * 600 + "x.k = 1" + ")" * 600 + ">",
+    ],
+)
+def test_deep_nesting_is_parse_error(text):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_pattern(text)
+
+
+def test_nesting_at_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse_pattern("[" * depth + "(x)" + "]" * depth) == node("x")
 
 
 def test_render_examples():

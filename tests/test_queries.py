@@ -1,9 +1,13 @@
 import random
 from collections import Counter
 
+import pytest
+
 from gpc import (
     EvalConfig,
     PathVal,
+    ResourceLimitError,
+    brute_force_query,
     eval_query,
     infer_schema,
     parse_query,
@@ -11,6 +15,7 @@ from gpc import (
     path_is_valid,
     validate_graph,
 )
+from gpc.engine import COLLECT_MODES
 
 import gen
 
@@ -108,6 +113,37 @@ def test_join_disjoint_is_product():
     q = parse_query("SIMPLE (a), SIMPLE (b)")
     answers = eval_query(g, q)
     assert len(answers) == 4
+
+
+@pytest.mark.parametrize("mode", COLLECT_MODES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        # no shared variable: a cartesian product
+        "TRAIL (x) -[e]-> (y), SIMPLE (z:A)",
+        # one shared node variable
+        "TRAIL (x) -[e]-> (y), SHORTEST TRAIL (y) -[f]->{1..2} (z)",
+        # two shared node variables
+        "SIMPLE (x) -[e]-> (y), SHORTEST TRAIL (x) ->{1..2} (y)",
+        # a shared edge variable
+        "TRAIL (x) -[e]-> (y), SHORTEST TRAIL (z) <-[e]- (w)",
+        # a path-bound side
+        "p = SHORTEST TRAIL (x) -[e:a]->{1..2} (y), SIMPLE (y) -> (z:B)",
+    ],
+)
+def test_join_matches_oracle_at_default_bounds(text, mode):
+    query = parse_query(text)
+    cfg = EvalConfig(collect_mode=mode)
+    rng = random.Random(45)
+    for _ in range(15):
+        g = gen.rand_graph(rng)
+        assert eval_query(g, query, cfg) == brute_force_query(g, query, cfg)
+
+
+def test_join_over_answer_ceiling_raises():
+    g = validate_graph({"nodes": [{"id": f"n{i}"} for i in range(10)]})
+    with pytest.raises(ResourceLimitError):
+        eval_query(g, parse_query("SIMPLE (a), SIMPLE (b)"), EvalConfig(max_answers=50))
 
 
 def test_answers_conform_and_paths_valid():
