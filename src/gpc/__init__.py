@@ -30,7 +30,6 @@ from .engine import (
     default_length_bound,
     eval_pattern,
     eval_query,
-    pairs_no_vars,
     power,
     refactor,
     satisfies,

@@ -27,6 +27,7 @@ from .engine import (
     default_length_bound,
     eval_pattern,
     eval_query,
+    length_bound,
 )
 from .gpcplus import eval_ruleset, translate_source
 from .graph import GraphValidationError, load_graph
@@ -92,24 +93,30 @@ def _config_from(args) -> EvalConfig:
     )
 
 
+def _legs(expr) -> list:
+    queries = [rule.body for rule in expr.rules] if isinstance(expr, RuleSet) else [expr]
+    return [leg for query in queries for leg in query_patterns(query)]
+
+
 def _bound_used(cfg: EvalConfig, graph, expr) -> int:
-    if cfg.max_len is not None:
-        return cfg.max_len
-    rules = expr.rules if isinstance(expr, RuleSet) else None
-    queries = [rule.body for rule in rules] if rules else [expr]
-    bounds = [
-        default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
-        for query in queries
-        for restrictor, pattern in query_patterns(query)
-    ]
-    return max(bounds)
+    """The longest path length the engine evaluated any leg to."""
+    return max(
+        length_bound(restrictor, graph, pattern, cfg)
+        for restrictor, pattern in _legs(expr)
+    )
 
 
 def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
-    return OracleBudget(
-        max_path_len=max(_bound_used(cfg, graph, expr), 1),
-        max_answers=cfg.max_answers,
-    )
+    # The oracle's path budget ignores the engine's match-length window, so
+    # that the two stay independent.
+    if cfg.max_len is not None:
+        bound = cfg.max_len
+    else:
+        bound = max(
+            default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
+            for restrictor, pattern in _legs(expr)
+        )
+    return OracleBudget(max_path_len=max(bound, 1), max_answers=cfg.max_answers)
 
 
 def cmd_run(args) -> int:
@@ -304,6 +311,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(_error_json("input", exc), file=sys.stderr)
+        return 2
+    except RecursionError:
+        # A long flat concatenation parses into an AST deeper than the
+        # recursive walks after the parser can follow.
+        print(
+            _error_json("input", ValueError("input nests too deeply")),
+            file=sys.stderr,
+        )
         return 2
     except ResourceLimitError as exc:
         print(_error_json("resource-limit", exc, truncated=True), file=sys.stderr)

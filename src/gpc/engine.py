@@ -5,9 +5,11 @@ result for a pattern is exactly the set of its answers whose witness path
 has length at most the bound. Repetitions run as a worklist over
 incremental group states (closed groups plus the open run of edgeless
 segments), so open upper bounds terminate without enumerating segment
-counts. Restrictors filter at the query level. A static match-length
-window (`match_lengths`) caps the bound at the longest match the pattern
-can have; `shortest` evaluates its operand in strata of increasing
+counts. Every restricted query, with or without variables, takes its
+paths from this one evaluator, and restrictors filter its answers at the
+query level. A static match-length window (`match_lengths`) caps the
+bound (`length_bound`) at the longest match the pattern can have;
+`shortest` evaluates its operand in strata of increasing
 length from the shortest possible match and stops at the window's end,
 or earlier once every endpoint pair that the pattern can connect has
 received its minimum. Joins hash-partition the right operand's answers
@@ -21,7 +23,7 @@ graph concurrently since all inputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .ast import (
     And,
@@ -43,6 +45,7 @@ from .ast import (
     Restricted,
     Restrictor,
     Union_,
+    # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
     pattern_size,
 )
@@ -258,111 +261,6 @@ def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
             return lo * pattern.lo, None
         return lo * pattern.lo, hi * pattern.hi
     raise TypeError(f"not a pattern: {pattern!r}")
-
-
-# -- relation helpers (pair DP for the variable-free check) ------------------
-
-
-def _compose(r1: frozenset, r2: frozenset) -> frozenset:
-    by_src: dict = {}
-    for s, t in r2:
-        by_src.setdefault(s, []).append(t)
-    return frozenset((s, u) for s, t in r1 for u in by_src.get(t, ()))
-
-
-def _rel_power(rel: frozenset, n: int, domain: Iterable) -> frozenset:
-    result = frozenset((x, x) for x in domain)
-    base = rel
-    while n:
-        if n & 1:
-            result = _compose(result, base)
-        n >>= 1
-        if n:
-            base = _compose(base, base)
-    return result
-
-
-def _rel_star(rel: frozenset, domain: Iterable) -> frozenset:
-    closure = frozenset((x, x) for x in domain)
-    frontier = closure
-    while True:
-        new = _compose(frontier, rel) - closure
-        if not new:
-            return closure
-        closure |= new
-        frontier = new
-
-
-def _rel_power_range(
-    rel: frozenset, lo: int, hi: Optional[int], domain: Iterable
-) -> frozenset:
-    if hi is None:
-        return _compose(_rel_power(rel, lo, domain), _rel_star(rel, domain))
-    acc = cur = _rel_power(rel, lo, domain)
-    seen = {cur}
-    for _ in range(lo + 1, hi + 1):
-        cur = _compose(cur, rel)
-        if cur in seen:
-            break
-        seen.add(cur)
-        acc |= cur
-    return acc
-
-
-def pairs_no_vars(graph: PropertyGraph, pattern: Pattern, p: Path) -> set[tuple[int, int]]:
-    """Node-position pairs (i, j) whose subpath of p matches the pattern.
-
-    Only defined for variable-free patterns, where every match binds the
-    empty assignment; computed by a relational DP over subexpressions
-    with squaring for repetition powers.
-    """
-    if expr_vars(pattern):
-        raise ValueError("pairs_no_vars requires a variable-free pattern")
-    positions = range(p.length + 1)
-    nodes = p.nodes()
-    edges = p.edges()
-
-    def rel(pat: Pattern) -> frozenset:
-        if isinstance(pat, NodePat):
-            label = pat.descriptor.label
-            return frozenset(
-                (i, i)
-                for i in positions
-                if label is None or label in graph.label_set(nodes[i])
-            )
-        if isinstance(pat, EdgePat):
-            label = pat.descriptor.label
-            out = []
-            for i in range(1, p.length + 1):
-                edge = edges[i - 1]
-                if label is not None and label not in graph.label_set(edge):
-                    continue
-                if pat.direction is Direction.FORWARD:
-                    ok = edge in graph.directed_edges and graph.directed_edges[
-                        edge
-                    ] == (nodes[i - 1], nodes[i])
-                elif pat.direction is Direction.BACKWARD:
-                    ok = edge in graph.directed_edges and graph.directed_edges[
-                        edge
-                    ] == (nodes[i], nodes[i - 1])
-                else:
-                    ok = edge in graph.undirected_edges and graph.undirected_edges[
-                        edge
-                    ] == frozenset((nodes[i - 1], nodes[i]))
-                if ok:
-                    out.append((i - 1, i))
-            return frozenset(out)
-        if isinstance(pat, Concat):
-            return _compose(rel(pat.left), rel(pat.right))
-        if isinstance(pat, Union_):
-            return rel(pat.left) | rel(pat.right)
-        if isinstance(pat, Repeat):
-            return _rel_power_range(rel(pat.pattern), pat.lo, pat.hi, positions)
-        if isinstance(pat, Cond):
-            raise ValueError("variable-free patterns cannot carry conditions")
-        raise TypeError(f"not a pattern: {pat!r}")
-
-    return set(rel(pattern))
 
 
 # -- satisfiable endpoint pairs ----------------------------------------------
@@ -896,46 +794,25 @@ def _base_ok(base: Optional[Restrictor], p: Path) -> bool:
     return True
 
 
-def _walk_strata(
-    graph: PropertyGraph, bound: int, limit: int
-) -> Iterator[tuple[int, list[Path]]]:
-    frontier = [Path((n,)) for n in graph.nodes]
-    level = 0
-    while frontier and level <= bound:
-        yield level, frontier
-        extended = set()
-        for p in frontier:
-            for edge, nxt in graph.steps_from(p.tgt):
-                extended.add(Path(p.elements + (edge, nxt)))
-                if len(extended) > limit:
-                    raise ResourceLimitError(
-                        f"walk frontier exceeded {limit} paths at length {level + 1}"
-                    )
-        frontier = sorted(extended, key=lambda q: q.elements)
-        level += 1
+def length_bound(
+    restrictor: Restrictor,
+    graph: PropertyGraph,
+    pattern: Pattern,
+    cfg: EvalConfig,
+) -> int:
+    """The longest path length a restricted leg is evaluated to.
 
-
-def _iter_restricted_paths(
-    graph: PropertyGraph, base: Restrictor, bound: int
-) -> Iterator[Path]:
-    """All trails (no repeated edge) or simple paths (no repeated node)."""
-    track_nodes = base is Restrictor.SIMPLE
-    for start in graph.nodes:
-        stack = [(Path((start,)), frozenset((start,)) if track_nodes else frozenset())]
-        while stack:
-            p, used = stack.pop()
-            yield p
-            if p.length >= bound:
-                continue
-            for edge, nxt in graph.steps_from(p.tgt):
-                if track_nodes:
-                    if nxt in used:
-                        continue
-                    stack.append((Path(p.elements + (edge, nxt)), used | {nxt}))
-                else:
-                    if edge in used:
-                        continue
-                    stack.append((Path(p.elements + (edge, nxt)), used | {edge}))
+    This is `cfg.max_len`, or the restrictor's default bound without one,
+    capped at the longest match the pattern can have: no match is longer,
+    so the cap leaves the answers unchanged.
+    """
+    bound = (
+        cfg.max_len
+        if cfg.max_len is not None
+        else default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
+    )
+    hi = match_lengths(pattern)[1]
+    return bound if hi is None else min(bound, hi)
 
 
 def _eval_restricted(
@@ -944,67 +821,21 @@ def _eval_restricted(
     pattern: Pattern,
     cfg: EvalConfig,
 ) -> set[tuple[Path, Assignment]]:
-    bound = (
-        cfg.max_len
-        if cfg.max_len is not None
-        else default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
-    )
-    # No match is shorter than lo or longer than hi, so capping the bound at
-    # hi and starting the strata at lo leave the answers unchanged.
-    lo, hi = match_lengths(pattern)
-    if hi is not None:
-        bound = min(bound, hi)
+    bound = length_bound(restrictor, graph, pattern, cfg)
     base = restrictor.base
-    # The subpath-relation check realizes grouping-mode repetition (its
-    # relational powers pass through edgeless steps), so the fast path is
-    # only taken in that mode.
-    varfree = cfg.collect_mode == "grouping" and not expr_vars(pattern)
-
     if not restrictor.has_shortest:
-        if varfree:
-            out = set()
-            for p in _iter_restricted_paths(graph, base, bound):
-                if (0, p.length) in pairs_no_vars(graph, pattern, p):
-                    out.add((p, EMPTY))
-            return out
         answers = _Evaluator(graph, cfg, bound).answers(pattern)
         return {(p, mu) for p, mu in answers if _base_ok(base, p)}
 
-    # shortest: stratify by length; a pair's first stratum is its minimum.
+    # shortest: stratify by length, starting at the shortest possible match;
+    # a pair's first stratum is its minimum.
     sat: Optional[set[tuple[str, str]]] = None
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
-
-    def strata() -> Iterator[tuple[int, Iterable[tuple[Path, Assignment]]]]:
-        if varfree:
-            if base is None:
-                for level, walks in _walk_strata(graph, bound, cfg.max_answers):
-                    yield level, (
-                        (p, EMPTY)
-                        for p in walks
-                        if (0, p.length) in pairs_no_vars(graph, pattern, p)
-                    )
-            else:
-                by_level: dict[int, list[Path]] = {}
-                for p in _iter_restricted_paths(graph, base, bound):
-                    by_level.setdefault(p.length, []).append(p)
-                for level in sorted(by_level):
-                    yield level, (
-                        (p, EMPTY)
-                        for p in by_level[level]
-                        if (0, p.length) in pairs_no_vars(graph, pattern, p)
-                    )
-        else:
-            for level in range(lo, bound + 1):
-                answers = _Evaluator(graph, cfg, level).answers(pattern)
-                yield level, (
-                    (p, mu)
-                    for p, mu in answers
-                    if p.length == level and _base_ok(base, p)
-                )
-
-    for level, stratum in strata():
-        for p, mu in stratum:
+    for level in range(match_lengths(pattern)[0], bound + 1):
+        for p, mu in _Evaluator(graph, cfg, level).answers(pattern):
+            if p.length != level or not _base_ok(base, p):
+                continue
             pair = (p.src, p.tgt)
             if best.setdefault(pair, level) == level:
                 kept.add((p, mu))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gpc import Restrictor, default_length_bound, load_graph, parse_query
 from gpc.cli import main
 
 
@@ -109,14 +110,46 @@ def test_run_oracle_agreement(capsys, graph_file, tmp_path):
     assert len(out.strip().splitlines()) == 1
 
 
-def test_run_deep_nesting_is_parse_error(capsys, graph_file, tmp_path):
+@pytest.mark.parametrize(
+    "text, category",
+    [
+        ("SHORTEST " + "[" * 600 + "(x)" + "]" * 600, "parse"),
+        ("SHORTEST " + "() " * 1200, "input"),
+    ],
+    ids=["600-nested-groups", "1200-atoms"],
+)
+def test_run_deep_input_is_structured_error(capsys, graph_file, tmp_path, text, category):
     query = tmp_path / "q.gpc"
-    query.write_text("SHORTEST " + "[" * 600 + "(x)" + "]" * 600)
+    query.write_text(text)
     code, out, err = run_cli(capsys, "run", graph_file, str(query))
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
-    assert json.loads(err)["error"] == "parse"
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == category
+
+
+@pytest.mark.parametrize(
+    "text, args, bound",
+    [
+        ("SHORTEST ()", [], 0),
+        ("SHORTEST (:A) -[x]->{0..2} (:B)", [], 2),
+        ("SHORTEST (:A) -[x]->{0..2} (:B)", ["--max-len", "1"], 1),
+        ("SHORTEST (x) -> (y), TRAIL (y) ->{1..2} (z)", [], 2),
+        ("SHORTEST (:A) -[x]->{0..} (:B)", [], None),
+    ],
+)
+def test_run_reports_bound_used(capsys, graph_file, tmp_path, text, args, bound):
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    code, _, err = run_cli(capsys, "run", graph_file, str(query), *args)
+    assert code == 0
+    if bound is None:  # an open repetition keeps the default SHORTEST bound
+        bound = default_length_bound(
+            Restrictor.SHORTEST, load_graph(graph_file), parse_query(text).pattern
+        )
+        assert bound > 2
+    assert json.loads(err.strip().splitlines()[-1])["bound_used"] == bound
 
 
 def test_run_rejects_bare_pattern(capsys, graph_file, tmp_path):

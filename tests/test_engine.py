@@ -17,7 +17,6 @@ from gpc import (
     eval_pattern,
     eval_query,
     infer_schema,
-    pairs_no_vars,
     parse_pattern,
     parse_query,
     path,
@@ -314,71 +313,6 @@ def test_power_two_on_chain():
     }
 
 
-# -- variable-free subpath relation ----------------------------------------------
-
-
-def test_pairs_no_vars_atoms(g_tiny):
-    p = path("n1", "e1", "n2")
-    assert pairs_no_vars(g_tiny, parse_pattern("-[:a]->"), p) == {(0, 1)}
-    assert pairs_no_vars(g_tiny, parse_pattern("()"), p) == {(0, 0), (1, 1)}
-    assert pairs_no_vars(g_tiny, parse_pattern("<-[:a]-"), path("n2", "e1", "n1")) == {
-        (0, 1)
-    }
-
-
-def test_pairs_no_vars_composition():
-    g = validate_graph(
-        {
-            "nodes": [{"id": "n1"}, {"id": "n2"}, {"id": "n3"}],
-            "directed_edges": [
-                {"id": "e1", "src": "n1", "tgt": "n2", "labels": ["a"]},
-                {"id": "e2", "src": "n2", "tgt": "n3", "labels": ["a"]},
-            ],
-        }
-    )
-    p = path("n1", "e1", "n2", "e2", "n3")
-    assert pairs_no_vars(g, parse_pattern("[-[:a]->]{2..2}"), p) == {(0, 2)}
-    assert pairs_no_vars(g, parse_pattern("[-[:a]->]{0..}"), p) == {
-        (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2),
-    }
-
-
-def test_pairs_no_vars_requires_variable_free(g_tiny):
-    with pytest.raises(ValueError):
-        pairs_no_vars(g_tiny, parse_pattern("(x)"), path("n1"))
-
-
-def test_pairs_no_vars_agrees_with_eval():
-    rng = random.Random(33)
-    checked = 0
-    while checked < 50:
-        g = gen.rand_graph(rng)
-        pat = gen.rand_pattern(rng, rng.randint(1, 3))
-        from gpc.ast import expr_vars
-
-        if expr_vars(pat):
-            continue
-        try:
-            infer_schema(pat)
-        except Exception:
-            continue
-        paths = sorted(
-            __import__("gpc").enumerate_paths(g, 3), key=lambda q: q.elements
-        )
-        if not paths:
-            continue
-        p = rng.choice(paths)
-        answers = eval_pattern(g, pat, EvalConfig(max_len=p.length))
-        expected = {
-            (i, j)
-            for i in range(p.length + 1)
-            for j in range(i, p.length + 1)
-            if (p.subpath(i, j), EMPTY) in answers
-        }
-        assert pairs_no_vars(g, pat, p) == expected
-        checked += 1
-
-
 # -- bounds and reachability ------------------------------------------------------
 
 
@@ -442,15 +376,19 @@ def test_match_lengths(text, window):
 
 
 @pytest.mark.parametrize("mode", COLLECT_MODES)
-@pytest.mark.parametrize("restrictor", ["SHORTEST", "SHORTEST TRAIL", "SHORTEST SIMPLE"])
+@pytest.mark.parametrize(
+    "restrictor", ["SHORTEST", "SHORTEST TRAIL", "SHORTEST SIMPLE", "TRAIL", "SIMPLE"]
+)
 @pytest.mark.parametrize(
     "text, longest",
     [
         ("(x) -[e]->{2..3} (y)", 3),
         ("(x) [[-[:a]->] + [-[:a]-> -[:b]->]] (y)", 2),
+        ("(:A) -[:a]->{1..3} (:B)", 3),
+        ("[-[:a]->] + [-[:a]-> -[:b]->]", 2),
     ],
 )
-def test_shortest_window_matches_oracle_at_default_bounds(text, longest, restrictor, mode):
+def test_window_matches_oracle_at_default_bounds(text, longest, restrictor, mode):
     query = parse_query(f"{restrictor} {text}")
     rng = random.Random(37)
     for _ in range(30):
@@ -462,6 +400,31 @@ def test_shortest_window_matches_oracle_at_default_bounds(text, longest, restric
             g, query, EvalConfig(collect_mode=mode, max_len=longest)
         )
         assert eval_query(g, query, EvalConfig(collect_mode=mode)) == expected
+
+
+def test_variable_free_shortest_on_cyclic_graph():
+    # An a-chain n0 -> ... -> n9 from the only A to the only B. The b edges
+    # i -> i+1, i+2, i+3 (mod 10) give the graph over 100000 walks of length
+    # 5 (edges traversed either way), none of which the pattern can use.
+    labels = ["A"] + ["C"] * 8 + ["B"]
+    g = validate_graph(
+        {
+            "nodes": [{"id": f"n{i}", "labels": [lab]} for i, lab in enumerate(labels)],
+            "directed_edges": [
+                {"id": f"a{i}", "src": f"n{i}", "tgt": f"n{i + 1}", "labels": ["a"]}
+                for i in range(9)
+            ]
+            + [
+                {"id": f"b{i}_{k}", "src": f"n{i}", "tgt": f"n{(i + k) % 10}", "labels": ["b"]}
+                for i in range(10)
+                for k in (1, 2, 3)
+            ],
+        }
+    )
+    chain = path(*[x for i in range(9) for x in (f"n{i}", f"a{i}")], "n9")
+    free = eval_query(g, parse_query("SHORTEST (:A) -[:a]->{1..} (:B)"))
+    named = eval_query(g, parse_query("SHORTEST (x:A) -[:a]->{1..} (:B)"))
+    assert [a.paths for a in free] == [a.paths for a in named] == [(chain,)]
 
 
 def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):

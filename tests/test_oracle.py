@@ -165,7 +165,7 @@ def test_differential_syntactic_mode():
 
 def test_dynamic_mode_edgeless_repeat_is_empty():
     """Regression: a variable-free edgeless repetition has no dynamic-mode
-    powers above zero, even on the query fast path."""
+    powers above zero."""
     g = validate_graph({"nodes": [{"id": "n0"}]})
     q = parse_query("p = SHORTEST (){2..3}")
     cfg = EvalConfig(collect_mode="dynamic", max_len=3)
