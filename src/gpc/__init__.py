@@ -44,6 +44,7 @@ from .gpcplus import (
     NrePlus,
     NreStar,
     NreUnion,
+    TranslateError,
     eval_ruleset,
     parse_c2rpq,
     parse_nre,

@@ -6,10 +6,10 @@ Subcommands:
   match      raw pattern evaluation for debugging (NDJSON path/bindings)
   translate  turn a '#nre' or '#c2rpq' file into rule-set text
 
-Exit codes: 0 success, 2 parse/type/graph-validation error, 1 resource or
-runtime error, 3 oracle mismatch (with --oracle). Answers stream to
-stdout in canonical order; diagnostics and the run report are JSON on
-stderr.
+Exit codes: 0 success, 2 parse/type/graph-validation or other input
+error, 1 resource, I/O or internal error, 3 oracle mismatch (with
+--oracle). Answers stream to stdout in canonical order; diagnostics and
+the run report are JSON on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .engine import (
     eval_query,
     length_bound,
 )
-from .gpcplus import eval_ruleset, translate_source
+from .gpcplus import TranslateError, eval_ruleset, translate_source
 from .graph import GraphValidationError, load_graph
 from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
@@ -38,12 +38,33 @@ from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
 from .values import answer_sort_key, serialize_answer, serialize_value
 
 
+# Program faults surface as these built-in errors. Other exceptions, such
+# as an interrupt or a timeout that a caller raises from a signal handler,
+# pass through untouched.
+_INTERNAL_ERRORS = (
+    ArithmeticError,
+    AssertionError,
+    AttributeError,
+    LookupError,
+    NameError,
+    RuntimeError,
+    TypeError,
+    ValueError,
+)
+
+
+class InputError(ValueError):
+    """A query source that is not UTF-8 text."""
+
+
 def _read_source(arg: str, allow_literal: bool = False) -> str:
-    if arg == "-":
-        return sys.stdin.read()
     try:
+        if arg == "-":
+            return sys.stdin.read()
         with open(arg, "r", encoding="utf-8") as handle:
             return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{arg}: not UTF-8 text: {exc.reason}") from None
     except OSError:
         if allow_literal:
             return arg
@@ -119,6 +140,12 @@ def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
     return OracleBudget(max_path_len=max(bound, 1), max_answers=cfg.max_answers)
 
 
+def _oracle_mismatch(what: str, engine: int, oracle: int) -> int:
+    message = f"engine produced {engine} {what}, oracle {oracle}"
+    print(_error_json("oracle-mismatch", ValueError(message)), file=sys.stderr)
+    return 3
+
+
 def cmd_run(args) -> int:
     graph = load_graph(args.graph)
     expr = _parse_any(_read_source(args.query))
@@ -134,17 +161,7 @@ def cmd_run(args) -> int:
                 for ans in brute_force_query(graph, rule.body, cfg, budget)
             }
             if expected != tuples:
-                print(
-                    _error_json(
-                        "oracle-mismatch",
-                        ValueError(
-                            f"engine produced {len(tuples)} tuples, "
-                            f"oracle {len(expected)}"
-                        ),
-                    ),
-                    file=sys.stderr,
-                )
-                return 3
+                return _oracle_mismatch("tuples", len(tuples), len(expected))
         records = sorted(
             json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
             for row in tuples
@@ -156,17 +173,7 @@ def cmd_run(args) -> int:
             budget = _oracle_budget(cfg, graph, expr)
             expected = brute_force_query(graph, expr, cfg, budget)
             if expected != answers:
-                print(
-                    _error_json(
-                        "oracle-mismatch",
-                        ValueError(
-                            f"engine produced {len(answers)} answers, "
-                            f"oracle {len(expected)}"
-                        ),
-                    ),
-                    file=sys.stderr,
-                )
-                return 3
+                return _oracle_mismatch("answers", len(answers), len(expected))
         records = [
             json.dumps(serialize_answer(a), sort_keys=True)
             for a in sorted(answers, key=answer_sort_key)
@@ -309,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GraphValidationError as exc:
         print(_error_json("graph", exc, violations=exc.violations), file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (TranslateError, InputError) as exc:
         print(_error_json("input", exc), file=sys.stderr)
         return 2
     except RecursionError:
@@ -328,6 +335,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except OSError as exc:
         print(_error_json("io", exc), file=sys.stderr)
+        return 1
+    except _INTERNAL_ERRORS as exc:
+        print(
+            _error_json("internal", exc, exception=type(exc).__name__),
+            file=sys.stderr,
+        )
         return 1
 
 

@@ -2,10 +2,12 @@
 
 Evaluation is compositional and bounded by a maximum path length: the
 result for a pattern is exactly the set of its answers whose witness path
-has length at most the bound. Repetitions run as a worklist over
-incremental group states (closed groups plus the open run of edgeless
-segments), so open upper bounds terminate without enumerating segment
-counts. Every restricted query, with or without variables, takes its
+has length at most the bound. One repetition worklist serves all three
+collect modes: it runs over incremental group states (closed groups plus
+the open run of edgeless segments), so open upper bounds terminate
+without enumerating segment counts. Node and edge atoms are matched by
+one helper that both the evaluator and the satisfiable-pair analysis
+use. Every restricted query, with or without variables, takes its
 paths from this one evaluator, and restrictors filter its answers at the
 query level. A static match-length window (`match_lengths`) caps the
 bound (`length_bound`) at the longest match the pattern can have;
@@ -23,7 +25,7 @@ graph concurrently since all inputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .ast import (
     And,
@@ -263,6 +265,44 @@ def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
+# -- atoms -------------------------------------------------------------------
+
+
+def _atom_matches(
+    graph: PropertyGraph, pat: NodePat | EdgePat
+) -> Iterator[tuple[tuple[str, ...], Assignment]]:
+    """The matches of a node or edge pattern, as (path elements, binding).
+
+    A node pattern matches one-node paths. A forward or backward pattern
+    traverses each directed edge one way; an undirected pattern traverses
+    each undirected edge both ways, and a self-loop once.
+    """
+    var, label = pat.descriptor.var, pat.descriptor.label
+    if isinstance(pat, NodePat):
+        for n in graph.nodes:
+            if label is None or label in graph.label_set(n):
+                yield (n,), Assignment({var: NodeVal(n)}) if var else EMPTY
+        return
+    edges = (
+        graph.undirected_edges
+        if pat.direction is Direction.UNDIRECTED
+        else graph.directed_edges
+    )
+    for e, ends in edges.items():
+        if label is not None and label not in graph.label_set(e):
+            continue
+        mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
+        if pat.direction is Direction.FORWARD:
+            yield (ends[0], e, ends[1]), mu
+        elif pat.direction is Direction.BACKWARD:
+            yield (ends[1], e, ends[0]), mu
+        else:
+            pair = tuple(ends)
+            yield (pair[0], e, pair[-1]), mu
+            if len(pair) == 2:
+                yield (pair[1], e, pair[0]), mu
+
+
 # -- satisfiable endpoint pairs ----------------------------------------------
 #
 # For `shortest` we need to know when further strata cannot satisfy any new
@@ -374,42 +414,11 @@ def _sat_entries(
         return entries
 
     def walk(node: Pattern) -> frozenset:
-        if isinstance(node, NodePat):
-            var, label = node.descriptor.var, node.descriptor.label
+        if isinstance(node, (NodePat, EdgePat)):
             return frozenset(
-                (
-                    n,
-                    n,
-                    Assignment({var: NodeVal(n)}) if var else EMPTY,
-                    True,
-                )
-                for n in graph.nodes
-                if label is None or label in graph.label_set(n)
+                (elements[0], elements[-1], mu, len(elements) == 1)
+                for elements, mu in _atom_matches(graph, node)
             )
-        if isinstance(node, EdgePat):
-            var, label = node.descriptor.var, node.descriptor.label
-            out = []
-            if node.direction in (Direction.FORWARD, Direction.BACKWARD):
-                for e, (s, t) in graph.directed_edges.items():
-                    if label is not None and label not in graph.label_set(e):
-                        continue
-                    mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
-                    if node.direction is Direction.FORWARD:
-                        out.append((s, t, mu, False))
-                    else:
-                        out.append((t, s, mu, False))
-            else:
-                for e, ends in graph.undirected_edges.items():
-                    if label is not None and label not in graph.label_set(e):
-                        continue
-                    mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
-                    pair = tuple(ends)
-                    if len(pair) == 1:
-                        out.append((pair[0], pair[0], mu, False))
-                    else:
-                        out.append((pair[0], pair[1], mu, False))
-                        out.append((pair[1], pair[0], mu, False))
-            return frozenset(out)
         if isinstance(node, Concat):
             left, right = walk(node.left), walk(node.right)
             keep = kept(node)
@@ -495,43 +504,12 @@ class _Evaluator:
         return result
 
     def _compute(self, pat: Pattern) -> set[tuple[Path, Assignment]]:
-        graph = self.graph
-        if isinstance(pat, NodePat):
-            var, label = pat.descriptor.var, pat.descriptor.label
-            return {
-                (
-                    Path((n,)),
-                    Assignment({var: NodeVal(n)}) if var else EMPTY,
-                )
-                for n in graph.nodes
-                if label is None or label in graph.label_set(n)
-            }
-        if isinstance(pat, EdgePat):
-            if self.max_len < 1:
+        if isinstance(pat, (NodePat, EdgePat)):
+            if isinstance(pat, EdgePat) and self.max_len < 1:
                 return set()
-            var, label = pat.descriptor.var, pat.descriptor.label
-            out: set[tuple[Path, Assignment]] = set()
-            if pat.direction in (Direction.FORWARD, Direction.BACKWARD):
-                for e, (s, t) in graph.directed_edges.items():
-                    if label is not None and label not in graph.label_set(e):
-                        continue
-                    mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
-                    if pat.direction is Direction.FORWARD:
-                        out.add((Path((s, e, t)), mu))
-                    else:
-                        out.add((Path((t, e, s)), mu))
-            else:
-                for e, ends in graph.undirected_edges.items():
-                    if label is not None and label not in graph.label_set(e):
-                        continue
-                    mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
-                    pair = tuple(ends)
-                    if len(pair) == 1:
-                        out.add((Path((pair[0], e, pair[0])), mu))
-                    else:
-                        out.add((Path((pair[0], e, pair[1])), mu))
-                        out.add((Path((pair[1], e, pair[0])), mu))
-            return out
+            return {
+                (Path(elements), mu) for elements, mu in _atom_matches(self.graph, pat)
+            }
         if isinstance(pat, Concat):
             left = self.answers(pat.left)
             right = self.answers(pat.right)
@@ -572,14 +550,77 @@ class _Evaluator:
     # -- repetition -----------------------------------------------------------
 
     def _repeat(self, pat: Repeat) -> set[tuple[Path, Assignment]]:
+        """Collect over segment splits, as one worklist for every mode.
+
+        A state is (path so far, closed groups, open edgeless run, count).
+        In grouping mode consecutive edgeless segments merge into the open
+        run, whose assignments must unify; a positive segment closes the
+        run. Edgeless segments are undefined in dynamic mode and, after
+        validation, cannot occur in syntactic mode, so both drop them and
+        every segment closes a group of its own. A variable-free body
+        records no groups: its answers depend on the path alone. With an
+        open upper bound only "reached lo" matters, so the count is capped
+        there. Without edgeless segments every step lengthens the path, so
+        the length bound ends the search; with them, the visited set does:
+        groups and runs come from finite sets, and counts are capped.
+        """
         body = self.answers(pat.pattern)
         domain = tuple(sorted(self.schema(pat.pattern)))
         lo, hi = self._clamp_counts(pat.lo, pat.hi, body)
-        if not domain:
-            return self._repeat_no_vars(lo, hi, body)
-        if self.cfg.collect_mode == "grouping":
-            return self._repeat_grouping(lo, hi, body, domain)
-        return self._repeat_positive(lo, hi, body, domain)
+        grouping = self.cfg.collect_mode == "grouping"
+        lenient = self.cfg.lenient_unify
+        by_src: dict = {}
+        for p, mu in body:
+            if grouping or p.length > 0:
+                by_src.setdefault(p.src, []).append((p, mu))
+        # A state can be reached twice only when edgeless segments merge or
+        # no groups are recorded; otherwise each state extends its parent's
+        # closed groups by one segment, so every pushed state is new.
+        dedupe = grouping or not domain
+        out: set[tuple[Path, Assignment]] = set()
+        start = [(Path((n,)), (), None, 0) for n in self.graph.nodes]
+        visited = set(start)
+        queue = list(start)
+        while queue:
+            path_so_far, closed, open_mu, k = queue.pop()
+            groups = closed  # then the open run, if any
+            if open_mu is not None:
+                groups = closed + ((Path((path_so_far.tgt,)), open_mu),)
+            if k >= lo:
+                bindings = EMPTY
+                if domain:
+                    bindings = Assignment(
+                        {
+                            x: GroupVal(tuple((p, mu[x]) for p, mu in groups))
+                            for x in domain
+                        }
+                    )
+                out.add((path_so_far, bindings))
+            if k == hi:  # no state is pushed past hi, so k >= lo above suffices
+                continue
+            nk = k + 1 if hi is not None or k < lo else k
+            room = self.max_len - path_so_far.length
+            for seg, mu in by_src.get(path_so_far.tgt, ()):
+                length = seg.length
+                if length == 0:
+                    merged = None
+                    if domain:
+                        merged = mu if open_mu is None else unify(open_mu, mu, lenient)
+                        if merged is None:
+                            continue
+                    state = (path_so_far, closed, merged, nk)
+                elif length > room:
+                    continue
+                else:
+                    ngroups = groups + ((seg, mu),) if domain else ()
+                    state = (path_so_far.concat(seg), ngroups, None, nk)
+                if dedupe:
+                    if state in visited:
+                        continue
+                    visited.add(state)
+                self.charge()
+                queue.append(state)
+        return out
 
     def _clamp_counts(self, lo: int, hi: Optional[int], body: PatternAnswers):
         """Clamp segment counts to the regime where powers are constant.
@@ -592,7 +633,7 @@ class _Evaluator:
         bound yield nothing at all.
         """
         if self.cfg.collect_mode != "grouping":
-            return lo, hi  # positive-only machines are length-limited anyway
+            return lo, hi  # no edgeless segments: the length bound caps counts
         zero_by_node: dict[str, int] = {}
         for p, _ in body:
             if p.length == 0:
@@ -605,152 +646,6 @@ class _Evaluator:
             choices = 1
         stable = (self.max_len + 1) * (choices + 1)
         return min(lo, stable), hi if hi is None else min(hi, stable)
-
-    def _bump(self, k: int, lo: int, hi: Optional[int]) -> int:
-        # With an open upper bound only "reached lo" matters, so cap the count.
-        return min(k + 1, lo) if hi is None else k + 1
-
-    def _count_ok(self, k: int, lo: int, hi: Optional[int]) -> bool:
-        return k >= lo if hi is None else lo <= k <= hi
-
-    def _repeat_no_vars(self, lo: int, hi: Optional[int], body: PatternAnswers):
-        """Variable-free body: only (path, segment count) matters."""
-        by_src: dict = {}
-        for p, _ in body:
-            if self.cfg.collect_mode == "dynamic" and p.length == 0:
-                continue
-            by_src.setdefault(p.src, []).append(p)
-        out: set[tuple[Path, Assignment]] = set()
-        start = [(Path((n,)), 0) for n in self.graph.nodes]
-        visited = set(start)
-        queue = list(start)
-        while queue:
-            path_so_far, k = queue.pop()
-            if self._count_ok(k, lo, hi):
-                out.add((path_so_far, EMPTY))
-            for seg in by_src.get(path_so_far.tgt, ()):
-                if path_so_far.length + seg.length > self.max_len:
-                    continue
-                nk = self._bump(k, lo, hi)
-                if hi is not None and nk > hi:
-                    continue
-                state = (path_so_far.concat(seg), nk)
-                if state not in visited:
-                    self.charge()
-                    visited.add(state)
-                    queue.append(state)
-        return out
-
-    def _repeat_positive(self, lo: int, hi: Optional[int], body: PatternAnswers, domain):
-        """dynamic/syntactic collect: every segment keeps a group of its own.
-
-        Edgeless segments are undefined in dynamic mode and, after
-        validation, cannot occur in syntactic mode, so both skip them;
-        segment counts are then bounded by the path length.
-        """
-        by_src: dict = {}
-        for p, mu in body:
-            if p.length == 0:
-                continue
-            by_src.setdefault(p.src, []).append((p, mu))
-        out: set[tuple[Path, Assignment]] = set()
-
-        def emit(path_so_far: Path, segments) -> None:
-            out.add(
-                (
-                    path_so_far,
-                    Assignment(
-                        {
-                            x: GroupVal(tuple((p, mu[x]) for p, mu in segments))
-                            for x in domain
-                        }
-                    ),
-                )
-            )
-
-        if lo == 0:
-            for n in self.graph.nodes:
-                emit(Path((n,)), ())
-        queue: list[tuple[Path, tuple]] = [
-            (p, ((p, mu),)) for p, mu in body if p.length > 0
-        ]
-        while queue:
-            path_so_far, segments = queue.pop()
-            k = len(segments)
-            if hi is not None and k > hi:
-                continue
-            if self._count_ok(k, lo, hi):
-                emit(path_so_far, segments)
-            if hi is not None and k == hi:
-                continue
-            for seg, mu in by_src.get(path_so_far.tgt, ()):
-                if path_so_far.length + seg.length > self.max_len:
-                    continue
-                self.charge()
-                queue.append((path_so_far.concat(seg), segments + ((seg, mu),)))
-        return out
-
-    def _repeat_grouping(self, lo: int, hi: Optional[int], body: PatternAnswers, domain):
-        """Grouping collect as an incremental state machine.
-
-        A state is (path so far, closed groups, open edgeless run, count):
-        consecutive edgeless segments merge into the open run, whose
-        assignments must unify; a positive segment closes the run. The
-        visited set makes open upper bounds terminate: path length is
-        bounded, groups and runs come from finite sets, and counts are
-        capped once the lower bound is reached.
-        """
-        lenient = self.cfg.lenient_unify
-        by_src: dict = {}
-        for p, mu in body:
-            by_src.setdefault(p.src, []).append((p, mu))
-        out: set[tuple[Path, Assignment]] = set()
-
-        def emit(path_so_far: Path, closed, open_mu) -> None:
-            groups = closed
-            if open_mu is not None:
-                groups = closed + ((Path((path_so_far.tgt,)), open_mu),)
-            out.add(
-                (
-                    path_so_far,
-                    Assignment(
-                        {
-                            x: GroupVal(tuple((p, mu[x]) for p, mu in groups))
-                            for x in domain
-                        }
-                    ),
-                )
-            )
-
-        start = [(Path((n,)), (), None, 0) for n in self.graph.nodes]
-        visited = set(start)
-        queue = list(start)
-        while queue:
-            path_so_far, closed, open_mu, k = queue.pop()
-            if self._count_ok(k, lo, hi):
-                emit(path_so_far, closed, open_mu)
-            for seg, mu in by_src.get(path_so_far.tgt, ()):
-                nk = self._bump(k, lo, hi)
-                if hi is not None and nk > hi:
-                    continue
-                if seg.length == 0:
-                    merged = mu if open_mu is None else unify(open_mu, mu, lenient)
-                    if merged is None:
-                        continue
-                    state = (path_so_far, closed, merged, nk)
-                else:
-                    if path_so_far.length + seg.length > self.max_len:
-                        continue
-                    nclosed = closed
-                    if open_mu is not None:
-                        nclosed = nclosed + ((Path((path_so_far.tgt,)), open_mu),)
-                    nclosed = nclosed + ((seg, mu),)
-                    state = (path_so_far.concat(seg), nclosed, None, nk)
-                if state not in visited:
-                    self.charge()
-                    visited.add(state)
-                    queue.append(state)
-        return out
 
 
 def eval_pattern(

@@ -40,6 +40,10 @@ from .values import Value
 FRESH_PREFIX = "_v"
 
 
+class TranslateError(ValueError):
+    """A '#nre' or '#c2rpq' input that cannot be parsed or translated."""
+
+
 # -- regular expressions over labels and inverse labels; Nest is the
 #    bracketed existential test of nested regular expressions ---------------
 
@@ -93,7 +97,7 @@ class C2rpq:
         atom_vars = {v for x, _, y in self.atoms for v in (x, y)}
         missing = [v for v in self.head if v not in atom_vars]
         if missing:
-            raise ValueError(f"head variable {missing[0]!r} not used in any atom")
+            raise TranslateError(f"head variable {missing[0]!r} not used in any atom")
 
 
 # -- rule-set evaluation ------------------------------------------------------
@@ -133,7 +137,7 @@ def translate_2rpq(regex: Nre) -> Pattern:
     if isinstance(regex, NreStar):
         return Repeat(translate_2rpq(regex.operand), 0, None)
     if isinstance(regex, Nest):
-        raise ValueError("nested tests are not part of 2RPQ expressions")
+        raise TranslateError("nested tests are not part of 2RPQ expressions")
     raise TypeError(f"not a regular expression: {regex!r}")
 
 
@@ -263,7 +267,7 @@ class _RegexParser:
                 tokens.append(ch)
                 i += 1
             else:
-                raise ValueError(f"unexpected character {ch!r} in expression")
+                raise TranslateError(f"unexpected character {ch!r} in expression")
         tokens.append("<eof>")
         return tokens
 
@@ -278,7 +282,7 @@ class _RegexParser:
 
     def expect(self, tok: str) -> None:
         if self.peek() != tok:
-            raise ValueError(f"expected {tok!r}, found {self.peek()!r}")
+            raise TranslateError(f"expected {tok!r}, found {self.peek()!r}")
         self.advance()
 
     def alternation(self) -> Nre:
@@ -309,7 +313,7 @@ class _RegexParser:
                 node = NreStar(node)
             else:
                 if not isinstance(node, Label):
-                    raise ValueError("inverse applies to single labels only")
+                    raise TranslateError("inverse applies to single labels only")
                 node = Inverse(node.label)
         return node
 
@@ -331,7 +335,7 @@ class _RegexParser:
         tok = self.peek()
         if tok != "<eof>" and (tok[0].isalpha() or tok[0] == "_"):
             return self.advance()
-        raise ValueError(f"expected a name, found {tok!r}")
+        raise TranslateError(f"expected a name, found {tok!r}")
 
 
 def parse_nre(text: str) -> Nre:
@@ -344,7 +348,7 @@ def parse_nre(text: str) -> Nre:
 def parse_c2rpq(text: str) -> C2rpq:
     parser = _RegexParser(text)
     if parser.advance().upper() != "ANS":
-        raise ValueError("a conjunctive query starts with Ans(...)")
+        raise TranslateError("a conjunctive query starts with Ans(...)")
     parser.expect("(")
     head: list[str] = []
     if parser.peek() != ")":
@@ -369,7 +373,7 @@ def _c2rpq_atom(parser: _RegexParser) -> tuple[str, Nre, str]:
     parser.expect(",")
     regex = parser.alternation()
     if _contains_nest(regex):
-        raise ValueError("conjunctive query atoms take plain regular expressions")
+        raise TranslateError("conjunctive query atoms take plain regular expressions")
     parser.expect(",")
     y = parser.ident()
     parser.expect(")")
@@ -390,11 +394,11 @@ def translate_source(text: str) -> RuleSet:
     """Translate a '#nre' or '#c2rpq' headed source file into a rule set."""
     lines = text.strip().splitlines()
     if not lines:
-        raise ValueError("empty translator input")
+        raise TranslateError("empty translator input")
     header = lines[0].strip().lower()
     body = "\n".join(lines[1:]).strip()
     if header == "#nre":
         return translate_nre(parse_nre(body))
     if header == "#c2rpq":
         return translate_c2rpq(parse_c2rpq(body))
-    raise ValueError("translator input must start with '#nre' or '#c2rpq'")
+    raise TranslateError("translator input must start with '#nre' or '#c2rpq'")

@@ -169,10 +169,13 @@ def _check_labels(raw: object, owner: str, violations: list[str]) -> frozenset[s
 def validate_graph(data: dict) -> PropertyGraph:
     """Build a PropertyGraph from a raw JSON-style description.
 
-    Raises GraphValidationError carrying every violation found: duplicate
-    ids across the three id spaces, dangling src/tgt/endpoint references,
-    and undirected edges whose endpoint set is not of size 1 or 2.
+    Raises GraphValidationError carrying every violation found: a
+    document or element list of the wrong shape, duplicate ids across the
+    three id spaces, dangling src/tgt/endpoint references, and undirected
+    edges whose endpoint set is not of size 1 or 2.
     """
+    if not isinstance(data, dict):
+        raise GraphValidationError(["a graph must be a JSON object"])
     violations: list[str] = []
     nodes: set[str] = set()
     directed: dict[str, tuple[str, str]] = {}
@@ -198,33 +201,42 @@ def validate_graph(data: dict) -> PropertyGraph:
         ).items():
             properties[(eid, key)] = value
 
-    for entry in data.get("nodes", []):
+    def entries(section: str) -> list[dict]:
+        raw = data.get(section, [])
+        if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+            violations.append(f"{section} must be a list of objects")
+            return []
+        return raw
+
+    for entry in entries("nodes"):
         eid = fresh_id(entry.get("id"), "node")
         if eid is None:
             continue
         nodes.add(eid)
         element_common(entry, eid)
 
-    for entry in data.get("directed_edges", []):
+    for entry in entries("directed_edges"):
         eid = fresh_id(entry.get("id"), "directed edge")
         if eid is None:
             continue
         src, tgt = entry.get("src"), entry.get("tgt")
         ok = True
         for name, ref in (("src", src), ("tgt", tgt)):
-            if ref not in nodes:
+            if not isinstance(ref, str) or ref not in nodes:
                 violations.append(f"dangling endpoint: {eid!r}.{name} = {ref!r}")
                 ok = False
         if ok:
             directed[eid] = (src, tgt)
         element_common(entry, eid)
 
-    for entry in data.get("undirected_edges", []):
+    for entry in entries("undirected_edges"):
         eid = fresh_id(entry.get("id"), "undirected edge")
         if eid is None:
             continue
         raw_ends = entry.get("endpoints", [])
-        ends = frozenset(raw_ends) if isinstance(raw_ends, list) else frozenset()
+        ends = frozenset()
+        if isinstance(raw_ends, list) and all(isinstance(n, str) for n in raw_ends):
+            ends = frozenset(raw_ends)
         if len(ends) not in (1, 2):
             violations.append(f"undirected edge {eid!r} needs 1 or 2 endpoints")
         else:
@@ -250,7 +262,11 @@ def validate_graph(data: dict) -> PropertyGraph:
 
 def load_graph(file_path: str) -> PropertyGraph:
     with open(file_path, "r", encoding="utf-8") as handle:
-        return validate_graph(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise GraphValidationError([f"{file_path}: not a JSON document: {exc}"])
+    return validate_graph(data)
 
 
 def path_is_valid(graph: PropertyGraph, p: Path) -> bool:

@@ -213,3 +213,49 @@ def test_missing_file_exit_1(capsys, graph_file):
     code, _, err = run_cli(capsys, "run", "/nonexistent/graph.json", "q")
     assert code == 1
     assert json.loads(err)["error"] == "io"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"#nre\na b (", b"#c2rpq\nAns(z) <- (x, a, y)", b"\xff\xfe SHORTEST ()"],
+    ids=["unbalanced-nre", "unused-head-variable", "not-utf8"],
+)
+def test_run_bad_input_exit_2(capsys, graph_file, tmp_path, content):
+    query = tmp_path / "q.txt"
+    query.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", graph_file, str(query))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"nodes": [', b"[1, 2]", b'{"nodes": [1]}', b"\xff\xfe{}"],
+    ids=["truncated", "not-an-object", "entry-not-an-object", "not-utf8"],
+)
+def test_run_malformed_graph_exit_2(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST ()")
+    code, out, err = run_cli(capsys, "run", str(bad), str(query))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "graph"
+
+
+def test_run_internal_error_exit_1(capsys, graph_file, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("path must alternate node,edge,...,node (odd length >= 1)")
+
+    monkeypatch.setattr("gpc.cli.eval_query", broken)
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST ()")
+    code, out, err = run_cli(capsys, "run", graph_file, str(query))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "internal"
+    assert diag["exception"] == "ValueError"

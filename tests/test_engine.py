@@ -386,6 +386,8 @@ def test_match_lengths(text, window):
         ("(x) [[-[:a]->] + [-[:a]-> -[:b]->]] (y)", 2),
         ("(:A) -[:a]->{1..3} (:B)", 3),
         ("[-[:a]->] + [-[:a]-> -[:b]->]", 2),
+        ("[-[:a]->{1..2}]{1..2}", 4),
+        ("(x) [-[e]-> (y)]{1..2}", 2),
     ],
 )
 def test_window_matches_oracle_at_default_bounds(text, longest, restrictor, mode):
@@ -425,6 +427,27 @@ def test_variable_free_shortest_on_cyclic_graph():
     free = eval_query(g, parse_query("SHORTEST (:A) -[:a]->{1..} (:B)"))
     named = eval_query(g, parse_query("SHORTEST (x:A) -[:a]->{1..} (:B)"))
     assert [a.paths for a in free] == [a.paths for a in named] == [(chain,)]
+
+
+@pytest.mark.parametrize("mode", COLLECT_MODES)
+@pytest.mark.parametrize("restrictor", ["TRAIL", "SHORTEST"])
+def test_variable_free_repetition_of_repetition_on_long_chain(restrictor, mode):
+    # Every path along the chain splits into segments of one or two edges
+    # in Fib(length + 1) ways, about 1.6e8 for the whole chain. A variable-
+    # free body records no segmentation, so the work stays near the number
+    # of (path, count) states.
+    g = validate_graph(
+        {
+            "nodes": [{"id": f"n{i}"} for i in range(41)],
+            "directed_edges": [
+                {"id": f"a{i}", "src": f"n{i}", "tgt": f"n{i + 1}", "labels": ["a"]}
+                for i in range(40)
+            ],
+        }
+    )
+    query = parse_query(f"{restrictor} [-[:a]->{{1..2}}]{{1..}}")
+    answers = eval_query(g, query, EvalConfig(collect_mode=mode))
+    assert len(answers) == 40 * 41 // 2
 
 
 def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
