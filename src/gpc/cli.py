@@ -86,6 +86,12 @@ def _parse_any(text: str):
             raise query_error
 
 
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def _error_json(category: str, exc: Exception, **extra) -> str:
     payload = {"error": category, "message": str(exc)}
     payload.update(extra)
@@ -192,7 +198,6 @@ def cmd_run(args) -> int:
         "elapsed_ms": elapsed_ms,
         "mode": cfg.collect_mode,
         "bound_used": _bound_used(cfg, graph, expr),
-        "truncated": False,
     }
     print(json.dumps(report, sort_keys=True), file=sys.stderr)
     return 0
@@ -267,8 +272,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
             choices=("syntactic", "dynamic", "grouping"),
             default="grouping",
         )
-        p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--max-answers", type=int, default=100_000)
+        p.add_argument("--max-len", type=_non_negative, default=None)
+        p.add_argument("--max-answers", type=_non_negative, default=100_000)
         p.add_argument("--lenient-unify", action="store_true")
 
     run = sub.add_parser("run", help="evaluate a query or rule set")
@@ -328,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         )
         return 2
     except ResourceLimitError as exc:
-        print(_error_json("resource-limit", exc, truncated=True), file=sys.stderr)
+        print(_error_json("resource-limit", exc), file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         print(_error_json("oracle-budget", exc), file=sys.stderr)

@@ -1,22 +1,21 @@
 """Set-semantics evaluation of patterns and queries over a property graph.
 
-Evaluation is compositional and bounded by a maximum path length: the
-result for a pattern is exactly the set of its answers whose witness path
-has length at most the bound. One repetition worklist serves all three
-collect modes: it runs over incremental group states (closed groups plus
-the open run of edgeless segments), so open upper bounds terminate
-without enumerating segment counts. Node and edge atoms are matched by
-one helper that both the evaluator and the satisfiable-pair analysis
-use. Every restricted query, with or without variables, takes its
-paths from this one evaluator, and restrictors filter its answers at the
-query level. A static match-length window (`match_lengths`) caps the
-bound (`length_bound`) at the longest match the pattern can have;
-`shortest` evaluates its operand in strata of increasing
-length from the shortest possible match and stops at the window's end,
-or earlier once every endpoint pair that the pattern can connect has
-received its minimum. Joins hash-partition the right operand's answers
-on the values of the shared variables and unify each left answer only
-within its own bucket.
+One evaluator serves a whole query. It computes a pattern's answers by
+exact path length, memoized per (subpattern, length), so the `shortest`
+strata of a leg share the shorter lengths, and all legs share one work
+budget and one answer ceiling. Concatenation at length k joins left
+answers of length i with right answers of length k - i, for the splits
+that both operands' static match-length windows (`match_lengths`) admit.
+One repetition worklist serves all three collect modes: the states of
+length k extend shorter ones by a positive segment, and in grouping mode
+then merge edgeless segments into an open run. A state that holds an
+edgeless run matches every count from its own upwards, since `unify` is
+absorptive, so huge repetition counts cost nothing. Restrictors filter
+answers at the query level; the window caps each leg's bound
+(`length_bound`), and `shortest` keeps each endpoint pair's first
+stratum and stops once every pair that the pattern can connect has one.
+Joins hash-partition the right operand's answers on the values of the
+shared variables.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -88,6 +87,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.collect_mode not in COLLECT_MODES:
             raise ValueError(f"unknown collect mode {self.collect_mode!r}")
+        if (self.max_len or 0) < 0 or self.max_answers < 0:
+            raise ValueError("max_len and max_answers must be non-negative")
 
 
 # -- assignments and conditions -------------------------------------------
@@ -236,33 +237,44 @@ def default_length_bound(
     return min(bounds)
 
 
-def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
+def match_lengths(
+    pattern: Pattern, memo: Optional[dict] = None
+) -> tuple[int, Optional[int]]:
     """Static (lo, hi) window holding the length of every match of the pattern.
 
     hi is None when an open repetition leaves the length unbounded. A
     repetition of an edgeless body matches only edgeless paths, whatever
-    its counts.
+    its counts. `memo`, keyed by node identity, keeps the windows of
+    subpatterns across calls.
     """
-    if isinstance(pattern, NodePat):
-        return 0, 0
-    if isinstance(pattern, EdgePat):
-        return 1, 1
-    if isinstance(pattern, Cond):
-        return match_lengths(pattern.pattern)
-    if isinstance(pattern, (Concat, Union_)):
-        lo1, hi1 = match_lengths(pattern.left)
-        lo2, hi2 = match_lengths(pattern.right)
+    if memo is None:
+        memo = {}
+    window = memo.get(id(pattern))
+    if window is not None:
+        return window
+    if isinstance(pattern, (NodePat, EdgePat)):
+        window = (0, 0) if isinstance(pattern, NodePat) else (1, 1)
+    elif isinstance(pattern, Cond):
+        window = match_lengths(pattern.pattern, memo)
+    elif isinstance(pattern, (Concat, Union_)):
+        lo1, hi1 = match_lengths(pattern.left, memo)
+        lo2, hi2 = match_lengths(pattern.right, memo)
         if isinstance(pattern, Concat):
-            return lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
-        return min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
-    if isinstance(pattern, Repeat):
-        lo, hi = match_lengths(pattern.pattern)
+            window = lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
+        else:
+            window = min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
+    elif isinstance(pattern, Repeat):
+        lo, hi = match_lengths(pattern.pattern, memo)
         if hi == 0:
-            return 0, 0
-        if hi is None or pattern.hi is None:
-            return lo * pattern.lo, None
-        return lo * pattern.lo, hi * pattern.hi
-    raise TypeError(f"not a pattern: {pattern!r}")
+            window = 0, 0
+        elif hi is None or pattern.hi is None:
+            window = lo * pattern.lo, None
+        else:
+            window = lo * pattern.lo, hi * pattern.hi
+    else:
+        raise TypeError(f"not a pattern: {pattern!r}")
+    memo[id(pattern)] = window
+    return window
 
 
 # -- atoms -------------------------------------------------------------------
@@ -461,76 +473,93 @@ def _sat_entries(
 # -- pattern evaluation -------------------------------------------------------
 
 
-PatternAnswers = frozenset  # of (Path, Assignment)
-
-
 class _Evaluator:
-    """One bounded bottom-up evaluation; memoizes per subexpression."""
+    """One bottom-up evaluation per query, by exact path length.
 
-    def __init__(self, graph: PropertyGraph, cfg: EvalConfig, max_len: int):
+    `answers(pat, k)` holds the answers of length exactly k. Its memo keys
+    use node identity, since the AST dataclasses hash recursively.
+    """
+
+    def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
         self.graph = graph
         self.cfg = cfg
-        self.max_len = max_len
-        self.memo: dict[Pattern, PatternAnswers] = {}
-        self.schemas: dict[Pattern, Schema] = {}
+        self.memo: dict[tuple[int, int], frozenset] = {}
+        self.index: dict[tuple[int, int], dict] = {}
+        self.levels: dict[int, list] = {}  # repetition states by length
+        self.sizes: dict[int, int] = {}
+        self.schemas: dict[int, Schema] = {}
+        self.windows: dict = {}
         self.work = 0
         self.work_limit = max(cfg.max_answers * 20, 1_000_000)
 
     def schema(self, pat: Pattern) -> Schema:
-        if pat not in self.schemas:
-            self.schemas[pat] = infer_schema(pat)
-        return self.schemas[pat]
+        if id(pat) not in self.schemas:
+            self.schemas[id(pat)] = infer_schema(pat)
+        return self.schemas[id(pat)]
 
-    def charge(self, amount: int = 1) -> None:
-        self.work += amount
+    def charge(self) -> None:
+        self.work += 1
         if self.work > self.work_limit:
             raise ResourceLimitError(
                 f"evaluation exceeded {self.work_limit} intermediate states"
             )
 
-    def check_size(self, answers) -> None:
-        if len(answers) > self.cfg.max_answers:
+    def answers(self, pat: Pattern, k: int) -> frozenset:
+        key = (id(pat), k)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        result = frozenset(self._compute(pat, k))
+        # The ceiling counts a subpattern's answers over every length so far.
+        size = self.sizes[id(pat)] = self.sizes.get(id(pat), 0) + len(result)
+        if size > self.cfg.max_answers:
             raise ResourceLimitError(
                 f"answer set exceeded the ceiling of {self.cfg.max_answers}"
             )
-
-    def answers(self, pat: Pattern) -> PatternAnswers:
-        cached = self.memo.get(pat)
-        if cached is not None:
-            return cached
-        result = frozenset(self._compute(pat))
-        self.check_size(result)
-        self.memo[pat] = result
+        self.memo[key] = result
         return result
 
-    def _compute(self, pat: Pattern) -> set[tuple[Path, Assignment]]:
+    def by_src(self, pat: Pattern, k: int) -> dict:
+        """The answers of length k, indexed by their path's source node."""
+        key = (id(pat), k)
+        index = self.index.get(key)
+        if index is None:
+            index = {}
+            for answer in self.answers(pat, k):
+                index.setdefault(answer[0].src, []).append(answer)
+            self.index[key] = index
+        return index
+
+    def _compute(self, pat: Pattern, k: int) -> set[tuple[Path, Assignment]]:
         if isinstance(pat, (NodePat, EdgePat)):
-            if isinstance(pat, EdgePat) and self.max_len < 1:
+            if match_lengths(pat, self.windows) != (k, k):
                 return set()
             return {
                 (Path(elements), mu) for elements, mu in _atom_matches(self.graph, pat)
             }
         if isinstance(pat, Concat):
-            left = self.answers(pat.left)
-            right = self.answers(pat.right)
-            by_src: dict = {}
-            for p2, mu2 in right:
-                by_src.setdefault(p2.src, []).append((p2, mu2))
+            # Only the splits that both operands' windows admit.
+            lo1, hi1 = match_lengths(pat.left, self.windows)
+            lo2, hi2 = match_lengths(pat.right, self.windows)
+            first = lo1 if hi2 is None else max(lo1, k - hi2)
+            last = k - lo2 if hi1 is None else min(hi1, k - lo2)
             out = set()
-            for p1, mu1 in left:
-                budget = self.max_len - p1.length
-                for p2, mu2 in by_src.get(p1.tgt, ()):
-                    if p2.length > budget:
-                        continue
-                    self.charge()
-                    merged = unify(mu1, mu2)
-                    if merged is not None:
-                        out.add((p1.concat(p2), merged))
+            for i in range(first, last + 1):
+                left = self.answers(pat.left, i)
+                right = self.by_src(pat.right, k - i)
+                if not left or not right:
+                    continue
+                for p1, mu1 in left:
+                    for p2, mu2 in right.get(p1.tgt, ()):
+                        self.charge()
+                        merged = unify(mu1, mu2)
+                        if merged is not None:
+                            out.add((p1.concat(p2), merged))
             return out
         if isinstance(pat, Union_):
             domain = set(self.schema(pat))
             out = set()
-            for p, mu in self.answers(pat.left) | self.answers(pat.right):
+            for p, mu in self.answers(pat.left, k) | self.answers(pat.right, k):
                 if set(mu) != domain:
                     mu = Assignment(
                         {x: mu.get(x, NOTHING) for x in domain}
@@ -540,112 +569,97 @@ class _Evaluator:
         if isinstance(pat, Cond):
             return {
                 (p, mu)
-                for p, mu in self.answers(pat.pattern)
+                for p, mu in self.answers(pat.pattern, k)
                 if satisfies(self.graph, mu, pat.condition)
             }
         if isinstance(pat, Repeat):
-            return self._repeat(pat)
+            return self._repeat(pat, k)
         raise TypeError(f"not a pattern: {pat!r}")
 
     # -- repetition -----------------------------------------------------------
 
-    def _repeat(self, pat: Repeat) -> set[tuple[Path, Assignment]]:
+    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Path, Assignment]]:
         """Collect over segment splits, as one worklist for every mode.
 
-        A state is (path so far, closed groups, open edgeless run, count).
-        In grouping mode consecutive edgeless segments merge into the open
-        run, whose assignments must unify; a positive segment closes the
-        run. Edgeless segments are undefined in dynamic mode and, after
-        validation, cannot occur in syntactic mode, so both drop them and
-        every segment closes a group of its own. A variable-free body
-        records no groups: its answers depend on the path alone. With an
-        open upper bound only "reached lo" matters, so the count is capped
-        there. Without edgeless segments every step lengthens the path, so
-        the length bound ends the search; with them, the visited set does:
-        groups and runs come from finite sets, and counts are capped.
+        A state is (path so far, groups, open edgeless run, count, pumped);
+        its groups end with the open run, if any. Edgeless segments are
+        undefined in dynamic mode and, after validation, cannot occur in
+        syntactic mode, so both drop them. A variable-free body records no
+        groups, and its open run is EMPTY. A state that holds an edgeless
+        run could merge that run's segment again, raising its count by any
+        amount with the same bindings: it is pumped and matches even below
+        `lo`. So a merge that leaves the open run unchanged is skipped, and
+        every count stays finite. With an open upper bound only "reached lo"
+        matters, so the count is capped there.
         """
-        body = self.answers(pat.pattern)
-        domain = tuple(sorted(self.schema(pat.pattern)))
-        lo, hi = self._clamp_counts(pat.lo, pat.hi, body)
+        body = pat.pattern
+        longest = match_lengths(body, self.windows)[1]
+        levels = self.levels.setdefault(id(pat), [])
+
+        while len(levels) < k:  # build each shorter length once, in order
+            recent = levels[max(len(levels) - (longest or 0), 0):]
+            if longest is not None and levels and not any(recent):
+                return set()  # a state extends one at most `longest` shorter
+            self.answers(pat, len(levels))
+        domain = tuple(sorted(self.schema(body)))
+        lo, hi = pat.lo, pat.hi
         grouping = self.cfg.collect_mode == "grouping"
-        lenient = self.cfg.lenient_unify
-        by_src: dict = {}
-        for p, mu in body:
-            if grouping or p.length > 0:
-                by_src.setdefault(p.src, []).append((p, mu))
-        # A state can be reached twice only when edgeless segments merge or
-        # no groups are recorded; otherwise each state extends its parent's
-        # closed groups by one segment, so every pushed state is new.
+        # Only edgeless merges or unrecorded groups reach a state twice;
+        # otherwise each state extends its parent's groups by one segment.
         dedupe = grouping or not domain
-        out: set[tuple[Path, Assignment]] = set()
-        start = [(Path((n,)), (), None, 0) for n in self.graph.nodes]
-        visited = set(start)
-        queue = list(start)
-        while queue:
-            path_so_far, closed, open_mu, k = queue.pop()
-            groups = closed  # then the open run, if any
-            if open_mu is not None:
-                groups = closed + ((Path((path_so_far.tgt,)), open_mu),)
-            if k >= lo:
-                bindings = EMPTY
-                if domain:
-                    bindings = Assignment(
-                        {
-                            x: GroupVal(tuple((p, mu[x]) for p, mu in groups))
-                            for x in domain
-                        }
-                    )
-                out.add((path_so_far, bindings))
-            if k == hi:  # no state is pushed past hi, so k >= lo above suffices
+        states: list = []
+        seen: set = set()
+
+        def push(state) -> bool:
+            if dedupe:
+                if state in seen:
+                    return False
+                seen.add(state)
+            self.charge()
+            states.append(state)
+            return True
+
+        if k == 0:
+            for n in self.graph.nodes:
+                push((Path((n,)), (), None, 0, False))
+        for j in range(0 if longest is None else max(k - longest, 0), k):
+            segments = self.by_src(body, k - j)
+            if not segments:
                 continue
-            nk = k + 1 if hi is not None or k < lo else k
-            room = self.max_len - path_so_far.length
-            for seg, mu in by_src.get(path_so_far.tgt, ()):
-                length = seg.length
-                if length == 0:
-                    merged = None
-                    if domain:
-                        merged = mu if open_mu is None else unify(open_mu, mu, lenient)
-                        if merged is None:
-                            continue
-                    state = (path_so_far, closed, merged, nk)
-                elif length > room:
+            for path_so_far, groups, _, count, pumped in levels[j]:
+                if count == hi:
                     continue
-                else:
-                    ngroups = groups + ((seg, mu),) if domain else ()
-                    state = (path_so_far.concat(seg), ngroups, None, nk)
-                if dedupe:
-                    if state in visited:
-                        continue
-                    visited.add(state)
-                self.charge()
-                queue.append(state)
-        return out
-
-    def _clamp_counts(self, lo: int, hi: Optional[int], body: PatternAnswers):
-        """Clamp segment counts to the regime where powers are constant.
-
-        Beyond B = (max_len+1)*(M+1) every bounded composition both pumps
-        up (duplicate an edgeless segment; M counts the per-node choices
-        that matter, 1 under strict unification) and collapses down (some
-        run holds a segment it does not need), so the powers agree with
-        the B-th one; without edgeless segments, counts past the length
-        bound yield nothing at all.
-        """
-        if self.cfg.collect_mode != "grouping":
-            return lo, hi  # no edgeless segments: the length bound caps counts
-        zero_by_node: dict[str, int] = {}
-        for p, _ in body:
-            if p.length == 0:
-                zero_by_node[p.src] = zero_by_node.get(p.src, 0) + 1
-        if not zero_by_node:
-            choices = 0
-        elif self.cfg.lenient_unify:
-            choices = max(zero_by_node.values())
-        else:
-            choices = 1
-        stable = (self.max_len + 1) * (choices + 1)
-        return min(lo, stable), hi if hi is None else min(hi, stable)
+                nk = count + 1 if hi is not None or count < lo else count
+                for segment in segments.get(path_so_far.tgt, ()):
+                    ngroups = groups + (segment,) if domain else ()
+                    push((path_so_far.concat(segment[0]), ngroups, None, nk, pumped))
+        edgeless = self.by_src(body, 0)
+        lenient = self.cfg.lenient_unify
+        queue = list(states) if grouping and edgeless else []
+        while queue:
+            path_so_far, groups, open_mu, count, _ = queue.pop()
+            if count == hi:
+                continue
+            nk = count + 1 if hi is not None or count < lo else count
+            closed = groups if open_mu is None else groups[:-1]
+            for _, mu in edgeless.get(path_so_far.tgt, ()):
+                merged = mu if open_mu is None else unify(open_mu, mu, lenient)
+                if merged is None or merged == open_mu:
+                    continue
+                ngroups = closed + ((Path((path_so_far.tgt,)), merged),) if domain else ()
+                state = (path_so_far, ngroups, merged, nk, True)
+                if push(state):
+                    queue.append(state)
+        levels.append(states)
+        if longest is not None and k >= longest:
+            levels[k - longest] = None  # no later length extends these
+        return {
+            (path_so_far, Assignment(
+                {x: GroupVal(tuple((p, mu[x]) for p, mu in groups)) for x in domain}
+            ) if domain else EMPTY)
+            for path_so_far, groups, _, count, pumped in states
+            if count >= lo or pumped
+        }
 
 
 def eval_pattern(
@@ -656,7 +670,8 @@ def eval_pattern(
         raise ValueError("pattern evaluation needs an explicit max_len")
     infer_schema(pattern)
     validate_for_mode(pattern, cfg.collect_mode)
-    return set(_Evaluator(graph, cfg, cfg.max_len).answers(pattern))
+    evaluator = _Evaluator(graph, cfg)
+    return {a for k in range(cfg.max_len + 1) for a in evaluator.answers(pattern, k)}
 
 
 def power(
@@ -671,21 +686,11 @@ def power(
 # -- queries -------------------------------------------------------------
 
 
-def _is_trail(p: Path) -> bool:
-    edges = p.edges()
-    return len(edges) == len(set(edges))
-
-
-def _is_simple(p: Path) -> bool:
-    nodes = p.nodes()
-    return len(nodes) == len(set(nodes))
-
-
 def _base_ok(base: Optional[Restrictor], p: Path) -> bool:
     if base is Restrictor.TRAIL:
-        return _is_trail(p)
+        return len(set(p.edges())) == p.length
     if base is Restrictor.SIMPLE:
-        return _is_simple(p)
+        return len(set(p.nodes())) == p.length + 1
     return True
 
 
@@ -711,37 +716,35 @@ def length_bound(
 
 
 def _eval_restricted(
-    graph: PropertyGraph,
-    restrictor: Restrictor,
-    pattern: Pattern,
-    cfg: EvalConfig,
+    evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
 ) -> set[tuple[Path, Assignment]]:
+    """The answers of a restricted leg, one length stratum at a time."""
+    graph, cfg = evaluator.graph, evaluator.cfg
     bound = length_bound(restrictor, graph, pattern, cfg)
     base = restrictor.base
-    if not restrictor.has_shortest:
-        answers = _Evaluator(graph, cfg, bound).answers(pattern)
-        return {(p, mu) for p, mu in answers if _base_ok(base, p)}
-
-    # shortest: stratify by length, starting at the shortest possible match;
-    # a pair's first stratum is its minimum.
+    shortest = restrictor.has_shortest
     sat: Optional[set[tuple[str, str]]] = None
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
     for level in range(match_lengths(pattern)[0], bound + 1):
-        for p, mu in _Evaluator(graph, cfg, level).answers(pattern):
-            if p.length != level or not _base_ok(base, p):
+        for p, mu in evaluator.answers(pattern, level):
+            if not _base_ok(base, p):
                 continue
-            pair = (p.src, p.tgt)
-            if best.setdefault(pair, level) == level:
-                kept.add((p, mu))
-        if level >= bound:
-            break
+            if shortest and best.setdefault((p.src, p.tgt), level) != level:
+                continue
+            kept.add((p, mu))
+        if not shortest or level == bound:
+            continue
         # The pair analysis runs only once a later stratum could still be
         # skipped, so a leg whose window is a single length never pays it.
         if sat is None:
             sat = satisfiable_pairs(graph, pattern, cfg.collect_mode)
         if sat <= best.keys():
             break
+    # No other leg holds this leg's nodes; kept, its answers slow later legs.
+    evaluator.memo.clear()
+    evaluator.index.clear()
+    evaluator.levels.clear()
     return kept
 
 
@@ -752,26 +755,22 @@ def eval_query(
     cfg = cfg or EvalConfig()
     infer_schema(query)
     validate_for_mode(query, cfg.collect_mode)
-    answers = _eval_query(graph, query, cfg)
-    if len(answers) > cfg.max_answers:
-        raise ResourceLimitError(
-            f"answer set exceeded the ceiling of {cfg.max_answers}"
-        )
-    return answers
+    # Each leg's pattern and each join check the answer ceiling themselves.
+    return _eval_query(_Evaluator(graph, cfg), query)
 
 
-def _eval_query(graph: PropertyGraph, query: Query, cfg: EvalConfig) -> set[Answer]:
+def _eval_query(evaluator: _Evaluator, query: Query) -> set[Answer]:
     if isinstance(query, Restricted):
-        pairs = _eval_restricted(graph, query.restrictor, query.pattern, cfg)
+        pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
         return {Answer((p,), mu) for p, mu in pairs}
     if isinstance(query, Bound):
-        pairs = _eval_restricted(graph, query.restrictor, query.pattern, cfg)
+        pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
         return {
             Answer((p,), mu.with_binding(query.var, PathVal(p))) for p, mu in pairs
         }
     if isinstance(query, Join):
-        left = _eval_query(graph, query.left, cfg)
-        right = _eval_query(graph, query.right, cfg)
+        left = _eval_query(evaluator, query.left)
+        right = _eval_query(evaluator, query.right)
         # Shared join variables are node/edge singletons and unification is
         # strict, so two answers unify exactly when their keys are equal, and
         # their merge is then the plain union of the two assignments.
@@ -780,13 +779,14 @@ def _eval_query(graph: PropertyGraph, query: Query, cfg: EvalConfig) -> set[Answ
         for ra in right:
             buckets.setdefault(tuple(ra.bindings[x] for x in shared), []).append(ra)
         out = set()
+        max_answers = evaluator.cfg.max_answers
         for la in left:
             for ra in buckets.get(tuple(la.bindings[x] for x in shared), ()):
                 merged = Assignment({**la.bindings, **ra.bindings})
                 out.add(Answer(la.paths + ra.paths, merged))
-                if len(out) > cfg.max_answers:
+                if len(out) > max_answers:
                     raise ResourceLimitError(
-                        f"answer set exceeded the ceiling of {cfg.max_answers}"
+                        f"answer set exceeded the ceiling of {max_answers}"
                     )
         return out
     raise TypeError(f"not a query: {query!r}")

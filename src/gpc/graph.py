@@ -101,23 +101,12 @@ class PropertyGraph:
     def prop(self, element_id: str, key: str) -> Optional[Constant]:
         return self.properties.get((element_id, key))
 
-    def src(self, edge_id: str) -> str:
-        return self.directed_edges[edge_id][0]
-
-    def tgt(self, edge_id: str) -> str:
-        return self.directed_edges[edge_id][1]
-
     def endpoints(self, edge_id: str) -> frozenset[str]:
         return self.undirected_edges[edge_id]
 
     @property
     def edge_count(self) -> int:
         return len(self.directed_edges) + len(self.undirected_edges)
-
-    def element_ids(self) -> Iterator[str]:
-        yield from self.nodes
-        yield from self.directed_edges
-        yield from self.undirected_edges
 
     def steps_from(self, node: str) -> Iterator[tuple[str, str]]:
         """All single-step traversals (edge_id, next_node) leaving `node`.

@@ -277,9 +277,5 @@ def validate_for_mode(expr, collect_mode: str) -> None:
                 )
 
 
-def type_str(t: TypeExpr) -> str:
-    return str(t)
-
-
 def schema_json(schema: Schema) -> dict[str, str]:
     return {var: str(t) for var, t in sorted(schema.items())}

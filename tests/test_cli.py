@@ -66,7 +66,7 @@ def test_run_shortest_single_line(capsys, graph_file, tmp_path):
     report = json.loads(err.strip().splitlines()[-1])
     assert report["answer_count"] == 1
     assert report["mode"] == "grouping"
-    assert report["truncated"] is False
+    assert "truncated" not in report
 
 
 def test_run_deterministic_output(capsys, graph_file, tmp_path):
@@ -97,7 +97,20 @@ def test_run_resource_limit_exit_1(capsys, graph_file, tmp_path):
     assert code == 1
     diag = json.loads(err)
     assert diag["error"] == "resource-limit"
-    assert diag["truncated"] is True
+    assert "truncated" not in diag
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--max-answers"])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_run_rejects_bad_limits(capsys, graph_file, tmp_path, flag, value):
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST (x) -> (y)")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", graph_file, str(query), flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be a non-negative integer" in err
+    assert "Traceback" not in err
 
 
 def test_run_oracle_agreement(capsys, graph_file, tmp_path):

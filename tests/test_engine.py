@@ -264,6 +264,60 @@ def test_huge_repetition_bounds_collapse():
     assert small == expected
 
 
+def _cycle(n):
+    """A directed n-cycle whose odd nodes carry label A."""
+    return validate_graph(
+        {
+            "nodes": [
+                {"id": f"n{i}", "labels": ["A"] if i % 2 else []} for i in range(n)
+            ],
+            "directed_edges": [
+                {"id": f"e{i}", "src": f"n{i}", "tgt": f"n{(i + 1) % n}"}
+                for i in range(n)
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "text, lenient, count",
+    [
+        ("SHORTEST (x) [(y) + -[e]->]{100000..} (z)", False, 720),
+        ("SHORTEST (x) [(y) + -[e]->]{3..100000} (z)", False, 738),
+        ("SHORTEST (x) [[(y) + (z:A)] + -[e]->]{100000..} (w)", False, 2157),
+        ("SHORTEST (x) [[(y) + (z:A)] + -[e]->]{100000..} (w)", True, 4782),
+    ],
+)
+def test_large_repetition_counts_on_cycle(text, lenient, count):
+    # A repetition whose groups hold an edgeless run reaches any count at
+    # or above its own with the same bindings, so these counts are met by
+    # the answers of short paths.
+    import time
+
+    started = time.monotonic()
+    answers = eval_query(_cycle(6), parse_query(text), EvalConfig(lenient_unify=lenient))
+    assert time.monotonic() - started < 1.0
+    assert len(answers) == count
+
+
+def test_repetition_that_dies_out_stops_early():
+    # No a-edge exists, so no repetition state outlives length 0: the
+    # stratum at length 10^6 must not build every shorter length.
+    import time
+
+    started = time.monotonic()
+    query = parse_query("SHORTEST (x) -[:a]->{1000000..} (y)")
+    assert eval_query(_cycle(6), query) == set()
+    assert time.monotonic() - started < 1.0
+
+
+def test_negative_limits_rejected():
+    with pytest.raises(ValueError):
+        EvalConfig(max_len=-1)
+    with pytest.raises(ValueError):
+        EvalConfig(max_answers=-1)
+
+
 # -- powers ---------------------------------------------------------------------
 
 
@@ -465,6 +519,19 @@ def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
     # an open repetition still needs the analysis to stop early
     eval_query(g_intro, parse_query("SHORTEST (x)-[e]->{1..}(y)"))
     assert calls
+
+
+def test_one_evaluator_per_query(monkeypatch, g_intro):
+    built = []
+
+    class Counting(engine._Evaluator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Evaluator", Counting)
+    eval_query(g_intro, parse_query("SHORTEST (x)-[e]->{1..}(y), SHORTEST (y)-[f]->(z)"))
+    assert len(built) == 1
 
 
 def test_lenient_unify_enlarges_grouping_answers():
