@@ -66,7 +66,9 @@ def _read_source(arg: str, allow_literal: bool = False) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{arg}: not UTF-8 text: {exc.reason}") from None
     except OSError:
-        if allow_literal:
+        # Every pattern, query and rule set holds one of these characters,
+        # and a '#nre'/'#c2rpq' source holds '#'; a bare name is a path.
+        if allow_literal and any(ch in arg for ch in "([-<#"):
             return arg
         raise
 

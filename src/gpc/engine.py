@@ -1,11 +1,12 @@
 """Set-semantics evaluation of patterns and queries over a property graph.
 
-One evaluator serves a whole query. It computes a pattern's answers by
-exact path length, memoized per (subpattern, length), so the `shortest`
-strata of a leg share the shorter lengths, and all legs share one work
-budget and one answer ceiling. Concatenation at length k joins left
-answers of length i with right answers of length k - i, for the splits
-that both operands' static match-length windows (`match_lengths`) admit.
+One evaluator serves a whole query or rule set. It computes a pattern's
+answers by exact path length, memoized per (subpattern, length), so the
+`shortest` strata of a leg share the shorter lengths, and all legs and
+rules share one work budget, which also pays for the pair analysis, and
+one answer ceiling. Concatenation at length k joins left answers of
+length i with right answers of length k - i, for the splits that both
+operands' static match-length windows (`match_lengths`) admit.
 One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
@@ -13,7 +14,8 @@ edgeless run matches every count from its own upwards, since `unify` is
 absorptive, so huge repetition counts cost nothing. Restrictors filter
 answers at the query level; the window caps each leg's bound
 (`length_bound`), and `shortest` keeps each endpoint pair's first
-stratum and stops once every pair that the pattern can connect has one.
+stratum and stops once every pair that the pattern can connect has one;
+an exact pair analysis (`satisfiable_pairs`) names those pairs.
 Joins hash-partition the right operand's answers on the values of the
 shared variables.
 
@@ -23,8 +25,9 @@ graph concurrently since all inputs are immutable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 from .ast import (
     And,
@@ -45,6 +48,7 @@ from .ast import (
     Repeat,
     Restricted,
     Restrictor,
+    RuleSet,
     Union_,
     # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
@@ -53,6 +57,7 @@ from .ast import (
 from .graph import Path, PropertyGraph, const_eq
 from .typecheck import (
     Schema,
+    check_ruleset,
     infer_schema,
     is_singleton,
     validate_for_mode,
@@ -82,7 +87,7 @@ class EvalConfig:
     max_len: Optional[int] = None  # None resolves per restrictor
     max_answers: int = 100_000
     lenient_unify: bool = False
-    bound_ceiling: int = 10**6
+    bound_ceiling: ClassVar[int] = 10**6  # caps the default SHORTEST bound
 
     def __post_init__(self) -> None:
         if self.collect_mode not in COLLECT_MODES:
@@ -212,7 +217,7 @@ def default_length_bound(
     restrictor: Restrictor,
     graph: PropertyGraph,
     pattern: Pattern,
-    ceiling: int = 10**6,
+    ceiling: int = EvalConfig.bound_ceiling,
 ) -> int:
     """Sound path-length cutoff per restrictor.
 
@@ -318,17 +323,14 @@ def _atom_matches(
 # -- satisfiable endpoint pairs ----------------------------------------------
 #
 # For `shortest` we need to know when further strata cannot satisfy any new
-# (src, tgt) pair. The analysis below computes, exactly, the endpoint pairs
-# for which the pattern has at least one answer, by relational composition
-# over (src, tgt, singleton-variable bindings, edgeless?) witnesses.
-# Group/optional variables never constrain composition (the type system
-# forbids sharing them), so projecting them away loses nothing; an
-# edgeless run of a repetition can always reuse one segment's bindings,
-# so pair reachability through repetitions is plain relational power.
-
-
-class _SatOverflow(Exception):
-    pass
+# (src, tgt) pair. The analysis (`_Evaluator.witnesses`) computes, exactly,
+# the endpoint pairs for which the pattern has at least one answer, by
+# relational composition over (src, tgt, singleton-variable bindings,
+# edgeless?) witnesses. Group/optional variables never constrain composition
+# (the type system forbids sharing them), so projecting them away loses
+# nothing; an edgeless run of a repetition can always reuse one segment's
+# bindings, so pair reachability through repetitions is plain relational
+# power.
 
 
 def _z_compose(r1: frozenset, r2: frozenset) -> frozenset:
@@ -352,132 +354,50 @@ def _z_power(rel: frozenset, n: int, domain: Iterable) -> frozenset:
     return result
 
 
-def _z_star(rel: frozenset, domain: Iterable) -> frozenset:
-    closure = frozenset((x, x, True) for x in domain)
-    frontier = closure
-    while True:
-        new = _z_compose(frontier, rel) - closure
-        if not new:
-            return closure
-        closure |= new
-        frontier = new
-
-
 def _z_power_range(
     rel: frozenset, lo: int, hi: Optional[int], domain: Iterable
 ) -> frozenset:
-    if hi is None:
-        return _z_compose(_z_power(rel, lo, domain), _z_star(rel, domain))
-    acc = cur = _z_power(rel, lo, domain)
-    seen = {cur}
-    for _ in range(lo + 1, hi + 1):
-        cur = _z_compose(cur, rel)
-        if cur in seen:
+    """The union of rel^c over lo <= c <= hi (no upper end if hi is None).
+
+    After rel^lo, each step composes only the witnesses the previous step
+    found first: a witness reached again at a later step reaches nothing
+    new from there. So the search ends after hi - lo steps, or sooner once
+    a step finds nothing new.
+    """
+    reached = frontier = _z_power(rel, lo, domain)
+    for _ in itertools.count() if hi is None else range(hi - lo):
+        frontier = _z_compose(frontier, rel) - reached
+        if not frontier:
             break
-        seen.add(cur)
-        acc |= cur
-    return acc
+        reached |= frontier
+    return reached
 
 
 def satisfiable_pairs(
     graph: PropertyGraph,
     pattern: Pattern,
     collect_mode: str = "grouping",
-    limit: int = 500_000,
+    evaluator: Optional["_Evaluator"] = None,
 ) -> set[tuple[str, str]]:
     """Exactly the (src, tgt) pairs for which the pattern has an answer.
 
-    Falls back to the full node square if the intermediate witness
-    relations outgrow `limit` (a sound overapproximation: callers use the
-    result only to stop searching early).
+    The analysis charges its relations to `evaluator`'s work budget, or to
+    a fresh evaluator's, and raises ResourceLimitError once that runs out.
     """
-    try:
-        entries = _sat_entries(graph, pattern, collect_mode, {}, limit)
-    except _SatOverflow:
-        return {(u, v) for u in graph.nodes for v in graph.nodes}
-    return {(s, t) for s, t, _, _ in entries}
-
-
-def _sat_entries(
-    graph: PropertyGraph,
-    pat: Pattern,
-    mode: str,
-    schema_cache: dict,
-    limit: int,
-) -> frozenset:
-    """Witness entries (src, tgt, kept bindings, edgeless?)."""
-
-    def schema_of(node: Pattern) -> Schema:
-        if node not in schema_cache:
-            schema_cache[node] = infer_schema(node)
-        return schema_cache[node]
-
-    def kept(node: Pattern) -> frozenset[str]:
-        return frozenset(v for v, t in schema_of(node).items() if is_singleton(t))
-
-    def restrict(mu: Assignment, keep: frozenset[str]) -> Assignment:
-        if set(mu) == keep:
-            return mu
-        return Assignment({v: mu[v] for v in keep})
-
-    def guard(entries: frozenset) -> frozenset:
-        if len(entries) > limit:
-            raise _SatOverflow
-        return entries
-
-    def walk(node: Pattern) -> frozenset:
-        if isinstance(node, (NodePat, EdgePat)):
-            return frozenset(
-                (elements[0], elements[-1], mu, len(elements) == 1)
-                for elements, mu in _atom_matches(graph, node)
-            )
-        if isinstance(node, Concat):
-            left, right = walk(node.left), walk(node.right)
-            keep = kept(node)
-            by_src: dict = {}
-            for s, t, mu, z in right:
-                by_src.setdefault(s, []).append((t, mu, z))
-            out = set()
-            for s, t, mu1, z1 in left:
-                for u, mu2, z2 in by_src.get(t, ()):
-                    merged = unify(mu1, mu2)
-                    if merged is not None:
-                        out.add((s, u, restrict(merged, keep), z1 and z2))
-            return guard(frozenset(out))
-        if isinstance(node, Union_):
-            keep = kept(node)
-            return guard(
-                frozenset(
-                    (s, t, restrict(mu, keep), z)
-                    for s, t, mu, z in walk(node.left) | walk(node.right)
-                )
-            )
-        if isinstance(node, Cond):
-            return frozenset(
-                entry
-                for entry in walk(node.pattern)
-                if satisfies(graph, entry[2], node.condition)
-            )
-        if isinstance(node, Repeat):
-            inner = walk(node.pattern)
-            steps = frozenset(
-                (s, t, z) for s, t, _, z in inner if mode == "grouping" or not z
-            )
-            pairs = _z_power_range(steps, node.lo, node.hi, graph.nodes)
-            return guard(frozenset((s, t, EMPTY, z) for s, t, z in pairs))
-        raise TypeError(f"not a pattern: {node!r}")
-
-    return walk(pat)
+    if evaluator is None:
+        evaluator = _Evaluator(graph, EvalConfig(collect_mode=collect_mode))
+    return {(s, t) for s, t, _, _ in evaluator.witnesses(pattern, collect_mode)}
 
 
 # -- pattern evaluation -------------------------------------------------------
 
 
 class _Evaluator:
-    """One bottom-up evaluation per query, by exact path length.
+    """One bottom-up evaluation per query or rule set, by exact path length.
 
     `answers(pat, k)` holds the answers of length exactly k. Its memo keys
     use node identity, since the AST dataclasses hash recursively.
+    `witnesses` is the pair analysis, charged to the same work budget.
     """
 
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
@@ -497,8 +417,8 @@ class _Evaluator:
             self.schemas[id(pat)] = infer_schema(pat)
         return self.schemas[id(pat)]
 
-    def charge(self) -> None:
-        self.work += 1
+    def charge(self, amount: int = 1) -> None:
+        self.work += amount
         if self.work > self.work_limit:
             raise ResourceLimitError(
                 f"evaluation exceeded {self.work_limit} intermediate states"
@@ -575,6 +495,55 @@ class _Evaluator:
         if isinstance(pat, Repeat):
             return self._repeat(pat, k)
         raise TypeError(f"not a pattern: {pat!r}")
+
+    def witnesses(self, pat: Pattern, mode: str) -> frozenset:
+        """The pair analysis: entries (src, tgt, kept bindings, edgeless?).
+
+        A composed relation is charged to the work budget by its size.
+        """
+        if isinstance(pat, (NodePat, EdgePat)):
+            return frozenset(
+                (elements[0], elements[-1], mu, len(elements) == 1)
+                for elements, mu in _atom_matches(self.graph, pat)
+            )
+        if isinstance(pat, Cond):
+            return frozenset(
+                entry
+                for entry in self.witnesses(pat.pattern, mode)
+                if satisfies(self.graph, entry[2], pat.condition)
+            )
+        if isinstance(pat, Repeat):
+            steps = frozenset(
+                (s, t, z)
+                for s, t, _, z in self.witnesses(pat.pattern, mode)
+                if mode == "grouping" or not z
+            )
+            pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes)
+            out = frozenset((s, t, EMPTY, z) for s, t, z in pairs)
+        elif isinstance(pat, (Concat, Union_)):
+            keep = {v for v, t in self.schema(pat).items() if is_singleton(t)}
+
+            def project(mu: Assignment) -> Assignment:
+                return mu if set(mu) == keep else Assignment({v: mu[v] for v in keep})
+
+            left = self.witnesses(pat.left, mode)
+            right = self.witnesses(pat.right, mode)
+            if isinstance(pat, Union_):
+                out = frozenset((s, t, project(mu), z) for s, t, mu, z in left | right)
+            else:
+                by_src: dict = {}
+                for s, t, mu, z in right:
+                    by_src.setdefault(s, []).append((t, mu, z))
+                out = frozenset(
+                    (s, u, project(merged), z1 and z2)
+                    for s, t, mu1, z1 in left
+                    for u, mu2, z2 in by_src.get(t, ())
+                    if (merged := unify(mu1, mu2)) is not None
+                )
+        else:
+            raise TypeError(f"not a pattern: {pat!r}")
+        self.charge(len(out))
+        return out
 
     # -- repetition -----------------------------------------------------------
 
@@ -706,11 +675,9 @@ def length_bound(
     capped at the longest match the pattern can have: no match is longer,
     so the cap leaves the answers unchanged.
     """
-    bound = (
-        cfg.max_len
-        if cfg.max_len is not None
-        else default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
-    )
+    bound = cfg.max_len
+    if bound is None:
+        bound = default_length_bound(restrictor, graph, pattern)
     hi = match_lengths(pattern)[1]
     return bound if hi is None else min(bound, hi)
 
@@ -738,7 +705,7 @@ def _eval_restricted(
         # The pair analysis runs only once a later stratum could still be
         # skipped, so a leg whose window is a single length never pays it.
         if sat is None:
-            sat = satisfiable_pairs(graph, pattern, cfg.collect_mode)
+            sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
         if sat <= best.keys():
             break
     # No other leg holds this leg's nodes; kept, its answers slow later legs.
@@ -757,6 +724,31 @@ def eval_query(
     validate_for_mode(query, cfg.collect_mode)
     # Each leg's pattern and each join check the answer ceiling themselves.
     return _eval_query(_Evaluator(graph, cfg), query)
+
+
+def eval_ruleset(
+    graph: PropertyGraph, rules: RuleSet, cfg: Optional[EvalConfig] = None
+) -> set[tuple[Value, ...]]:
+    """Union over rules of the head projections of each body's answers.
+
+    Every rule runs on one evaluator, under its work budget, and the
+    tuples meet the same answer ceiling as a join's output.
+    """
+    cfg = cfg or EvalConfig()
+    check_ruleset(rules)
+    validate_for_mode(rules, cfg.collect_mode)
+    evaluator = _Evaluator(graph, cfg)
+    out: set[tuple[Value, ...]] = set()
+    for rule in rules.rules:
+        out |= {
+            tuple(answer.bindings[var] for var in rule.head)
+            for answer in _eval_query(evaluator, rule.body)
+        }
+        if len(out) > cfg.max_answers:
+            raise ResourceLimitError(
+                f"answer set exceeded the ceiling of {cfg.max_answers}"
+            )
+    return out
 
 
 def _eval_query(evaluator: _Evaluator, query: Query) -> set[Answer]:

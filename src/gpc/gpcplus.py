@@ -3,12 +3,15 @@ two-way regular path queries, their conjunctions, and nested regular
 expressions.
 
 A rule set evaluates to the union over its rules of the head-variable
-projections of each body's answers. The translators witness that those
-classical query classes embed into the calculus: regex letters become
-labeled edge patterns (inverse letters go backward), closures become
-repetitions, conjunctive atoms become joined shortest path queries, and a
-nested test walks out through the nested expression and back to its
-anchor node, which a repeated variable pins down.
+projections of each body's answers. `eval_ruleset` lives in the engine,
+which runs every rule on one evaluator, so one work budget and one answer
+ceiling cover the whole rule set; it is re-exported here. The
+translators witness that those classical query classes embed into the
+calculus: regex letters become labeled edge patterns (inverse letters go
+backward), closures become repetitions, conjunctive atoms become joined
+shortest path queries, and a nested test walks out through the nested
+expression and back to its anchor node, which a repeated variable pins
+down.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ from .ast import (
     RuleSet,
     Union_,
 )
-from .engine import EvalConfig, eval_query
-from .graph import PropertyGraph
-from .typecheck import check_ruleset, validate_for_mode
-from .values import Value
+from .engine import eval_ruleset  # noqa: F401  (re-export)
 
 FRESH_PREFIX = "_v"
 
@@ -98,25 +98,6 @@ class C2rpq:
         missing = [v for v in self.head if v not in atom_vars]
         if missing:
             raise TranslateError(f"head variable {missing[0]!r} not used in any atom")
-
-
-# -- rule-set evaluation ------------------------------------------------------
-
-ValueTuple = tuple[Value, ...]
-
-
-def eval_ruleset(
-    graph: PropertyGraph, rules: RuleSet, cfg: Optional[EvalConfig] = None
-) -> set[ValueTuple]:
-    """Union over rules of the head projections of each body's answers."""
-    cfg = cfg or EvalConfig()
-    check_ruleset(rules)
-    validate_for_mode(rules, cfg.collect_mode)
-    out: set[ValueTuple] = set()
-    for rule in rules.rules:
-        for answer in eval_query(graph, rule.body, cfg):
-            out.add(tuple(answer.bindings[var] for var in rule.head))
-    return out
 
 
 # -- translators --------------------------------------------------------------

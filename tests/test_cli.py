@@ -228,6 +228,26 @@ def test_missing_file_exit_1(capsys, graph_file):
     assert json.loads(err)["error"] == "io"
 
 
+@pytest.mark.parametrize("command", ["check", "match"])
+def test_missing_query_file_exit_1(capsys, graph_file, tmp_path, monkeypatch, command):
+    # A name holding none of ( [ - < # cannot be query text, so it is a path.
+    monkeypatch.chdir(tmp_path)
+    argv = ["check", "typo.gpc"] if command == "check" else ["match", graph_file, "typo.gpc"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "io"
+
+
+def test_check_missing_name_with_dash_is_query_text(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "check", "my-query.gpc")
+    assert code == 2
+    assert json.loads(err)["error"] == "parse"
+
+
 @pytest.mark.parametrize(
     "content",
     [b"#nre\na b (", b"#c2rpq\nAns(z) <- (x, a, y)", b"\xff\xfe SHORTEST ()"],

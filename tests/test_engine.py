@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from gpc import (
     NOTHING,
     ResourceLimitError,
     Restrictor,
+    TypeCheckError,
     brute_force_query,
     collect_fn,
     default_length_bound,
@@ -24,6 +26,7 @@ from gpc import (
     refactor,
     satisfies,
     unify,
+    validate_for_mode,
     validate_graph,
 )
 from gpc import engine
@@ -408,6 +411,64 @@ def test_satisfiable_pairs_cover_observed_pairs():
         observed = {(p.src, p.tgt) for p, _ in answers}
         sat = satisfiable_pairs(g, query.pattern, cfg.collect_mode)
         assert observed <= sat
+
+
+def test_satisfiable_pairs_are_exactly_the_shortest_endpoints():
+    # At default bounds SHORTEST answers every pair the pattern connects,
+    # so the analysis must name those pairs, no more and no fewer.
+    from gpc.ast import Restricted
+
+    rng = random.Random(38)
+    checked = 0
+    for _ in range(600):
+        g = gen.rand_graph(rng)
+        pattern = gen.rand_pattern(rng, 4)
+        mode = rng.choice(COLLECT_MODES)
+        query = Restricted(Restrictor.SHORTEST, pattern)
+        try:
+            infer_schema(query)
+            validate_for_mode(query, mode)
+            answers = eval_query(g, query, EvalConfig(collect_mode=mode))
+        except (TypeCheckError, ResourceLimitError):
+            continue
+        observed = {(a.paths[0].src, a.paths[0].tgt) for a in answers}
+        assert satisfiable_pairs(g, pattern, mode) == observed
+        checked += 1
+    assert checked > 400
+
+
+def test_pair_analysis_stops_where_the_pattern_cannot_die_out():
+    # Every pair is covered at length 0, which the analysis sees at once. A
+    # stop that waited for the huge-count branch to die out would walk a
+    # million lengths first.
+    g = validate_graph(
+        {
+            "nodes": [{"id": "n"}],
+            "directed_edges": [
+                {"id": f"b{i}", "src": "n", "tgt": "n", "labels": ["b"]} for i in range(3)
+            ]
+            + [{"id": "d", "src": "n", "tgt": "n"}],
+            "undirected_edges": [{"id": "u", "endpoints": ["n"]}],
+        }
+    )
+    query = parse_query(
+        "SHORTEST [<-[:b]-{1000000..2000000} [() + (:B)]] + [(){0..3} + () --]"
+    )
+    start = time.perf_counter()
+    answers = eval_query(g, query, EvalConfig())
+    assert time.perf_counter() - start < 1.0
+    assert [a.paths for a in answers] == [(path("n"),)]
+
+
+def test_pair_analysis_charges_the_evaluator(g_intro):
+    pattern = parse_pattern("(x)-[e]->{1..}(y)")
+    evaluator = engine._Evaluator(g_intro, EvalConfig())
+    assert satisfiable_pairs(g_intro, pattern, "grouping", evaluator)
+    assert evaluator.work > 0
+    evaluator = engine._Evaluator(g_intro, EvalConfig())
+    evaluator.work_limit = 3
+    with pytest.raises(ResourceLimitError):
+        satisfiable_pairs(g_intro, pattern, "grouping", evaluator)
 
 
 # -- match-length window -----------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from gpc import (
     C2rpq,
     Concat,
+    EvalConfig,
     Inverse,
     Label,
     Nest,
@@ -14,6 +15,7 @@ from gpc import (
     NreStar,
     NreUnion,
     Repeat,
+    ResourceLimitError,
     eval_query,
     eval_ruleset,
     parse_c2rpq,
@@ -210,3 +212,29 @@ def test_random_nre_equivalence():
         expected = recursive_nre(g, expr)
         got = _pairs(eval_ruleset(g, translate_nre(expr)))
         assert got == expected
+
+
+def test_ruleset_shares_one_evaluator(monkeypatch, g_intro):
+    from gpc import engine
+
+    built = []
+
+    class Counting(engine._Evaluator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Evaluator", Counting)
+    rules = parse_ruleset(
+        "Ans(x) <- SHORTEST (x)-[e]->{1..}(y); Ans(y) <- SHORTEST (x)-[e]->(y)"
+    )
+    assert {t[0].id for t in eval_ruleset(g_intro, rules)} == {"nA", "nB", "nC"}
+    assert len(built) == 1
+
+
+def test_ruleset_tuples_meet_the_answer_ceiling(g_intro):
+    # Each rule gives three tuples, within the ceiling; their union does not.
+    rules = parse_ruleset("Ans(x) <- SHORTEST (x); Ans(e) <- SHORTEST ()-[e]->()")
+    assert len(eval_ruleset(g_intro, rules, EvalConfig(max_answers=6))) == 6
+    with pytest.raises(ResourceLimitError):
+        eval_ruleset(g_intro, rules, EvalConfig(max_answers=4))
