@@ -6,7 +6,6 @@ for differential verification.
 """
 
 from .ast import (
-    Bound,
     Concat,
     Cond,
     Descriptor,

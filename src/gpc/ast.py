@@ -156,16 +156,14 @@ Pattern = Union[NodePat, EdgePat, Union_, Concat, Cond, Repeat]
 
 @dataclass(frozen=True)
 class Restricted:
+    """A restrictor applied to a pattern: one leg of a query.
+
+    `var`, when set, binds each answer's witness path (`p = SHORTEST π`).
+    """
+
     restrictor: Restrictor
     pattern: Pattern
-    pos: Pos = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Bound:
-    var: str
-    restrictor: Restrictor
-    pattern: Pattern
+    var: Optional[str] = None
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
@@ -176,7 +174,7 @@ class Join:
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-Query = Union[Restricted, Bound, Join]
+Query = Union[Restricted, Join]
 
 
 @dataclass(frozen=True)
@@ -220,9 +218,8 @@ def expr_vars(expr: Expr) -> set[str]:
     if isinstance(expr, Repeat):
         return expr_vars(expr.pattern)
     if isinstance(expr, Restricted):
-        return expr_vars(expr.pattern)
-    if isinstance(expr, Bound):
-        return {expr.var} | expr_vars(expr.pattern)
+        path_var = {expr.var} if expr.var is not None else set()
+        return path_var | expr_vars(expr.pattern)
     if isinstance(expr, Join):
         return expr_vars(expr.left) | expr_vars(expr.right)
     if isinstance(expr, RuleSet):
@@ -243,20 +240,21 @@ def subpatterns(pat: Pattern):
         yield from subpatterns(pat.pattern)
 
 
-def query_patterns(query: Query):
-    """Yield the (restrictor, pattern) leaves of a query."""
-    if isinstance(query, Restricted):
-        yield query.restrictor, query.pattern
-    elif isinstance(query, Bound):
-        yield query.restrictor, query.pattern
-    elif isinstance(query, Join):
-        yield from query_patterns(query.left)
-        yield from query_patterns(query.right)
+def query_patterns(expr: Union[Query, RuleSet]):
+    """Yield the (restrictor, pattern) legs of a query or rule set."""
+    if isinstance(expr, Restricted):
+        yield expr.restrictor, expr.pattern
+    elif isinstance(expr, Join):
+        yield from query_patterns(expr.left)
+        yield from query_patterns(expr.right)
+    elif isinstance(expr, RuleSet):
+        for rule in expr.rules:
+            yield from query_patterns(rule.body)
     else:
-        raise TypeError(f"not a query: {query!r}")
+        raise TypeError(f"not a query: {expr!r}")
 
 
-def pattern_size(pat) -> int:
+def pattern_size(pat: Pattern) -> int:
     """Structural size: parse-tree node count plus bits of repetition bounds."""
     if isinstance(pat, (NodePat, EdgePat)):
         return 1
@@ -268,10 +266,6 @@ def pattern_size(pat) -> int:
         bits = max(pat.lo.bit_length(), 1)
         bits += max(pat.hi.bit_length(), 1) if pat.hi is not None else 1
         return 1 + pattern_size(pat.pattern) + bits
-    if isinstance(pat, (Restricted, Bound)):
-        return 1 + pattern_size(pat.pattern)
-    if isinstance(pat, Join):
-        return 1 + pattern_size(pat.left) + pattern_size(pat.right)
     raise TypeError(f"not a pattern: {pat!r}")
 
 
@@ -281,3 +275,43 @@ def _condition_size(theta: Condition) -> int:
     if isinstance(theta, Not):
         return 1 + _condition_size(theta.operand)
     return 1 + _condition_size(theta.left) + _condition_size(theta.right)
+
+
+def match_lengths(
+    pattern: Pattern, memo: Optional[dict] = None
+) -> tuple[int, Optional[int]]:
+    """Static (lo, hi) window holding the length of every match of the pattern.
+
+    hi is None when an open repetition leaves the length unbounded. A
+    repetition of an edgeless body matches only edgeless paths, whatever
+    its counts. `memo`, keyed by node identity, keeps the windows of
+    subpatterns across calls.
+    """
+    if memo is None:
+        memo = {}
+    window = memo.get(id(pattern))
+    if window is not None:
+        return window
+    if isinstance(pattern, (NodePat, EdgePat)):
+        window = (0, 0) if isinstance(pattern, NodePat) else (1, 1)
+    elif isinstance(pattern, Cond):
+        window = match_lengths(pattern.pattern, memo)
+    elif isinstance(pattern, (Concat, Union_)):
+        lo1, hi1 = match_lengths(pattern.left, memo)
+        lo2, hi2 = match_lengths(pattern.right, memo)
+        if isinstance(pattern, Concat):
+            window = lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
+        else:
+            window = min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
+    elif isinstance(pattern, Repeat):
+        lo, hi = match_lengths(pattern.pattern, memo)
+        if hi == 0:
+            window = 0, 0
+        elif hi is None or pattern.hi is None:
+            window = lo * pattern.lo, None
+        else:
+            window = lo * pattern.lo, hi * pattern.hi
+    else:
+        raise TypeError(f"not a pattern: {pattern!r}")
+    memo[id(pattern)] = window
+    return window

@@ -20,8 +20,9 @@ import sys
 import time
 from typing import Optional
 
-from .ast import Bound, Join, Restricted, RuleSet, query_patterns
+from .ast import Join, Restricted, RuleSet, query_patterns
 from .engine import (
+    COLLECT_MODES,
     EvalConfig,
     ResourceLimitError,
     default_length_bound,
@@ -122,16 +123,11 @@ def _config_from(args) -> EvalConfig:
     )
 
 
-def _legs(expr) -> list:
-    queries = [rule.body for rule in expr.rules] if isinstance(expr, RuleSet) else [expr]
-    return [leg for query in queries for leg in query_patterns(query)]
-
-
 def _bound_used(cfg: EvalConfig, graph, expr) -> int:
     """The longest path length the engine evaluated any leg to."""
     return max(
         length_bound(restrictor, graph, pattern, cfg)
-        for restrictor, pattern in _legs(expr)
+        for restrictor, pattern in query_patterns(expr)
     )
 
 
@@ -143,7 +139,7 @@ def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
     else:
         bound = max(
             default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
-            for restrictor, pattern in _legs(expr)
+            for restrictor, pattern in query_patterns(expr)
         )
     return OracleBudget(max_path_len=max(bound, 1), max_answers=cfg.max_answers)
 
@@ -175,7 +171,7 @@ def cmd_run(args) -> int:
             for row in tuples
         )
         count = len(tuples)
-    elif isinstance(expr, (Restricted, Bound, Join)):
+    elif isinstance(expr, (Restricted, Join)):
         answers = eval_query(graph, expr, cfg)
         if args.oracle:
             budget = _oracle_budget(cfg, graph, expr)
@@ -269,11 +265,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     def eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--collect-mode",
-            choices=("syntactic", "dynamic", "grouping"),
-            default="grouping",
-        )
+        p.add_argument("--collect-mode", choices=COLLECT_MODES, default="grouping")
         p.add_argument("--max-len", type=_non_negative, default=None)
         p.add_argument("--max-answers", type=_non_negative, default=100_000)
         p.add_argument("--lenient-unify", action="store_true")

@@ -31,7 +31,6 @@ from typing import ClassVar, Iterable, Iterator, Optional
 
 from .ast import (
     And,
-    Bound,
     Concat,
     Cond,
     Condition,
@@ -52,6 +51,7 @@ from .ast import (
     Union_,
     # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
+    match_lengths,
     pattern_size,
 )
 from .graph import Path, PropertyGraph, const_eq
@@ -240,46 +240,6 @@ def default_length_bound(
                 min((len(graph.nodes) + graph.edge_count) << size, ceiling)
             )
     return min(bounds)
-
-
-def match_lengths(
-    pattern: Pattern, memo: Optional[dict] = None
-) -> tuple[int, Optional[int]]:
-    """Static (lo, hi) window holding the length of every match of the pattern.
-
-    hi is None when an open repetition leaves the length unbounded. A
-    repetition of an edgeless body matches only edgeless paths, whatever
-    its counts. `memo`, keyed by node identity, keeps the windows of
-    subpatterns across calls.
-    """
-    if memo is None:
-        memo = {}
-    window = memo.get(id(pattern))
-    if window is not None:
-        return window
-    if isinstance(pattern, (NodePat, EdgePat)):
-        window = (0, 0) if isinstance(pattern, NodePat) else (1, 1)
-    elif isinstance(pattern, Cond):
-        window = match_lengths(pattern.pattern, memo)
-    elif isinstance(pattern, (Concat, Union_)):
-        lo1, hi1 = match_lengths(pattern.left, memo)
-        lo2, hi2 = match_lengths(pattern.right, memo)
-        if isinstance(pattern, Concat):
-            window = lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
-        else:
-            window = min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
-    elif isinstance(pattern, Repeat):
-        lo, hi = match_lengths(pattern.pattern, memo)
-        if hi == 0:
-            window = 0, 0
-        elif hi is None or pattern.hi is None:
-            window = lo * pattern.lo, None
-        else:
-            window = lo * pattern.lo, hi * pattern.hi
-    else:
-        raise TypeError(f"not a pattern: {pattern!r}")
-    memo[id(pattern)] = window
-    return window
 
 
 # -- atoms -------------------------------------------------------------------
@@ -693,7 +653,8 @@ def _eval_restricted(
     sat: Optional[set[tuple[str, str]]] = None
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
-    for level in range(match_lengths(pattern)[0], bound + 1):
+    lo, hi = match_lengths(pattern)
+    for level in range(lo, bound + 1):
         for p, mu in evaluator.answers(pattern, level):
             if not _base_ok(base, p):
                 continue
@@ -708,6 +669,17 @@ def _eval_restricted(
             sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
         if sat <= best.keys():
             break
+    else:
+        # A default bound cut at the ceiling, short of the longest match,
+        # is sound only if every pair the pattern connects has its answers.
+        cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling
+        if cut and (hi is None or hi > bound):
+            if sat is None:
+                sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
+            if not sat <= best.keys():
+                raise ResourceLimitError(
+                    f"SHORTEST needs paths longer than the bound ceiling of {bound}"
+                )
     # No other leg holds this leg's nodes; kept, its answers slow later legs.
     evaluator.memo.clear()
     evaluator.index.clear()
@@ -754,9 +726,8 @@ def eval_ruleset(
 def _eval_query(evaluator: _Evaluator, query: Query) -> set[Answer]:
     if isinstance(query, Restricted):
         pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
-        return {Answer((p,), mu) for p, mu in pairs}
-    if isinstance(query, Bound):
-        pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
+        if query.var is None:
+            return {Answer((p,), mu) for p, mu in pairs}
         return {
             Answer((p,), mu.with_binding(query.var, PathVal(p))) for p, mu in pairs
         }

@@ -21,7 +21,6 @@ from typing import Optional
 
 from .ast import (
     And,
-    Bound,
     Concat,
     Cond,
     Direction,
@@ -355,7 +354,7 @@ def brute_force_query(
 def _query_answers(
     graph: PropertyGraph, query: Query, cfg: EvalConfig, budget: OracleBudget
 ) -> set[Answer]:
-    if isinstance(query, (Restricted, Bound)):
+    if isinstance(query, Restricted):
         bound = (
             cfg.max_len
             if cfg.max_len is not None
@@ -380,7 +379,7 @@ def _query_answers(
                 for p, mu in candidates
                 if minima[(p.src, p.tgt)] == p.length
             ]
-        if isinstance(query, Bound):
+        if query.var is not None:
             return {
                 Answer((p,), mu.with_binding(query.var, PathVal(p)))
                 for p, mu in candidates

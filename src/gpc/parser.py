@@ -34,7 +34,6 @@ from typing import Optional, Union
 
 from .ast import (
     And,
-    Bound,
     Concat,
     Cond,
     Condition,
@@ -401,9 +400,7 @@ class _Parser:
             self.expect("=")
         restrictor = self.restrictor()
         pattern = self.pattern()
-        if var is not None:
-            return Bound(var, restrictor, pattern, pos=where)
-        return Restricted(restrictor, pattern, pos=where)
+        return Restricted(restrictor, pattern, var, pos=where)
 
     def restrictor(self) -> Restrictor:
         if self.accept("SIMPLE"):

@@ -12,7 +12,6 @@ import json
 
 from .ast import (
     And,
-    Bound,
     Concat,
     Cond,
     Condition,
@@ -35,7 +34,7 @@ from .ast import (
 def render(expr) -> str:
     if isinstance(expr, (NodePat, EdgePat, Union_, Concat, Cond, Repeat)):
         return _pattern(expr)
-    if isinstance(expr, (Restricted, Bound, Join)):
+    if isinstance(expr, (Restricted, Join)):
         return _query(expr)
     if isinstance(expr, RuleSet):
         return "; ".join(
@@ -136,9 +135,8 @@ def _condition(theta: Condition) -> str:
 
 def _query(query) -> str:
     if isinstance(query, Restricted):
-        return f"{query.restrictor.value} {_pattern(query.pattern)}"
-    if isinstance(query, Bound):
-        return f"{query.var} = {query.restrictor.value} {_pattern(query.pattern)}"
+        path_var = f"{query.var} = " if query.var is not None else ""
+        return f"{path_var}{query.restrictor.value} {_pattern(query.pattern)}"
     if isinstance(query, Join):
         return f"{_query(query.left)}, {_query(query.right)}"
     raise TypeError(f"not a query: {query!r}")

@@ -14,7 +14,6 @@ from typing import Optional, Union
 
 from .ast import (
     And,
-    Bound,
     Concat,
     Cond,
     Condition,
@@ -32,6 +31,8 @@ from .ast import (
     RuleSet,
     Union_,
     expr_vars,
+    match_lengths,
+    query_patterns,
     subpatterns,
 )
 
@@ -114,7 +115,7 @@ def infer_schema(expr) -> Schema:
     """Schema of a pattern or query; raises TypeCheckError if not well-typed."""
     if isinstance(expr, (NodePat, EdgePat, Union_, Concat, Cond, Repeat)):
         return _pattern_schema(expr)
-    if isinstance(expr, (Restricted, Bound, Join)):
+    if isinstance(expr, (Restricted, Join)):
         return _query_schema(expr)
     raise TypeError(f"not a pattern or query: {expr!r}")
 
@@ -144,12 +145,11 @@ def _pattern_schema(pat: Pattern) -> Schema:
 
 def _query_schema(query: Query) -> Schema:
     if isinstance(query, Restricted):
-        return _pattern_schema(query.pattern)
-    if isinstance(query, Bound):
-        if query.var in expr_vars(query.pattern):
+        if query.var is not None and query.var in expr_vars(query.pattern):
             raise TypeCheckError("path_var_reuse", query.var, query.pos)
         schema = _pattern_schema(query.pattern)
-        schema[query.var] = PATH
+        if query.var is not None:
+            schema[query.var] = PATH
         return schema
     if isinstance(query, Join):
         return _merge_conjunctive(
@@ -230,40 +230,15 @@ def check_ruleset(rules: RuleSet) -> list[Schema]:
 
 def may_match_edgeless(pat: Pattern) -> bool:
     """Whether some match of the pattern can be a zero-length path."""
-    return not _positive_length(pat)
-
-
-def _positive_length(pat: Pattern) -> bool:
-    """Every match has at least one edge."""
-    if isinstance(pat, EdgePat):
-        return True
-    if isinstance(pat, NodePat):
-        return False
-    if isinstance(pat, Concat):
-        return _positive_length(pat.left) or _positive_length(pat.right)
-    if isinstance(pat, Union_):
-        return _positive_length(pat.left) and _positive_length(pat.right)
-    if isinstance(pat, Cond):
-        return _positive_length(pat.pattern)
-    if isinstance(pat, Repeat):
-        return pat.lo > 0 and _positive_length(pat.pattern)
-    raise TypeError(f"not a pattern: {pat!r}")
+    return match_lengths(pat)[0] == 0
 
 
 def validate_for_mode(expr, collect_mode: str) -> None:
     """In syntactic mode, reject repetitions whose body may match edgelessly."""
     if collect_mode != "syntactic":
         return
-    if isinstance(expr, RuleSet):
-        for rule in expr.rules:
-            validate_for_mode(rule.body, collect_mode)
-        return
-    if isinstance(expr, (Restricted, Bound)):
-        patterns = [expr.pattern]
-    elif isinstance(expr, Join):
-        validate_for_mode(expr.left, collect_mode)
-        validate_for_mode(expr.right, collect_mode)
-        return
+    if isinstance(expr, (Restricted, Join, RuleSet)):
+        patterns = [pattern for _, pattern in query_patterns(expr)]
     else:
         patterns = [expr]
     for pattern in patterns:

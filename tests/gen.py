@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from gpc import (
-    Bound,
     C2rpq,
     Concat,
     Cond,
@@ -142,7 +141,7 @@ def rand_query(rng: random.Random, depth: int = 3):
         restrictor = rng.choice(list(Restrictor))
         pattern = rand_pattern(rng, rng.randint(1, depth))
         if rng.random() < 0.2:
-            return Bound(rng.choice(("p", "q")), restrictor, pattern)
+            return Restricted(restrictor, pattern, rng.choice(("p", "q")))
         return Restricted(restrictor, pattern)
 
     query = leg()

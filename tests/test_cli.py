@@ -100,6 +100,28 @@ def test_run_resource_limit_exit_1(capsys, graph_file, tmp_path):
     assert "truncated" not in diag
 
 
+@pytest.mark.parametrize(
+    "text", ["SHORTEST (x) ->{1000001} (y)", "SHORTEST [->]{1000001..}"]
+)
+def test_shortest_past_the_bound_ceiling_is_a_resource_limit(capsys, tmp_path, text):
+    # Walks of these lengths join a and b both ways, but the default
+    # SHORTEST bound stops at 10^6: an empty answer set would be wrong.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"id": "a"}, {"id": "b"}],
+        "directed_edges": [
+            {"id": "e1", "src": "a", "tgt": "b"},
+            {"id": "e2", "src": "b", "tgt": "a"},
+        ],
+    }))
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(graph), str(query))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "resource-limit"
+
+
 @pytest.mark.parametrize("flag", ["--max-len", "--max-answers"])
 @pytest.mark.parametrize("value", ["-1", "two"])
 def test_run_rejects_bad_limits(capsys, graph_file, tmp_path, flag, value):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpc import (
-    Bound,
     Concat,
     Cond,
     Descriptor,
@@ -124,7 +123,7 @@ def test_query_forms():
     assert isinstance(q, Restricted)
     assert q.restrictor is Restrictor.SHORTEST_TRAIL
     b = parse_query("p = simple (x)")
-    assert b == Bound("p", Restrictor.SIMPLE, node("x"))
+    assert b == Restricted(Restrictor.SIMPLE, node("x"), "p")
     j = parse_query("TRAIL (x), SHORTEST (y)")
     assert isinstance(j, Join)
 
