@@ -11,11 +11,18 @@ One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
 edgeless run matches every count from its own upwards, since `unify` is
-absorptive, so huge repetition counts cost nothing. Restrictors filter
-answers at the query level; the window caps each leg's bound
+absorptive, so huge repetition counts cost nothing. A leg's restrictor
+prunes partial paths where they are built. Trails and simple paths are
+closed under subpaths, so under `trail` or `simple` (with or without
+`shortest`) an atom, a concatenation or a repetition state that breaks
+the restrictor is dropped. Under plain `shortest` an open repetition
+keeps a state only at the first length where its endpoints, count class,
+pumping and edgelessness appear: a later state could only build longer
+answers for the same endpoint pairs. The window caps each leg's bound
 (`length_bound`), and `shortest` keeps each endpoint pair's first
 stratum and stops once every pair that the pattern can connect has one;
 an exact pair analysis (`satisfiable_pairs`) names those pairs.
+`eval_pattern` and the pair analysis prune nothing.
 Joins hash-partition the right operand's answers on the values of the
 shared variables.
 
@@ -369,6 +376,11 @@ class _Evaluator:
         self.sizes: dict[int, int] = {}
         self.schemas: dict[int, Schema] = {}
         self.windows: dict = {}
+        # Per leg (see `reset`): where the elements start that a joined
+        # path must not repeat, and under plain SHORTEST the first length of
+        # each repetition state key. `eval_pattern` prunes nothing.
+        self.fresh_from = 0
+        self.first: Optional[dict[int, dict[tuple, int]]] = None
         self.work = 0
         self.work_limit = max(cfg.max_answers * 20, 1_000_000)
 
@@ -410,28 +422,51 @@ class _Evaluator:
             self.index[key] = index
         return index
 
+    def reset(self, restrictor: Optional[Restrictor] = None) -> None:
+        """Forget the memo, and prune the paths built next for `restrictor`.
+
+        Under TRAIL a path joined on must not repeat the edges of the path
+        it extends: its elements from 1, every second one. Under SIMPLE it
+        must not repeat the nodes after its first: from 2. Node and edge
+        ids never coincide, so each is looked up in the extended path's
+        whole element tuple. Both paths already satisfy the restrictor, so
+        nothing else can break it, and an edgeless one adds nothing to look
+        up. `fresh_from` 0 means no check, and `first` None no dominance.
+        """
+        self.memo.clear()
+        self.index.clear()
+        self.levels.clear()
+        base = restrictor and restrictor.base
+        self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
+        self.first = {} if restrictor is Restrictor.SHORTEST else None
+
     def _compute(self, pat: Pattern, k: int) -> set[tuple[Path, Assignment]]:
         if isinstance(pat, (NodePat, EdgePat)):
             if match_lengths(pat, self.windows) != (k, k):
                 return set()
-            return {
-                (Path(elements), mu) for elements, mu in _atom_matches(self.graph, pat)
-            }
+            matches = _atom_matches(self.graph, pat)
+            if k and self.fresh_from == 2:  # a self-loop is not simple
+                matches = ((el, mu) for el, mu in matches if el[0] != el[2])
+            return {(Path(elements), mu) for elements, mu in matches}
         if isinstance(pat, Concat):
             # Only the splits that both operands' windows admit.
             lo1, hi1 = match_lengths(pat.left, self.windows)
             lo2, hi2 = match_lengths(pat.right, self.windows)
             first = lo1 if hi2 is None else max(lo1, k - hi2)
             last = k - lo2 if hi1 is None else min(hi1, k - lo2)
+            start = self.fresh_from
             out = set()
             for i in range(first, last + 1):
                 left = self.answers(pat.left, i)
                 right = self.by_src(pat.right, k - i)
                 if not left or not right:
                     continue
+                check = start and i and i < k
                 for p1, mu1 in left:
                     for p2, mu2 in right.get(p1.tgt, ()):
                         self.charge()
+                        if check and any(map(p1.elements.__contains__, p2.elements[start::2])):
+                            continue
                         merged = unify(mu1, mu2)
                         if merged is not None:
                             out.add((p1.concat(p2), merged))
@@ -520,6 +555,19 @@ class _Evaluator:
         `lo`. So a merge that leaves the open run unchanged is skipped, and
         every count stays finite. With an open upper bound only "reached lo"
         matters, so the count is capped there.
+
+        The leg's restrictor prunes states (see `reset`). Under plain
+        SHORTEST with an open upper bound, a state is kept only at the
+        first length where its key (repetition, endpoints, capped count,
+        pumped, edgeless?) appears. A repetition's answers bind only group
+        variables, which no sibling shares and no condition reads. So
+        wherever a longer state completes to an answer of the leg, a
+        shorter state with the same key completes to a shorter answer with
+        the same endpoints, and the longer one is never kept. Edgeless
+        states keep their own key: an enclosing repetition drops or merges
+        edgeless segments, so a length-0 state cannot stand in for a
+        positive one. Under SHORTEST TRAIL or SIMPLE the shorter answer
+        need not satisfy the restrictor, so the rule does not apply.
         """
         body = pat.pattern
         longest = match_lengths(body, self.windows)[1]
@@ -538,8 +586,18 @@ class _Evaluator:
         dedupe = grouping or not domain
         states: list = []
         seen: set = set()
+        start = self.fresh_from
+        first = None
+        if hi is None and self.first is not None:
+            first = self.first.setdefault(id(pat), {})
+        zero = k == 0
 
         def push(state) -> bool:
+            if first is not None:
+                elements = state[0].elements
+                key = (elements[0], elements[-1], state[3], state[4], zero)
+                if first.setdefault(key, k) != k:
+                    return False
             if dedupe:
                 if state in seen:
                     return False
@@ -560,6 +618,10 @@ class _Evaluator:
                     continue
                 nk = count + 1 if hi is not None or count < lo else count
                 for segment in segments.get(path_so_far.tgt, ()):
+                    if start and any(
+                        map(path_so_far.elements.__contains__, segment[0].elements[start::2])
+                    ):
+                        continue
                     ngroups = groups + (segment,) if domain else ()
                     push((path_so_far.concat(segment[0]), ngroups, None, nk, pumped))
         edgeless = self.by_src(body, 0)
@@ -615,14 +677,6 @@ def power(
 # -- queries -------------------------------------------------------------
 
 
-def _base_ok(base: Optional[Restrictor], p: Path) -> bool:
-    if base is Restrictor.TRAIL:
-        return len(set(p.edges())) == p.length
-    if base is Restrictor.SIMPLE:
-        return len(set(p.nodes())) == p.length + 1
-    return True
-
-
 def length_bound(
     restrictor: Restrictor,
     graph: PropertyGraph,
@@ -648,16 +702,14 @@ def _eval_restricted(
     """The answers of a restricted leg, one length stratum at a time."""
     graph, cfg = evaluator.graph, evaluator.cfg
     bound = length_bound(restrictor, graph, pattern, cfg)
-    base = restrictor.base
     shortest = restrictor.has_shortest
     sat: Optional[set[tuple[str, str]]] = None
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
     lo, hi = match_lengths(pattern)
+    evaluator.reset(restrictor)
     for level in range(lo, bound + 1):
         for p, mu in evaluator.answers(pattern, level):
-            if not _base_ok(base, p):
-                continue
             if shortest and best.setdefault((p.src, p.tgt), level) != level:
                 continue
             kept.add((p, mu))
@@ -681,9 +733,7 @@ def _eval_restricted(
                     f"SHORTEST needs paths longer than the bound ceiling of {bound}"
                 )
     # No other leg holds this leg's nodes; kept, its answers slow later legs.
-    evaluator.memo.clear()
-    evaluator.index.clear()
-    evaluator.levels.clear()
+    evaluator.reset()
     return kept
 
 

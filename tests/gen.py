@@ -81,6 +81,27 @@ def rand_graph(rng: random.Random, max_nodes: int = 4, max_edges: int = 6) -> Pr
     return validate_graph(data)
 
 
+def g_random(n: int, seed: int) -> PropertyGraph:
+    """The benchmark's G(n), copied so that the tests import nothing from it.
+
+    Nodes n0..n{n-1} with one label each from A/B/C, an a-labelled chain
+    n_i -> n_{i+1}, and n//2 random directed edges labelled a or b, all
+    drawn from `random.Random(seed)`.
+    """
+    rng = random.Random(seed)
+    nodes = [{"id": f"n{i}", "labels": [rng.choice("ABC")]} for i in range(n)]
+    edges = [
+        {"id": f"c{i}", "src": f"n{i}", "tgt": f"n{i + 1}", "labels": ["a"]}
+        for i in range(n - 1)
+    ]
+    for j in range(n // 2):
+        src, tgt = rng.randrange(n), rng.randrange(n)
+        edges.append(
+            {"id": f"r{j}", "src": f"n{src}", "tgt": f"n{tgt}", "labels": [rng.choice("ab")]}
+        )
+    return validate_graph({"nodes": nodes, "directed_edges": edges})
+
+
 def rand_descriptor(rng: random.Random, labels=NODE_LABELS) -> Descriptor:
     var = rng.choice(VAR_POOL) if rng.random() < 0.45 else None
     label = rng.choice(labels) if rng.random() < 0.5 else None

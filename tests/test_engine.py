@@ -621,3 +621,51 @@ def test_lenient_unify_enlarges_grouping_answers():
         except ResourceLimitError:
             continue
         assert strict <= lenient
+
+
+# -- pruning inside the evaluator ---------------------------------------------
+
+
+def test_shortest_keeps_edgeless_repetition_states_apart():
+    # The inner {0..} has a length-0 answer at each node, and the outer
+    # repetition, which drops edgeless segments in dynamic mode, needs the
+    # inner cycles n0 -> n1 -> n0. A length-0 state must not stand in for
+    # them. No shortest answer is longer than 3 edges.
+    g = validate_graph(
+        {
+            "nodes": [{"id": "n0"}, {"id": "n1"}],
+            "directed_edges": [
+                {"id": "d0", "src": "n0", "tgt": "n1", "labels": ["a"]},
+                {"id": "d1", "src": "n1", "tgt": "n0", "labels": ["a"]},
+            ],
+        }
+    )
+    query = parse_query("SHORTEST [<-[z:a]-{0..}]{2..3}")
+    expected = brute_force_query(g, query, EvalConfig(collect_mode="dynamic", max_len=3))
+    assert eval_query(g, query, EvalConfig(collect_mode="dynamic")) == expected
+    assert len(expected) == 8
+
+
+@pytest.mark.parametrize("mode", COLLECT_MODES)
+def test_shortest_trail_keeps_longer_repetition_states(mode):
+    # The shortest repetition from n2 back to n0 is n2 <-d1- n0, but after
+    # n0 -d1-> n2 only the longer n2 <-d4- n1 <-d3- n0 keeps the path a
+    # trail. Under SHORTEST TRAIL a shorter repetition state with the same
+    # endpoints cannot stand in for a longer one.
+    g = validate_graph(
+        {
+            "nodes": [{"id": f"n{i}"} for i in range(5)],
+            "directed_edges": [
+                {"id": "d0", "src": "n1", "tgt": "n4"},
+                {"id": "d1", "src": "n0", "tgt": "n2"},
+                {"id": "d2", "src": "n1", "tgt": "n4"},
+                {"id": "d3", "src": "n0", "tgt": "n1"},
+                {"id": "d4", "src": "n1", "tgt": "n2"},
+            ],
+        }
+    )
+    query = parse_query("SHORTEST TRAIL [[(y)] + [-[z]->]] <-{1..}")
+    cfg = EvalConfig(collect_mode=mode)
+    answers = eval_query(g, query, cfg)
+    assert answers == brute_force_query(g, query, cfg)
+    assert len(answers) == 11
