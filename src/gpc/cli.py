@@ -15,6 +15,7 @@ the run report are JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -36,7 +37,7 @@ from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
 from .render import render
 from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
-from .values import answer_sort_key, serialize_answer, serialize_value
+from .values import answer_records, serialize_value
 
 
 # Program faults surface as these built-in errors. Other exceptions, such
@@ -178,10 +179,7 @@ def cmd_run(args) -> int:
             expected = brute_force_query(graph, expr, cfg, budget)
             if expected != answers:
                 return _oracle_mismatch("answers", len(answers), len(expected))
-        records = [
-            json.dumps(serialize_answer(a), sort_keys=True)
-            for a in sorted(answers, key=answer_sort_key)
-        ]
+        records = answer_records(answers)
         count = len(answers)
     else:
         raise ParseError("run expects a query or rule set, not a bare pattern", 1, 1, set())
@@ -292,6 +290,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    # The engine builds no reference cycles, so reference counting frees
+    # what a command makes, and cyclic-GC passes would only re-scan large
+    # answer sets. The collector's state is restored on every exit; library
+    # calls such as eval_query leave it alone.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -341,6 +345,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -116,6 +116,8 @@ def unify(mu1: Assignment, mu2: Assignment, lenient: bool = False) -> Optional[A
     """
     if len(mu2) > len(mu1):
         mu1, mu2 = mu2, mu1
+    if not mu2:
+        return mu1
     out = dict(mu1)
     for var, val in mu2.items():
         cur = out.get(var)

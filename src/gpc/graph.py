@@ -14,7 +14,7 @@ by their id sequence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
 Constant = Union[str, int, bool]
@@ -36,15 +36,23 @@ class GraphValidationError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
-    """Alternating node/edge/node/.../node sequence (possibly one node)."""
+    """Alternating node/edge/node/.../node sequence (possibly one node).
+
+    The hash is computed once, since answer sets hash each path many times.
+    """
 
     elements: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.elements) % 2 == 0 or not self.elements:
             raise ValueError("path must alternate node,edge,...,node (odd length >= 1)")
+        object.__setattr__(self, "_hash", hash(self.elements))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def src(self) -> str:

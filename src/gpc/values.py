@@ -4,14 +4,16 @@ Values are references to graph elements (never property constants):
 nodes, edges, whole paths, the absent marker Nothing, and group values
 pairing each repetition segment's path with the value bound there.
 Everything is immutable and hashable so answer sets deduplicate
-structurally.
+structurally. Values are slotted dataclasses; paths, group values and
+assignments compute their hash once, when they are built, because an
+answer set hashes the same value many times.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, Union
 
 from .graph import Path
 from .typecheck import EdgeT, Group, Maybe, NodeT, PathT, TypeExpr
@@ -32,24 +34,31 @@ class NothingVal:
 NOTHING = NothingVal()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeVal:
     id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeVal:
     id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathVal:
     path: Path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupVal:
     items: tuple[tuple[Path, "Value"], ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.items))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Value = Union[NodeVal, EdgeVal, PathVal, NothingVal, GroupVal]
@@ -78,7 +87,8 @@ class Assignment(Mapping[str, Value]):
 
     def __init__(self, mapping: Mapping[str, Value] = ()):
         self._map = dict(mapping)
-        self._items = tuple(sorted(self._map.items(), key=lambda kv: kv[0]))
+        # Keys are unique, so sorting the pairs never compares two values.
+        self._items = tuple(sorted(self._map.items()))
         self._hash = hash(self._items)
 
     def __getitem__(self, key: str) -> Value:
@@ -118,7 +128,7 @@ class Assignment(Mapping[str, Value]):
 EMPTY = Assignment()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Answer:
     """One query answer: a tuple of witness paths plus variable bindings."""
 
@@ -163,3 +173,16 @@ def answer_sort_key(answer: Answer) -> tuple[str, str]:
         json.dumps(data["paths"], sort_keys=True),
         json.dumps(data["bindings"], sort_keys=True),
     )
+
+
+def answer_records(answers: Iterable[Answer]) -> list[str]:
+    """NDJSON lines of `answers`, in `answer_sort_key` order.
+
+    Each line equals ``json.dumps(serialize_answer(a), sort_keys=True)``:
+    "bindings" sorts before "paths", and the sort key holds both parts
+    already encoded, so each answer is serialized once.
+    """
+    return [
+        '{"bindings": %s, "paths": %s}' % (bindings, paths)
+        for paths, bindings in sorted(map(answer_sort_key, answers))
+    ]

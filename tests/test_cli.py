@@ -1,9 +1,18 @@
+import gc
 import json
 
 import pytest
 
-from gpc import Restrictor, default_length_bound, load_graph, parse_query
-from gpc.cli import main
+from gpc import (
+    EvalConfig,
+    Restrictor,
+    default_length_bound,
+    eval_query,
+    load_graph,
+    parse_query,
+)
+from gpc.cli import _as_table_row, main
+from gpc.values import answer_records, answer_sort_key, serialize_answer
 
 
 @pytest.fixture
@@ -314,3 +323,92 @@ def test_run_internal_error_exit_1(capsys, graph_file, tmp_path, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "internal"
     assert diag["exception"] == "ValueError"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "case, code, error",
+    [
+        ("ok", 0, None),
+        ("parse", 2, "parse"),
+        ("resource", 1, "resource-limit"),
+        ("missing", 1, "io"),
+    ],
+)
+def test_main_restores_the_collector_state(
+    capsys, graph_file, tmp_path, enabled, case, code, error
+):
+    # main runs each command with the cyclic collector off, and must hand
+    # back the state it found on every exit.
+    query = tmp_path / "q.gpc"
+    query.write_text("TRAIL (x) [->]{0..} (y)" if case != "parse" else "SHORTEST (x")
+    argv = ["run", graph_file, str(query)]
+    if case == "resource":
+        argv += ["--max-answers", "2"]
+    if case == "missing":
+        argv[1] = str(tmp_path / "missing.json")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got, _, err = run_cli(capsys, *argv)
+        state = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert got == code
+    assert state is enabled
+    if error:
+        assert json.loads(err)["error"] == error
+
+
+# Ids that need JSON escapes: a quote, a backslash, a newline, non-ASCII.
+ODD_IDS = {
+    "nodes": [{"id": 'q"1'}, {"id": "b\\s"}, {"id": "n\nl"}, {"id": "\u00fc"}],
+    "directed_edges": [
+        {"id": 'e"', "src": 'q"1', "tgt": "b\\s"},
+        {"id": "e\\", "src": "b\\s", "tgt": "n\nl"},
+        {"id": "\u00e9", "src": "n\nl", "tgt": "\u00fc"},
+    ],
+    "undirected_edges": [{"id": "e\n", "endpoints": ["\u00fc", 'q"1']}],
+}
+# A join of two legs that binds a path, groups, and Nothing (z, where the
+# union takes its right branch).
+ODD_QUERY = "p = SHORTEST (x) [-[e]->]{1..2} (y), TRAIL (y) [[-[f]-> (z)] + [<-[f]-]] ()"
+
+
+@pytest.fixture
+def odd_run(tmp_path):
+    graph = tmp_path / "odd.json"
+    graph.write_text(json.dumps(ODD_IDS))
+    query = tmp_path / "q.gpc"
+    query.write_text(ODD_QUERY)
+    answers = eval_query(load_graph(str(graph)), parse_query(ODD_QUERY), EvalConfig())
+    # The record format as first defined: one json.dumps per answer.
+    expected = [
+        json.dumps(serialize_answer(a), sort_keys=True)
+        for a in sorted(answers, key=answer_sort_key)
+    ]
+    return str(graph), str(query), answers, expected
+
+
+def test_run_records_are_serialized_answers_in_sort_key_order(capsys, odd_run):
+    graph, query, answers, expected = odd_run
+    assert answer_records(answers) == expected
+    code, out, _ = run_cli(capsys, "run", graph, query)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in expected)
+    text = "".join(expected)
+    escaped = ('q\\"1', "b\\\\s", "n\\nl", "\\u00fc")
+    for needle in escaped + ('"kind": "path"', '"kind": "group"', '"kind": "nothing"'):
+        assert needle in text
+    assert all(len(json.loads(line)["paths"]) == 2 for line in expected)
+
+
+def test_run_table_format_is_unchanged(capsys, odd_run):
+    graph, query, _, expected = odd_run
+    code, out, _ = run_cli(capsys, "run", graph, query, "--format", "table")
+    assert code == 0
+    assert out == "".join(_as_table_row(line) + "\n" for line in expected)
+    assert out.endswith(
+        'q"1-e"-b\\s | b\\s-e\\-n\nl\te=[(q"1-e"-b\\s, e")], f=e\\, '
+        'p=q"1-e"-b\\s, x=q"1, y=b\\s, z=n\nl\n'
+    )

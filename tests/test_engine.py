@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -669,3 +670,35 @@ def test_shortest_trail_keeps_longer_repetition_states(mode):
     answers = eval_query(g, query, cfg)
     assert answers == brute_force_query(g, query, cfg)
     assert len(answers) == 11
+
+
+def test_evaluation_builds_no_reference_cycles():
+    # `gpc run` turns the cyclic collector off while a command runs. That
+    # is safe only while reference counting alone frees what evaluation
+    # builds, also when it stops with a resource limit.
+    rng = random.Random(41)
+    cases = [(gen.rand_graph(rng, 5, 8), gen.rand_query(rng, 3)) for _ in range(300)]
+    outcomes = {"answers": 0, "limit": 0, "type": 0}
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i, (graph, query) in enumerate(cases):
+            cfg = EvalConfig(
+                collect_mode=COLLECT_MODES[i % 3], max_answers=rng.choice((3, 100_000))
+            )
+            try:
+                answers = eval_query(graph, query, cfg)
+            except ResourceLimitError:
+                outcomes["limit"] += 1
+            except TypeCheckError:
+                outcomes["type"] += 1
+            else:
+                outcomes["answers"] += len(answers) > 0
+                del answers
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert min(outcomes.values()) > 10, outcomes
+    assert unreachable == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gpc import (
@@ -14,6 +16,7 @@ from gpc import (
     serialize_answer,
     unify,
 )
+from gpc.graph import Path
 from gpc.typecheck import EDGE, NODE, PATH
 from gpc.values import Answer, serialize_value
 
@@ -101,3 +104,41 @@ def test_serialization_shape():
 def test_serialize_rejects_garbage():
     with pytest.raises(TypeError):
         serialize_value("n1")
+
+
+def _values():
+    p = path("n1", "e1", "n2")
+    group = GroupVal(((p, EdgeVal("e1")), (path("n2"), NOTHING)))
+    answer = Answer((p,), Assignment({"g": group, "p": PathVal(p)}))
+    return p, group, answer
+
+
+def test_values_are_frozen_and_slotted():
+    p, group, answer = _values()
+    fields = [(p, "elements"), (p, "_hash"), (group, "items"), (group, "_hash"), (answer, "paths")]
+    for value, field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, ())
+        assert not hasattr(value, "__dict__")
+    for value in (NodeVal("n1"), EdgeVal("e1"), PathVal(p)):
+        assert not hasattr(value, "__dict__")
+
+
+def test_equal_values_hash_equal():
+    for make in _values, lambda: (NodeVal("n1"), EdgeVal("e1"), PathVal(path("n1"))):
+        for a, b in zip(make(), make()):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+    p = path("n1", "e1", "n2")
+    assert p != p.elements and p.elements != p
+    assert len({p, p.elements}) == 2
+    assert GroupVal(()) != ()
+    assert repr(p) == "path(n1,e1,n2)"
+    assert repr(GroupVal(((p, NOTHING),))) == "GroupVal(items=((path(n1,e1,n2), Nothing),))"
+
+
+@pytest.mark.parametrize("elements", [(), ("n1", "e1"), ("n1", "e1", "n2", "e2")])
+def test_path_rejects_even_length(elements):
+    with pytest.raises(ValueError):
+        Path(elements)
