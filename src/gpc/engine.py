@@ -6,7 +6,13 @@ answers by exact path length, memoized per (subpattern, length), so the
 rules share one work budget, which also pays for the pair analysis, and
 one answer ceiling. Concatenation at length k joins left answers of
 length i with right answers of length k - i, for the splits that both
-operands' static match-length windows (`match_lengths`) admit.
+operands' static match-length windows (`match_lengths`) admit. A node
+atom beside a path matches one node, at length 0, so it is no operand
+there but a filter (`_endpoint_filter`): the concatenation keeps the
+path's answers whose endpoint on the atom's side has the atom's label,
+and binds the atom's variable to that node, or keeps only the answers
+that already bind it there. The pair analysis filters its witnesses the
+same way, and the atom's matches are built in neither.
 One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, Optional
+from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
 from .ast import (
     And,
@@ -289,6 +295,45 @@ def _atom_matches(
                 yield (pair[1], e, pair[0]), mu
 
 
+def _endpoint_filter(
+    graph: PropertyGraph, pat: Concat
+) -> Optional[tuple[Pattern, bool, Callable[[str, Assignment], Optional[Assignment]]]]:
+    """A node atom beside a path, as a filter on that path's endpoint.
+
+    When exactly one operand of `pat` is a node pattern, returns the other
+    operand, whether the atom is on the left (so the filter reads the
+    other operand's source, else its target), and the filter. The filter
+    maps an endpoint and the other operand's bindings to their strict
+    `unify` with the atom's one match at that node, or None. So the
+    atom's matches are never built. The atom has length 0, so no split,
+    window or restrictor check changes.
+    """
+    left = isinstance(pat.left, NodePat)
+    if left == isinstance(pat.right, NodePat):
+        return None
+    node, other = (pat.left, pat.right) if left else (pat.right, pat.left)
+    var, label = node.descriptor.var, node.descriptor.label
+    label_set = graph.label_set
+    own: dict[str, Assignment] = {}  # the atom's binding per node
+
+    def bind(end: str, mu: Assignment) -> Optional[Assignment]:
+        if label is not None and label not in label_set(end):
+            return None
+        if var is None:
+            return mu
+        if not mu:  # as `unify` does, share the atom's own binding
+            if end not in own:
+                own[end] = Assignment({var: NodeVal(end)})
+            return own[end]
+        value = NodeVal(end)
+        bound = mu.get(var)
+        if bound is None:
+            return mu.with_binding(var, value)
+        return mu if bound == value else None
+
+    return other, left, bind
+
+
 # -- satisfiable endpoint pairs ----------------------------------------------
 #
 # For `shortest` we need to know when further strata cannot satisfy any new
@@ -451,6 +496,20 @@ class _Evaluator:
                 matches = ((el, mu) for el, mu in matches if el[0] != el[2])
             return {(Path(elements), mu) for elements, mu in matches}
         if isinstance(pat, Concat):
+            beside = _endpoint_filter(self.graph, pat)
+            if beside is not None:
+                other, at_src, bind = beside
+                # The one split the loop below would admit, if any.
+                lo, hi = match_lengths(other, self.windows)
+                if k < lo or (hi is not None and k > hi):
+                    return set()
+                out = {
+                    (p, merged)
+                    for p, mu in self.answers(other, k)
+                    if (merged := bind(p.src if at_src else p.tgt, mu)) is not None
+                }
+                self.charge(len(out))
+                return out
             # Only the splits that both operands' windows admit.
             lo1, hi1 = match_lengths(pat.left, self.windows)
             lo2, hi2 = match_lengths(pat.right, self.windows)
@@ -523,11 +582,21 @@ class _Evaluator:
             def project(mu: Assignment) -> Assignment:
                 return mu if set(mu) == keep else Assignment({v: mu[v] for v in keep})
 
-            left = self.witnesses(pat.left, mode)
-            right = self.witnesses(pat.right, mode)
-            if isinstance(pat, Union_):
-                out = frozenset((s, t, project(mu), z) for s, t, mu, z in left | right)
+            beside = _endpoint_filter(self.graph, pat) if isinstance(pat, Concat) else None
+            if beside is not None:
+                other, at_src, bind = beside
+                # The atom's own entries are edgeless, so `z` is the other's.
+                out = frozenset(
+                    (s, t, project(merged), z)
+                    for s, t, mu, z in self.witnesses(other, mode)
+                    if (merged := bind(s if at_src else t, mu)) is not None
+                )
+            elif isinstance(pat, Union_):
+                both = self.witnesses(pat.left, mode) | self.witnesses(pat.right, mode)
+                out = frozenset((s, t, project(mu), z) for s, t, mu, z in both)
             else:
+                left = self.witnesses(pat.left, mode)
+                right = self.witnesses(pat.right, mode)
                 by_src: dict = {}
                 for s, t, mu, z in right:
                     by_src.setdefault(s, []).append((t, mu, z))

@@ -174,7 +174,8 @@ def _merge_conjunctive(left: Schema, right: Schema, pos) -> Schema:
 
 def _merge_union(left: Schema, right: Schema, pos) -> Schema:
     out: Schema = {}
-    for var in left.keys() | right.keys():
+    # In name order, so a conflict names the same variable in every process.
+    for var in sorted(left.keys() | right.keys()):
         lt, rt = left.get(var), right.get(var)
         if lt is None:
             out[var] = maybe_wrap(rt)  # type: ignore[arg-type]

@@ -1,8 +1,13 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpc
 from gpc import (
     EvalConfig,
     Restrictor,
@@ -107,6 +112,51 @@ def test_run_resource_limit_exit_1(capsys, graph_file, tmp_path):
     diag = json.loads(err)
     assert diag["error"] == "resource-limit"
     assert "truncated" not in diag
+
+
+@pytest.mark.parametrize(
+    "text, code, lines",
+    [("SHORTEST (x) -> (y)", 0, 2), ("SHORTEST (x) (y)", 1, 0)],
+)
+def test_node_atom_beside_a_path_holds_no_answer_set(capsys, tmp_path, text, code, lines):
+    # Ten nodes, two edges, a ceiling of 5. A node atom beside a path only
+    # filters that path's endpoints, so it never holds its ten answers;
+    # `(x) (y)` has no path operand, and its atoms still count.
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"id": f"n{i}"} for i in range(10)],
+        "directed_edges": [
+            {"id": "e1", "src": "n0", "tgt": "n1"},
+            {"id": "e2", "src": "n1", "tgt": "n2"},
+        ],
+    }))
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    got, out, err = run_cli(capsys, "run", str(graph), str(query), "--max-answers", "5")
+    assert got == code
+    assert len(out.splitlines()) == lines
+    if code:
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "resource-limit"
+
+
+def test_type_error_names_the_same_variable_under_any_hash_seed():
+    # Both x and z conflict across the union; the error must name the same
+    # one whatever order the process's string hashing gives a set.
+    src = str(Path(gpc.__file__).resolve().parent.parent)
+    text = "p = TRAIL [(x:A){0..}] + [-[z]-], SIMPLE [<-[x]-] + [(z)]"
+    errors = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpc.cli", "check", text],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert json.loads(errors[0])["kind"] == "conflicting_types"
 
 
 @pytest.mark.parametrize(

@@ -17,9 +17,11 @@ from gpc import (
     brute_force_query,
     collect_fn,
     default_length_bound,
+    enumerate_paths,
     eval_pattern,
     eval_query,
     infer_schema,
+    naive_match,
     parse_pattern,
     parse_query,
     path,
@@ -438,6 +440,51 @@ def test_satisfiable_pairs_are_exactly_the_shortest_endpoints():
     assert checked > 400
 
 
+def _bfs_label_pairs(g, step):
+    """(s, t) with s an A-node, t a B-node, and 1 or more a-steps from s to t.
+
+    `step` is "->", "<-" or "-": which edges an a-step uses, and which way.
+    """
+    succ: dict = {}
+    for e, (src, tgt) in g.directed_edges.items():
+        if "a" in g.label_set(e) and step != "-":
+            u, v = (src, tgt) if step == "->" else (tgt, src)
+            succ.setdefault(u, set()).add(v)
+    for e, ends in g.undirected_edges.items():
+        if "a" in g.label_set(e) and step == "-":
+            for u in ends:
+                succ.setdefault(u, set()).update(ends - {u} or ends)
+    pairs = set()
+    for s in g.nodes:
+        if "A" not in g.label_set(s):
+            continue
+        seen: set = set()
+        frontier = list(succ.get(s, ()))
+        while frontier:
+            u = frontier.pop()
+            if u not in seen:
+                seen.add(u)
+                frontier.extend(succ.get(u, ()))
+        pairs |= {(s, t) for t in seen if "B" in g.label_set(t)}
+    return pairs
+
+
+@pytest.mark.parametrize("step", ["->", "<-", "-"])
+def test_satisfiable_pairs_match_a_breadth_first_search(step):
+    # An independent pin for the analysis: node atoms on both sides filter
+    # the repetition's endpoints, and a BFS written here finds the pairs.
+    edge = {"->": "-[:a]->", "<-": "<-[:a]-", "-": "-[:a]-"}[step]
+    pattern = parse_pattern(f"(x:A) {edge}{{1..}} (y:B)")
+    rng = random.Random(42)
+    nonempty = 0
+    for _ in range(60):
+        g = gen.rand_graph(rng, 6, 10)
+        expected = _bfs_label_pairs(g, step)
+        assert satisfiable_pairs(g, pattern) == expected
+        nonempty += bool(expected)
+    assert nonempty > 10
+
+
 def test_pair_analysis_stops_where_the_pattern_cannot_die_out():
     # Every pair is covered at length 0, which the analysis sees at once. A
     # stop that waited for the huge-count branch to die out would walk a
@@ -702,3 +749,124 @@ def test_evaluation_builds_no_reference_cycles():
             gc.enable()
     assert min(outcomes.values()) > 10, outcomes
     assert unreachable == 0
+
+
+# -- node atoms as endpoint filters -------------------------------------------
+
+
+def _filter_graph():
+    """Labels A, B, both and none; self-loops and non-loops, both kinds."""
+    return validate_graph(
+        {
+            "nodes": [
+                {"id": "a", "labels": ["A"]},
+                {"id": "b", "labels": ["B"]},
+                {"id": "c", "labels": ["A", "B"]},
+                {"id": "d"},
+            ],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b", "labels": ["r"]},
+                {"id": "e2", "src": "b", "tgt": "b"},
+                {"id": "e3", "src": "c", "tgt": "a", "labels": ["r"]},
+                {"id": "e4", "src": "d", "tgt": "c"},
+                {"id": "e5", "src": "a", "tgt": "a", "labels": ["r"]},
+                {"id": "e6", "src": "b", "tgt": "a"},
+            ],
+            "undirected_edges": [
+                {"id": "u1", "endpoints": ["b", "d"]},
+                {"id": "u2", "endpoints": ["c"]},
+            ],
+        }
+    )
+
+
+# A node atom on the left and on the right, with and without a label or a
+# variable, beside forward, backward and undirected edges. The `(x) ... (x)`
+# patterns bind x on one side and test it on the other, both ways round.
+NODE_FILTER_PATTERNS = [
+    "(x) -[e]-> ()",
+    "(:A) -[e]-> (y:B)",
+    "-[e:r]-> (y:A)",
+    "(x:B) -[e]->",
+    "(x) <-[e]- (y:A)",
+    "(:B) <-[e]-",
+    "(x:A) -[e]- (y)",
+    "-[e]- (:B)",
+    "(x) -[e]-> (x)",
+    "(x) [-[e]-> (x)]",
+    "(x) <-[e]- (x)",
+    "(x:B) -[e]- (x)",
+    "(x) [-[e]- (x:A)]",
+    "(x) -[e]-> -[f]-> (x)",
+    "(x:A) [-[e]->]{0..2} (y)",
+]
+
+
+def _oracle_pattern(graph, pattern, cfg):
+    return {
+        (p, mu)
+        for p in enumerate_paths(graph, cfg.max_len)
+        for mu in naive_match(graph, pattern, p, cfg)
+    }
+
+
+@pytest.mark.parametrize("text", NODE_FILTER_PATTERNS)
+def test_node_filter_matches_oracle(text):
+    g = _filter_graph()
+    pattern = parse_pattern(text)
+    cfg = EvalConfig(max_len=3)
+    expected = _oracle_pattern(g, pattern, cfg)
+    assert expected
+    assert eval_pattern(g, pattern, cfg) == expected
+
+
+@pytest.mark.parametrize("restrictor", ["SHORTEST", "TRAIL", "SIMPLE", "SHORTEST TRAIL"])
+@pytest.mark.parametrize("text", NODE_FILTER_PATTERNS)
+def test_node_filter_queries_match_oracle(text, restrictor):
+    g = _filter_graph()
+    query = parse_query(f"{restrictor} {text}")
+    cfg = EvalConfig(max_len=3)
+    expected = brute_force_query(g, query, cfg)
+    assert expected or restrictor == "SIMPLE"  # a self-loop is not simple
+    assert eval_query(g, query, cfg) == expected
+
+
+def test_bound_node_variable_keeps_only_loops():
+    g = _filter_graph()
+    answers = eval_query(g, parse_query("SHORTEST (x) -[e]-> (x)"), EvalConfig())
+    assert sorted(a.paths[0].elements for a in answers) == [
+        ("a", "e5", "a"),
+        ("b", "e2", "b"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "mode, lenient",
+    [("syntactic", False), ("dynamic", False), ("grouping", False), ("grouping", True)],
+)
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x:A) [()]{0..}",
+        "[(y) + -[e]->]{0..} (x:B)",
+        "(x) [(:A) + <-[e]-]{1..2} (x)",
+        "(:B) [[(z:A)] + [(z:B)]]{0..}",
+    ],
+)
+def test_node_filter_beside_edgeless_repetition(text, mode, lenient):
+    # Syntactic mode rejects a repetition whose body may be edgeless, in
+    # the engine and the oracle alike; the other modes must agree with it.
+    g = _filter_graph()
+    pattern = parse_pattern(text)
+    cfg = EvalConfig(collect_mode=mode, max_len=2, lenient_unify=lenient)
+    query = parse_query(f"SHORTEST {text}")
+    if mode == "syntactic":
+        with pytest.raises(TypeCheckError):
+            eval_pattern(g, pattern, cfg)
+        with pytest.raises(TypeCheckError):
+            brute_force_query(g, query, cfg)
+        return
+    expected = _oracle_pattern(g, pattern, cfg)
+    assert expected
+    assert eval_pattern(g, pattern, cfg) == expected
+    assert eval_query(g, query, cfg) == brute_force_query(g, query, cfg)
