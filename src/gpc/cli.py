@@ -37,7 +37,7 @@ from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
 from .render import render
 from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
-from .values import answer_records, serialize_value
+from .values import answer_records, match_records, tuple_records
 
 
 # Program faults surface as these built-in errors. Other exceptions, such
@@ -167,10 +167,7 @@ def cmd_run(args) -> int:
             }
             if expected != tuples:
                 return _oracle_mismatch("tuples", len(tuples), len(expected))
-        records = sorted(
-            json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
-            for row in tuples
-        )
+        records = tuple_records(tuples)
         count = len(tuples)
     elif isinstance(expr, (Restricted, Join)):
         answers = eval_query(graph, expr, cfg)
@@ -229,20 +226,7 @@ def cmd_match(args) -> int:
     cfg = _config_from(args)
     if cfg.max_len is None:
         cfg.max_len = len(graph.nodes) + graph.edge_count
-    results = eval_pattern(graph, pattern, cfg)
-    records = sorted(
-        json.dumps(
-            {
-                "path": {"elements": list(p.elements)},
-                "bindings": {
-                    var: serialize_value(val) for var, val in mu.items_sorted()
-                },
-            },
-            sort_keys=True,
-        )
-        for p, mu in results
-    )
-    for line in records:
+    for line in match_records(eval_pattern(graph, pattern, cfg)):
         sys.stdout.write(line + "\n")
     return 0
 

@@ -228,6 +228,17 @@ def collect_fn(
 # -- length bounds -----------------------------------------------------------
 
 
+def _structural_bound(restrictor: Restrictor, graph: PropertyGraph) -> Optional[int]:
+    """The longest path the restrictor's base admits: |N| for simple
+    paths, |E| for trails, None for walks."""
+    base = restrictor.base
+    if base is Restrictor.SIMPLE:
+        return len(graph.nodes)
+    if base is Restrictor.TRAIL:
+        return graph.edge_count
+    return None
+
+
 def default_length_bound(
     restrictor: Restrictor,
     graph: PropertyGraph,
@@ -240,12 +251,8 @@ def default_length_bound(
     (|N| + |E|) * 2^size(pattern), capped at `ceiling`. Combined
     restrictors take the minimum of the applicable bounds.
     """
-    bounds = []
-    base = restrictor.base
-    if base is Restrictor.SIMPLE:
-        bounds.append(len(graph.nodes))
-    elif base is Restrictor.TRAIL:
-        bounds.append(graph.edge_count)
+    structural = _structural_bound(restrictor, graph)
+    bounds = [] if structural is None else [structural]
     if restrictor.has_shortest:
         size = pattern_size(pattern)
         if size >= ceiling.bit_length():
@@ -757,12 +764,16 @@ def length_bound(
     """The longest path length a restricted leg is evaluated to.
 
     This is `cfg.max_len`, or the restrictor's default bound without one,
-    capped at the longest match the pattern can have: no match is longer,
-    so the cap leaves the answers unchanged.
+    capped at the longest match the pattern can have and at the longest
+    trail or simple path when the restrictor asks for one: no answer is
+    longer, so the caps leave the answers unchanged, and strata past them
+    would be empty and cost no work that the budget could stop.
     """
-    bound = cfg.max_len
-    if bound is None:
+    if cfg.max_len is None:
         bound = default_length_bound(restrictor, graph, pattern)
+    else:
+        structural = _structural_bound(restrictor, graph)
+        bound = cfg.max_len if structural is None else min(cfg.max_len, structural)
     hi = match_lengths(pattern)[1]
     return bound if hi is None else min(bound, hi)
 

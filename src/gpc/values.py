@@ -7,12 +7,21 @@ Everything is immutable and hashable so answer sets deduplicate
 structurally. Values are slotted dataclasses; paths, group values and
 assignments compute their hash once, when they are built, because an
 answer set hashes the same value many times.
+
+Every NDJSON record format that gpc prints is defined here: the answer
+lines of `gpc run` (`answer_records`), its rule-set tuple lines
+(`tuple_records`) and the lines of `gpc match` (`match_records`). One
+encoder (`_encoder`) writes each line directly as JSON text, encoding
+each id and each path once per call. The `serialize_*` functions and
+`answer_sort_key` are its reference: every line equals
+``json.dumps(..., sort_keys=True)`` of their dicts, in the same order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Union
 
 from .graph import Path
@@ -175,14 +184,90 @@ def answer_sort_key(answer: Answer) -> tuple[str, str]:
     )
 
 
-def answer_records(answers: Iterable[Answer]) -> list[str]:
-    """NDJSON lines of `answers`, in `answer_sort_key` order.
+class _Quoted(dict):
+    """The JSON string literal of each id or variable name, made once."""
 
-    Each line equals ``json.dumps(serialize_answer(a), sort_keys=True)``:
-    "bindings" sorts before "paths", and the sort key holds both parts
-    already encoded, so each answer is serialized once.
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        quoted = self[text] = encode_basestring_ascii(text)
+        return quoted
+
+
+def _encoder():
+    """The encoding functions of one call: `path`, `value` and `bindings`.
+
+    Each returns the JSON text that ``json.dumps(..., sort_keys=True)``
+    prints for `serialize_path`, `serialize_value`, or a serialized
+    binding map, without building their dicts. The functions cache each
+    id's literal and each path's ``{"elements": [...]}`` text for the
+    call, since answers and group items repeat ids and subpaths. The
+    cache is keyed by the element tuple, whose hash is computed in C.
     """
-    return [
-        '{"bindings": %s, "paths": %s}' % (bindings, paths)
-        for paths, bindings in sorted(map(answer_sort_key, answers))
-    ]
+    quote = _Quoted().__getitem__
+    objects: dict[tuple[str, ...], str] = {}
+
+    def path(p: Path) -> str:
+        text = objects.get(p.elements)
+        if text is None:
+            text = objects[p.elements] = '{"elements": [%s]}' % ", ".join(
+                map(quote, p.elements)
+            )
+        return text
+
+    def value(val: Value) -> str:
+        kind = type(val)
+        if kind is NodeVal:
+            return f'{{"id": {quote(val.id)}, "kind": "node"}}'
+        if kind is EdgeVal:
+            return f'{{"id": {quote(val.id)}, "kind": "edge"}}'
+        if kind is PathVal:
+            return path(val.path)[:-1] + ', "kind": "path"}'
+        if val is NOTHING:
+            return '{"kind": "nothing"}'
+        if kind is GroupVal:
+            items = ", ".join([f"[{path(p)}, {value(v)}]" for p, v in val.items])
+            return f'{{"items": [{items}], "kind": "group"}}'
+        raise TypeError(f"not a value: {val!r}")
+
+    def bindings(mu: Assignment) -> str:
+        return "{%s}" % ", ".join(
+            [f"{quote(var)}: {value(val)}" for var, val in mu.items_sorted()]
+        )
+
+    return path, value, bindings
+
+
+def answer_records(answers: Iterable[Answer]) -> list[str]:
+    """The NDJSON lines of `gpc run`'s answers, in `answer_sort_key` order.
+
+    Each line equals ``json.dumps(serialize_answer(a), sort_keys=True)``.
+    The sort is on the (paths, bindings) text pairs that `answer_sort_key`
+    returns, and "bindings" comes before "paths" in the line.
+    """
+    path, _, bindings = _encoder()
+    keys = sorted(
+        [("[%s]" % ", ".join(map(path, a.paths)), bindings(a.bindings)) for a in answers]
+    )
+    return [f'{{"bindings": {b}, "paths": {p}}}' for p, b in keys]
+
+
+def tuple_records(rows: Iterable[tuple[Value, ...]]) -> list[str]:
+    """The NDJSON lines of a rule set's tuples, sorted.
+
+    Each line equals
+    ``json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)``.
+    """
+    _, value, _ = _encoder()
+    return sorted(['{"tuple": [%s]}' % ", ".join(map(value, row)) for row in rows])
+
+
+def match_records(results: Iterable[tuple[Path, Assignment]]) -> list[str]:
+    """The NDJSON lines of `gpc match`'s (path, assignment) results, sorted.
+
+    Each line equals ``json.dumps({"path": serialize_path(p), "bindings":
+    {var: serialize_value(v) for var, v in mu.items_sorted()}},
+    sort_keys=True)``.
+    """
+    path, _, bindings = _encoder()
+    return sorted([f'{{"bindings": {bindings(mu)}, "path": {path(p)}}}' for p, mu in results])

@@ -12,12 +12,23 @@ from gpc import (
     EvalConfig,
     Restrictor,
     default_length_bound,
+    eval_pattern,
     eval_query,
+    eval_ruleset,
     load_graph,
+    parse_pattern,
     parse_query,
+    parse_ruleset,
 )
 from gpc.cli import _as_table_row, main
-from gpc.values import answer_records, answer_sort_key, serialize_answer
+from gpc.values import (
+    answer_records,
+    answer_sort_key,
+    match_records,
+    serialize_answer,
+    serialize_value,
+    tuple_records,
+)
 
 
 @pytest.fixture
@@ -462,3 +473,99 @@ def test_run_table_format_is_unchanged(capsys, odd_run):
         'q"1-e"-b\\s | b\\s-e\\-n\nl\te=[(q"1-e"-b\\s, e")], f=e\\, '
         'p=q"1-e"-b\\s, x=q"1, y=b\\s, z=n\nl\n'
     )
+
+
+# Two rules of one arity whose tuples hold nodes, edges, groups, paths and
+# Nothing, and a pattern whose matches bind all but paths.
+ODD_RULES = (
+    "Ans(x, e, p) <- p = TRAIL (x) [-[e]->]{1..2} (y); "
+    "Ans(x, z, f) <- TRAIL (x) [[-[f]-> (z)] + [<-[f]-]] ()"
+)
+ODD_PATTERN = "(x) [-[e]->]{1..2} (y) [[-[f]-> (z)] + [<-[f]-]] ()"
+ODD_KINDS = ('"kind": "node"', '"kind": "edge"', '"kind": "group"', '"kind": "nothing"')
+ODD_ESCAPES = ('q\\"1', "b\\\\s", "n\\nl", "\\u00fc")
+
+
+@pytest.fixture
+def odd_graph(tmp_path):
+    graph = tmp_path / "odd.json"
+    graph.write_text(json.dumps(ODD_IDS))
+    return str(graph)
+
+
+def test_run_ruleset_lines_are_the_json_dumps_of_their_tuples(capsys, tmp_path, odd_graph):
+    query = tmp_path / "rules.gpc"
+    query.write_text(ODD_RULES)
+    rows = eval_ruleset(load_graph(odd_graph), parse_ruleset(ODD_RULES), EvalConfig())
+    # The record format as first defined: one json.dumps per tuple.
+    expected = sorted(
+        json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
+        for row in rows
+    )
+    assert tuple_records(rows) == expected
+    code, out, _ = run_cli(capsys, "run", odd_graph, str(query))
+    assert code == 0
+    assert out == "".join(line + "\n" for line in expected)
+    for needle in ODD_ESCAPES + ODD_KINDS + ('"kind": "path"',):
+        assert needle in out
+
+
+def test_match_lines_are_the_json_dumps_of_their_results(capsys, odd_graph):
+    loaded = load_graph(odd_graph)
+    cfg = EvalConfig(max_len=len(loaded.nodes) + loaded.edge_count)  # match's default
+    results = eval_pattern(loaded, parse_pattern(ODD_PATTERN), cfg)
+    # The record format as first defined: one json.dumps per result.
+    expected = sorted(
+        json.dumps(
+            {
+                "path": {"elements": list(p.elements)},
+                "bindings": {var: serialize_value(val) for var, val in mu.items_sorted()},
+            },
+            sort_keys=True,
+        )
+        for p, mu in results
+    )
+    assert match_records(results) == expected
+    code, out, _ = run_cli(capsys, "match", odd_graph, ODD_PATTERN)
+    assert code == 0
+    assert out == "".join(line + "\n" for line in expected)
+    for needle in ODD_ESCAPES + ODD_KINDS:
+        assert needle in out
+
+
+@pytest.mark.parametrize("restrictor, cap", [("TRAIL", 24), ("SIMPLE", 16)])
+def test_huge_max_len_stops_at_the_longest_trail_or_simple_path(tmp_path, restrictor, cap):
+    # A 4x4 grid has 16 nodes and 24 edges: no trail is longer than 24 and
+    # no simple path longer than 16. Every stratum past those is empty and
+    # charges no work, so only the bound can stop the loop; a process
+    # timeout keeps a walk through 10^9 strata from hanging the suite.
+    graph = tmp_path / "grid.json"
+    grid = [(i, j) for i in range(4) for j in range(4)]
+    graph.write_text(json.dumps({
+        "nodes": [{"id": f"g{i}_{j}"} for i, j in grid],
+        "directed_edges": [
+            {"id": f"{kind}{i}_{j}", "src": f"g{i}_{j}", "tgt": f"g{i + di}_{j + dj}"}
+            for i, j in grid
+            for kind, di, dj in (("a", 0, 1), ("b", 1, 0))
+            if i + di < 4 and j + dj < 4
+        ],
+    }))
+    query = tmp_path / "q.gpc"
+    query.write_text(f"{restrictor} (x) -[e]->{{1..}} (y)")
+    src = str(Path(gpc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpc.cli", "run", str(graph), str(query), *flags],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, json.loads(proc.stderr)
+
+    out, report = run("--max-len", "1000000000")
+    default_out, default_report = run()
+    assert out == default_out
+    assert report["answer_count"] == 210
+    assert report["bound_used"] == default_report["bound_used"] == cap
+    assert report["elapsed_ms"] < 1000

@@ -1,24 +1,43 @@
 import dataclasses
+import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpc import (
     NOTHING,
     Assignment,
     EdgeVal,
+    EvalConfig,
     Group,
     GroupVal,
     Maybe,
     NodeVal,
     PathVal,
+    ResourceLimitError,
+    TypeCheckError,
     conforms,
+    eval_query,
     path,
     serialize_answer,
     unify,
 )
+from gpc.engine import COLLECT_MODES
 from gpc.graph import Path
 from gpc.typecheck import EDGE, NODE, PATH
-from gpc.values import Answer, serialize_value
+from gpc.values import (
+    Answer,
+    answer_records,
+    answer_sort_key,
+    match_records,
+    serialize_path,
+    serialize_value,
+    tuple_records,
+)
+
+import gen
 
 
 def test_conformance():
@@ -142,3 +161,84 @@ def test_equal_values_hash_equal():
 def test_path_rejects_even_length(elements):
     with pytest.raises(ValueError):
         Path(elements)
+
+
+# Characters that JSON escapes: a quote, a backslash, control characters
+# from NUL up, DEL, a line separator, non-ASCII, and an astral character
+# (a surrogate pair in JSON).
+ODD_CHARS = '"\\\x00\x1f\n\x7f\u2028\u00fc\U0001F600a'
+odd_ids = st.text(alphabet=ODD_CHARS, min_size=1, max_size=4)
+
+
+def _renamed(value, names):
+    if isinstance(value, Path):
+        return Path(tuple(names[e] for e in value.elements))
+    if isinstance(value, NodeVal):
+        return NodeVal(names[value.id])
+    if isinstance(value, EdgeVal):
+        return EdgeVal(names[value.id])
+    if isinstance(value, PathVal):
+        return PathVal(_renamed(value.path, names))
+    if isinstance(value, GroupVal):
+        return GroupVal(tuple((_renamed(p, names), _renamed(v, names)) for p, v in value.items))
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(COLLECT_MODES),
+    st.lists(odd_ids, min_size=10, max_size=10, unique=True),
+)
+def test_records_equal_their_json_dumps_reference(seed, mode, names):
+    rng = random.Random(seed)
+    graph = gen.rand_graph(rng, max_nodes=4, max_edges=6)
+    query = gen.well_typed_query(rng, depth=3)
+    try:
+        answers = eval_query(graph, query, EvalConfig(collect_mode=mode, max_len=3))
+    except (TypeCheckError, ResourceLimitError):
+        return
+    elements = [*graph.nodes, *graph.directed_edges, *graph.undirected_edges]
+    ids = dict(zip(sorted(elements), names))
+    answers = {
+        Answer(
+            tuple(_renamed(p, ids) for p in a.paths),
+            Assignment({var: _renamed(v, ids) for var, v in a.bindings.items()}),
+        )
+        for a in answers
+    }
+    assert answer_records(answers) == [
+        json.dumps(serialize_answer(a), sort_keys=True)
+        for a in sorted(answers, key=answer_sort_key)
+    ]
+    rows = {tuple(map(PathVal, a.paths)) + tuple(a.bindings.values()) for a in answers}
+    assert tuple_records(rows) == sorted(
+        json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
+        for row in rows
+    )
+    results = {(p, a.bindings) for a in answers for p in a.paths}
+    assert match_records(results) == sorted(
+        json.dumps(
+            {
+                "path": serialize_path(p),
+                "bindings": {var: serialize_value(v) for var, v in mu.items_sorted()},
+            },
+            sort_keys=True,
+        )
+        for p, mu in results
+    )
+
+
+def test_records_of_no_answers_and_empty_bindings():
+    answer = Answer((path("n1"),), Assignment())
+    assert answer_records([]) == tuple_records([]) == match_records([]) == []
+    assert answer_records([answer]) == ['{"bindings": {}, "paths": [{"elements": ["n1"]}]}']
+    assert tuple_records([()]) == ['{"tuple": []}']
+    assert match_records([(path("n1"), Assignment())]) == [
+        '{"bindings": {}, "path": {"elements": ["n1"]}}'
+    ]
+
+
+def test_records_reject_garbage():
+    with pytest.raises(TypeError):
+        tuple_records([("n1",)])
