@@ -29,9 +29,10 @@ from .engine import (
     default_length_bound,
     eval_pattern,
     eval_query,
+    eval_ruleset,
     length_bound,
 )
-from .gpcplus import TranslateError, eval_ruleset, translate_source
+from .gpcplus import TranslateError, translate_source
 from .graph import GraphValidationError, load_graph
 from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse_pattern, parse_query, parse_ruleset

@@ -403,11 +403,12 @@ def satisfiable_pairs(
     """Exactly the (src, tgt) pairs for which the pattern has an answer.
 
     The analysis charges its relations to `evaluator`'s work budget, or to
-    a fresh evaluator's, and raises ResourceLimitError once that runs out.
+    a fresh evaluator's, built with `collect_mode`, and raises
+    ResourceLimitError once that runs out.
     """
     if evaluator is None:
         evaluator = _Evaluator(graph, EvalConfig(collect_mode=collect_mode))
-    return {(s, t) for s, t, _, _ in evaluator.witnesses(pattern, collect_mode)}
+    return {(s, t) for s, t, _, _ in evaluator.witnesses(pattern)}
 
 
 # -- pattern evaluation -------------------------------------------------------
@@ -450,6 +451,13 @@ class _Evaluator:
                 f"evaluation exceeded {self.work_limit} intermediate states"
             )
 
+    def check_ceiling(self, size: int) -> None:
+        """Raise once an answer set holds more than `max_answers` entries."""
+        if size > self.cfg.max_answers:
+            raise ResourceLimitError(
+                f"answer set exceeded the ceiling of {self.cfg.max_answers}"
+            )
+
     def answers(self, pat: Pattern, k: int) -> frozenset:
         key = (id(pat), k)
         cached = self.memo.get(key)
@@ -458,10 +466,7 @@ class _Evaluator:
         result = frozenset(self._compute(pat, k))
         # The ceiling counts a subpattern's answers over every length so far.
         size = self.sizes[id(pat)] = self.sizes.get(id(pat), 0) + len(result)
-        if size > self.cfg.max_answers:
-            raise ResourceLimitError(
-                f"answer set exceeded the ceiling of {self.cfg.max_answers}"
-            )
+        self.check_ceiling(size)
         self.memo[key] = result
         return result
 
@@ -559,7 +564,7 @@ class _Evaluator:
             return self._repeat(pat, k)
         raise TypeError(f"not a pattern: {pat!r}")
 
-    def witnesses(self, pat: Pattern, mode: str) -> frozenset:
+    def witnesses(self, pat: Pattern) -> frozenset:
         """The pair analysis: entries (src, tgt, kept bindings, edgeless?).
 
         A composed relation is charged to the work budget by its size.
@@ -572,14 +577,15 @@ class _Evaluator:
         if isinstance(pat, Cond):
             return frozenset(
                 entry
-                for entry in self.witnesses(pat.pattern, mode)
+                for entry in self.witnesses(pat.pattern)
                 if satisfies(self.graph, entry[2], pat.condition)
             )
         if isinstance(pat, Repeat):
+            grouping = self.cfg.collect_mode == "grouping"
             steps = frozenset(
                 (s, t, z)
-                for s, t, _, z in self.witnesses(pat.pattern, mode)
-                if mode == "grouping" or not z
+                for s, t, _, z in self.witnesses(pat.pattern)
+                if grouping or not z
             )
             pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes)
             out = frozenset((s, t, EMPTY, z) for s, t, z in pairs)
@@ -595,15 +601,15 @@ class _Evaluator:
                 # The atom's own entries are edgeless, so `z` is the other's.
                 out = frozenset(
                     (s, t, project(merged), z)
-                    for s, t, mu, z in self.witnesses(other, mode)
+                    for s, t, mu, z in self.witnesses(other)
                     if (merged := bind(s if at_src else t, mu)) is not None
                 )
             elif isinstance(pat, Union_):
-                both = self.witnesses(pat.left, mode) | self.witnesses(pat.right, mode)
+                both = self.witnesses(pat.left) | self.witnesses(pat.right)
                 out = frozenset((s, t, project(mu), z) for s, t, mu, z in both)
             else:
-                left = self.witnesses(pat.left, mode)
-                right = self.witnesses(pat.right, mode)
+                left = self.witnesses(pat.left)
+                right = self.witnesses(pat.right)
                 by_src: dict = {}
                 for s, t, mu, z in right:
                     by_src.setdefault(s, []).append((t, mu, z))
@@ -781,39 +787,37 @@ def length_bound(
 def _eval_restricted(
     evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
 ) -> set[tuple[Path, Assignment]]:
-    """The answers of a restricted leg, one length stratum at a time."""
+    """The answers of a restricted leg, one length stratum at a time.
+
+    A SHORTEST leg keeps each endpoint pair's first stratum. It runs the
+    pair analysis once, before its first stratum, only if it holds more
+    than one stratum, to stop once every pair the pattern connects has its
+    answers, or if its default bound was cut at the ceiling short of the
+    longest match, which is sound only when every such pair has them.
+    """
     graph, cfg = evaluator.graph, evaluator.cfg
     bound = length_bound(restrictor, graph, pattern, cfg)
     shortest = restrictor.has_shortest
+    lo, hi = match_lengths(pattern)
+    # The bound never exceeds the longest match, so `hi != bound` is "short of it".
+    cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
     sat: Optional[set[tuple[str, str]]] = None
+    if shortest and (lo < bound or cut):
+        sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
     best: dict[tuple[str, str], int] = {}
     kept: set[tuple[Path, Assignment]] = set()
-    lo, hi = match_lengths(pattern)
     evaluator.reset(restrictor)
     for level in range(lo, bound + 1):
         for p, mu in evaluator.answers(pattern, level):
             if shortest and best.setdefault((p.src, p.tgt), level) != level:
                 continue
             kept.add((p, mu))
-        if not shortest or level == bound:
-            continue
-        # The pair analysis runs only once a later stratum could still be
-        # skipped, so a leg whose window is a single length never pays it.
-        if sat is None:
-            sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
-        if sat <= best.keys():
+        if sat is not None and sat <= best.keys():
             break
-    else:
-        # A default bound cut at the ceiling, short of the longest match,
-        # is sound only if every pair the pattern connects has its answers.
-        cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling
-        if cut and (hi is None or hi > bound):
-            if sat is None:
-                sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
-            if not sat <= best.keys():
-                raise ResourceLimitError(
-                    f"SHORTEST needs paths longer than the bound ceiling of {bound}"
-                )
+    if cut and not sat <= best.keys():
+        raise ResourceLimitError(
+            f"SHORTEST needs paths longer than the bound ceiling of {bound}"
+        )
     # No other leg holds this leg's nodes; kept, its answers slow later legs.
     evaluator.reset()
     return kept
@@ -848,10 +852,7 @@ def eval_ruleset(
             tuple(answer.bindings[var] for var in rule.head)
             for answer in _eval_query(evaluator, rule.body)
         }
-        if len(out) > cfg.max_answers:
-            raise ResourceLimitError(
-                f"answer set exceeded the ceiling of {cfg.max_answers}"
-            )
+        evaluator.check_ceiling(len(out))
     return out
 
 
@@ -874,14 +875,10 @@ def _eval_query(evaluator: _Evaluator, query: Query) -> set[Answer]:
         for ra in right:
             buckets.setdefault(tuple(ra.bindings[x] for x in shared), []).append(ra)
         out = set()
-        max_answers = evaluator.cfg.max_answers
         for la in left:
             for ra in buckets.get(tuple(la.bindings[x] for x in shared), ()):
                 merged = Assignment({**la.bindings, **ra.bindings})
                 out.add(Answer(la.paths + ra.paths, merged))
-                if len(out) > max_answers:
-                    raise ResourceLimitError(
-                        f"answer set exceeded the ceiling of {max_answers}"
-                    )
+                evaluator.check_ceiling(len(out))
         return out
     raise TypeError(f"not a query: {query!r}")

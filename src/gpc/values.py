@@ -92,13 +92,11 @@ def conforms(value: Value, t: TypeExpr) -> bool:
 class Assignment(Mapping[str, Value]):
     """Immutable finite map from variable names to values."""
 
-    __slots__ = ("_map", "_items", "_hash")
+    __slots__ = ("_map", "_hash")
 
     def __init__(self, mapping: Mapping[str, Value] = ()):
         self._map = dict(mapping)
-        # Keys are unique, so sorting the pairs never compares two values.
-        self._items = tuple(sorted(self._map.items()))
-        self._hash = hash(self._items)
+        self._hash = hash(frozenset(self._map.items()))
 
     def __getitem__(self, key: str) -> Value:
         return self._map[key]
@@ -112,16 +110,17 @@ class Assignment(Mapping[str, Value]):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Assignment):
             return NotImplemented
-        return self._items == other._items
+        return self._map == other._map
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return "{%s}" % ", ".join(f"{k}={v!r}" for k, v in self._items)
+        return "{%s}" % ", ".join(f"{k}={v!r}" for k, v in self.items_sorted())
 
     def items_sorted(self) -> tuple[tuple[str, Value], ...]:
-        return self._items
+        # Keys are unique, so sorting the pairs never compares two values.
+        return tuple(sorted(self._map.items()))
 
     def with_binding(self, var: str, value: Value) -> "Assignment":
         updated = dict(self._map)

@@ -613,8 +613,8 @@ def test_variable_free_repetition_of_repetition_on_long_chain(restrictor, mode):
     assert len(answers) == 40 * 41 // 2
 
 
-def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
-    calls = []
+def _count_pair_analyses(monkeypatch) -> list:
+    calls: list = []
     original = engine.satisfiable_pairs
 
     def counting(*args, **kwargs):
@@ -622,12 +622,52 @@ def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "satisfiable_pairs", counting)
+    return calls
+
+
+def test_single_hop_shortest_skips_pair_analysis(monkeypatch, g_intro):
+    calls = _count_pair_analyses(monkeypatch)
     answers = eval_query(g_intro, parse_query("SHORTEST (x)-[e]->(y)"))
     assert len(answers) == 3
     assert calls == []
     # an open repetition still needs the analysis to stop early
     eval_query(g_intro, parse_query("SHORTEST (x)-[e]->{1..}(y)"))
     assert calls
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("SHORTEST (x)-[e]->(y)", 0),  # one stratum
+        ("TRAIL (x)-[e]->{1..}(y)", 0),  # no SHORTEST
+        ("SHORTEST (x)-[e]->{1..}(y)", 1),
+        ("SHORTEST (x)-[e]->{1..}(y), SHORTEST (y)-[f]->{1..}(z)", 2),
+    ],
+)
+def test_pair_analysis_runs_once_per_leg_that_can_stop_early(
+    monkeypatch, g_intro, text, expected
+):
+    calls = _count_pair_analyses(monkeypatch)
+    eval_query(g_intro, parse_query(text))
+    assert len(calls) == expected
+
+
+def test_pair_analysis_runs_once_for_a_bound_cut_at_the_ceiling(monkeypatch):
+    # The leg's one stratum lies past the 10^6 ceiling, so the loop runs no
+    # stratum, and only the analysis can tell that pairs went unanswered.
+    g = validate_graph(
+        {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b"},
+                {"id": "e2", "src": "b", "tgt": "a"},
+            ],
+        }
+    )
+    calls = _count_pair_analyses(monkeypatch)
+    with pytest.raises(ResourceLimitError, match="bound ceiling"):
+        eval_query(g, parse_query("SHORTEST (x) ->{1000001} (y)"))
+    assert len(calls) == 1
 
 
 def test_one_evaluator_per_query(monkeypatch, g_intro):
