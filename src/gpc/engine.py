@@ -4,15 +4,23 @@ One evaluator serves a whole query or rule set. It computes a pattern's
 answers by exact path length, memoized per (subpattern, length), so the
 `shortest` strata of a leg share the shorter lengths, and all legs and
 rules share one work budget, which also pays for the pair analysis, and
-one answer ceiling. Concatenation at length k joins left answers of
+one answer ceiling. Inside the evaluator an answer's binding is a tuple
+of values in the order of the subpattern's sorted variables. The typing
+rules fix each subpattern's schema, so every operator gets a plan once
+per node: the positions a concatenation or a join shares and the order
+it gathers its output in, a union's padding with Nothing, the positions
+a condition reads. Shared variables are node or edge singletons, so two
+bindings agree exactly when their shared positions hold equal values.
+`Assignment`s are built only for the answers that `eval_query` and
+`eval_pattern` return. Concatenation at length k joins left answers of
 length i with right answers of length k - i, for the splits that both
 operands' static match-length windows (`match_lengths`) admit. A node
 atom beside a path matches one node, at length 0, so it is no operand
 there but a filter (`_endpoint_filter`): the concatenation keeps the
 path's answers whose endpoint on the atom's side has the atom's label,
 and binds the atom's variable to that node, or keeps only the answers
-that already bind it there. The pair analysis filters its witnesses the
-same way, and the atom's matches are built in neither.
+that already bind it there. The pair analysis filters its witnesses
+with the same filter, and the atom's matches are built in neither.
 One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
@@ -27,7 +35,8 @@ pumping and edgelessness appear: a later state could only build longer
 answers for the same endpoint pairs. The window caps each leg's bound
 (`length_bound`), and `shortest` keeps each endpoint pair's first
 stratum and stops once every pair that the pattern can connect has one;
-an exact pair analysis (`satisfiable_pairs`) names those pairs.
+an exact pair analysis (`satisfiable_pairs`) names those pairs. It
+carries only the bindings that an operator above compares.
 `eval_pattern` and the pair analysis prune nothing.
 Joins hash-partition the right operand's answers on the values of the
 shared variables.
@@ -39,8 +48,9 @@ graph concurrently since all inputs are immutable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Iterator, Optional
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional
 
 from .ast import (
     And,
@@ -62,6 +72,7 @@ from .ast import (
     Restrictor,
     RuleSet,
     Union_,
+    condition_vars,
     # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
     match_lengths,
@@ -72,11 +83,9 @@ from .typecheck import (
     Schema,
     check_ruleset,
     infer_schema,
-    is_singleton,
     validate_for_mode,
 )
 from .values import (
-    EMPTY,
     NOTHING,
     Answer,
     Assignment,
@@ -141,7 +150,12 @@ def unify(mu1: Assignment, mu2: Assignment, lenient: bool = False) -> Optional[A
 
 
 def satisfies(graph: PropertyGraph, mu: Assignment, theta: Condition) -> bool:
-    """Boolean condition semantics; undefined properties make atoms false."""
+    """Boolean condition semantics; undefined properties make atoms false.
+
+    `mu[var]` is each variable's value, so the evaluator passes a
+    positional binding with a condition whose variables `_by_position`
+    renamed to positions.
+    """
     if isinstance(theta, PropEqConst):
         value = graph.prop(mu[theta.var].id, theta.key)  # type: ignore[union-attr]
         return value is not None and const_eq(value, theta.const)
@@ -264,23 +278,108 @@ def default_length_bound(
     return min(bounds)
 
 
+# -- positional bindings -----------------------------------------------------
+#
+# A binding inside the evaluator is a tuple laid out over sorted variable
+# names (see the module docstring); these build the functions that read,
+# pad and merge such tuples once per operator.
+
+
+def _picker(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The values of a binding at `positions`, as a tuple."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+def _gather(names: tuple[str, ...], out: tuple[str, ...]) -> Callable[[tuple], tuple]:
+    """Lays a binding over `names` out over `out`, which gets NOTHING for a
+    name that `names` lacks (a union's padding)."""
+    pos = {var: i for i, var in enumerate(names)}
+    if all(var in pos for var in out):
+        return _picker([pos[var] for var in out])
+    pick = _picker([pos.get(var, len(names)) for var in out])
+    return lambda mu: pick(mu + (NOTHING,))
+
+
+class _Merge(NamedTuple):
+    """How to merge a binding over `left` names with one over `right` names.
+
+    The two agree exactly when `left_key` and `right_key` pick equal values,
+    and `gather(mu1 + mu2)` is then their merge. `shared` is False when no
+    name is shared, so every pair agrees.
+    """
+
+    shared: bool
+    left_key: Callable[[tuple], tuple]
+    right_key: Callable[[tuple], tuple]
+    gather: Callable[[tuple], tuple]
+
+
+def _merge(left: tuple[str, ...], right: tuple[str, ...], out: tuple[str, ...]) -> _Merge:
+    shared = sorted(set(left) & set(right))
+    return _Merge(
+        bool(shared),
+        _picker([left.index(var) for var in shared]),
+        _picker([right.index(var) for var in shared]),
+        _gather(left + right, out),
+    )
+
+
+def _by_position(theta: Condition, names: tuple[str, ...]) -> Condition:
+    """The condition with each variable renamed to its position in `names`,
+    so that `satisfies` reads a binding laid out over `names`."""
+    if isinstance(theta, PropEqConst):
+        return replace(theta, var=names.index(theta.var))
+    if isinstance(theta, PropEqProp):
+        return replace(
+            theta, var=names.index(theta.var), other_var=names.index(theta.other_var)
+        )
+    if isinstance(theta, Not):
+        return replace(theta, operand=_by_position(theta.operand, names))
+    return replace(
+        theta, left=_by_position(theta.left, names), right=_by_position(theta.right, names)
+    )
+
+
+def _merge_run(mu1: tuple, mu2: tuple, lenient: bool) -> Optional[tuple]:
+    """`unify` of two bindings with one layout, or None: an edgeless run of
+    a repetition merges its segments' bindings this way."""
+    if mu1 == mu2:
+        return mu1
+    if not lenient:
+        return None
+    out = []
+    for a, b in zip(mu1, mu2):
+        if a == b or b is NOTHING:
+            out.append(a)
+        elif a is NOTHING:
+            out.append(b)
+        else:
+            return None
+    return tuple(out)
+
+
 # -- atoms -------------------------------------------------------------------
 
 
 def _atom_matches(
     graph: PropertyGraph, pat: NodePat | EdgePat
-) -> Iterator[tuple[tuple[str, ...], Assignment]]:
+) -> Iterator[tuple[tuple[str, ...], tuple]]:
     """The matches of a node or edge pattern, as (path elements, binding).
 
-    A node pattern matches one-node paths. A forward or backward pattern
-    traverses each directed edge one way; an undirected pattern traverses
-    each undirected edge both ways, and a self-loop once.
+    The binding is `(NodeVal(n),)` or `(EdgeVal(e),)`, or `()` for an atom
+    without a variable. A node pattern matches one-node paths. A forward
+    or backward pattern traverses each directed edge one way; an
+    undirected pattern traverses each undirected edge both ways, and a
+    self-loop once.
     """
     var, label = pat.descriptor.var, pat.descriptor.label
     if isinstance(pat, NodePat):
         for n in graph.nodes:
             if label is None or label in graph.label_set(n):
-                yield (n,), Assignment({var: NodeVal(n)}) if var else EMPTY
+                yield (n,), (NodeVal(n),) if var else ()
         return
     edges = (
         graph.undirected_edges
@@ -290,7 +389,7 @@ def _atom_matches(
     for e, ends in edges.items():
         if label is not None and label not in graph.label_set(e):
             continue
-        mu = Assignment({var: EdgeVal(e)}) if var else EMPTY
+        mu = (EdgeVal(e),) if var else ()
         if pat.direction is Direction.FORWARD:
             yield (ends[0], e, ends[1]), mu
         elif pat.direction is Direction.BACKWARD:
@@ -302,43 +401,50 @@ def _atom_matches(
                 yield (pair[1], e, pair[0]), mu
 
 
-def _endpoint_filter(
-    graph: PropertyGraph, pat: Concat
-) -> Optional[tuple[Pattern, bool, Callable[[str, Assignment], Optional[Assignment]]]]:
-    """A node atom beside a path, as a filter on that path's endpoint.
-
-    When exactly one operand of `pat` is a node pattern, returns the other
-    operand, whether the atom is on the left (so the filter reads the
-    other operand's source, else its target), and the filter. The filter
-    maps an endpoint and the other operand's bindings to their strict
-    `unify` with the atom's one match at that node, or None. So the
-    atom's matches are never built. The atom has length 0, so no split,
-    window or restrictor check changes.
+def _endpoint_atom(pat: Concat) -> Optional[tuple[NodePat, Pattern, bool]]:
+    """A node atom beside a path: the atom, the other operand, and whether
+    the atom is on the left (so it filters the other's source, else its
+    target). None unless exactly one operand of `pat` is a node pattern.
     """
     left = isinstance(pat.left, NodePat)
     if left == isinstance(pat.right, NodePat):
         return None
-    node, other = (pat.left, pat.right) if left else (pat.right, pat.left)
-    var, label = node.descriptor.var, node.descriptor.label
-    label_set = graph.label_set
-    own: dict[str, Assignment] = {}  # the atom's binding per node
+    return (pat.left, pat.right, True) if left else (pat.right, pat.left, False)
 
-    def bind(end: str, mu: Assignment) -> Optional[Assignment]:
+
+def _endpoint_filter(
+    graph: PropertyGraph, atom: NodePat, names: tuple[str, ...], out: tuple[str, ...]
+) -> Callable[[str, tuple], Optional[tuple]]:
+    """The node atom beside a path, as a filter on that path's endpoint.
+
+    The filter maps an endpoint and the other operand's binding, laid out
+    over `names`, to their strict `unify` with the atom's one match at that
+    node, laid out over `out`, or None: the endpoint must have the atom's
+    label, and where `names` holds the atom's variable it must be bound to
+    that node; else the node is inserted. So the atom's matches are never
+    built. The atom has length 0, so no split, window or restrictor check
+    changes.
+    """
+    var, label = atom.descriptor.var, atom.descriptor.label
+    label_set = graph.label_set
+    at = names.index(var) if var in names else None
+    insert = var is not None and at is None
+    gather = _gather(names + (var,) if insert else names, out)
+    own: dict[str, tuple] = {}  # the atom's binding per node
+
+    def bind(end: str, mu: tuple) -> Optional[tuple]:
         if label is not None and label not in label_set(end):
             return None
-        if var is None:
-            return mu
-        if not mu:  # as `unify` does, share the atom's own binding
-            if end not in own:
-                own[end] = Assignment({var: NodeVal(end)})
-            return own[end]
-        value = NodeVal(end)
-        bound = mu.get(var)
-        if bound is None:
-            return mu.with_binding(var, value)
-        return mu if bound == value else None
+        if at is not None and mu[at].id != end:
+            return None
+        if insert:
+            value = own.get(end)
+            if value is None:
+                value = own[end] = (NodeVal(end),)
+            mu += value
+        return gather(mu)
 
-    return other, left, bind
+    return bind
 
 
 # -- satisfiable endpoint pairs ----------------------------------------------
@@ -346,9 +452,11 @@ def _endpoint_filter(
 # For `shortest` we need to know when further strata cannot satisfy any new
 # (src, tgt) pair. The analysis (`_Evaluator.witnesses`) computes, exactly,
 # the endpoint pairs for which the pattern has at least one answer, by
-# relational composition over (src, tgt, singleton-variable bindings,
-# edgeless?) witnesses. Group/optional variables never constrain composition
-# (the type system forbids sharing them), so projecting them away loses
+# relational composition over (src, tgt, bindings, edgeless?) witnesses. A
+# witness keeps a variable's value only where an operator above compares
+# it: a concatenation that shares it, an endpoint atom that re-checks it,
+# or a condition that reads it. Any other binding, group and optional ones
+# included, never constrains composition, so projecting it away loses
 # nothing; an edgeless run of a repetition can always reuse one segment's
 # bindings, so pair reachability through repetitions is plain relational
 # power.
@@ -417,9 +525,10 @@ def satisfiable_pairs(
 class _Evaluator:
     """One bottom-up evaluation per query or rule set, by exact path length.
 
-    `answers(pat, k)` holds the answers of length exactly k. Its memo keys
-    use node identity, since the AST dataclasses hash recursively.
-    `witnesses` is the pair analysis, charged to the same work budget.
+    `answers(pat, k)` holds the answers of length exactly k, as (path,
+    binding) with the binding laid out over `names(pat)`. Its memo keys use
+    node identity, since the AST dataclasses hash recursively. `witnesses`
+    is the pair analysis, charged to the same work budget.
     """
 
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
@@ -430,6 +539,8 @@ class _Evaluator:
         self.levels: dict[int, list] = {}  # repetition states by length
         self.sizes: dict[int, int] = {}
         self.schemas: dict[int, Schema] = {}
+        self.layouts: dict[int, tuple[str, ...]] = {}
+        self.plans: dict[int, object] = {}
         self.windows: dict = {}
         # Per leg (see `reset`): where the elements start that a joined
         # path must not repeat, and under plain SHORTEST the first length of
@@ -443,6 +554,39 @@ class _Evaluator:
         if id(pat) not in self.schemas:
             self.schemas[id(pat)] = infer_schema(pat)
         return self.schemas[id(pat)]
+
+    def names(self, pat: Pattern) -> tuple[str, ...]:
+        """The layout of the pattern's bindings: its sorted variables."""
+        if id(pat) not in self.layouts:
+            self.layouts[id(pat)] = tuple(sorted(self.schema(pat)))
+        return self.layouts[id(pat)]
+
+    def kept(self, pat: Pattern, need: frozenset) -> tuple[str, ...]:
+        """The layout of the pattern's witnesses under `need`."""
+        return tuple(sorted(need.intersection(self.schema(pat))))
+
+    def plan(self, pat: Pattern):
+        """How `_compute` combines its operands' bindings, built once per
+        node: an endpoint filter or a `_Merge` for a concatenation, the
+        operands' padding for a union, the positional condition for `Cond`.
+        """
+        plan = self.plans.get(id(pat))
+        if plan is not None:
+            return plan
+        out = self.names(pat)
+        if isinstance(pat, Concat):
+            beside = _endpoint_atom(pat)
+            if beside is None:
+                plan = _merge(self.names(pat.left), self.names(pat.right), out)
+            else:
+                atom, other, at_src = beside
+                plan = other, at_src, _endpoint_filter(self.graph, atom, self.names(other), out)
+        elif isinstance(pat, Union_):
+            plan = _gather(self.names(pat.left), out), _gather(self.names(pat.right), out)
+        else:
+            plan = _by_position(pat.condition, out)
+        self.plans[id(pat)] = plan
+        return plan
 
     def charge(self, amount: int = 1) -> None:
         self.work += amount
@@ -499,7 +643,7 @@ class _Evaluator:
         self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
         self.first = {} if restrictor is Restrictor.SHORTEST else None
 
-    def _compute(self, pat: Pattern, k: int) -> set[tuple[Path, Assignment]]:
+    def _compute(self, pat: Pattern, k: int) -> set[tuple[Path, tuple]]:
         if isinstance(pat, (NodePat, EdgePat)):
             if match_lengths(pat, self.windows) != (k, k):
                 return set()
@@ -508,9 +652,9 @@ class _Evaluator:
                 matches = ((el, mu) for el, mu in matches if el[0] != el[2])
             return {(Path(elements), mu) for elements, mu in matches}
         if isinstance(pat, Concat):
-            beside = _endpoint_filter(self.graph, pat)
-            if beside is not None:
-                other, at_src, bind = beside
+            plan = self.plan(pat)
+            if not isinstance(plan, _Merge):
+                other, at_src, bind = plan
                 # The one split the loop below would admit, if any.
                 lo, hi = match_lengths(other, self.windows)
                 if k < lo or (hi is not None and k > hi):
@@ -522,6 +666,7 @@ class _Evaluator:
                 }
                 self.charge(len(out))
                 return out
+            shared, left_key, right_key, gather = plan
             # Only the splits that both operands' windows admit.
             lo1, hi1 = match_lengths(pat.left, self.windows)
             lo2, hi2 = match_lengths(pat.right, self.windows)
@@ -536,51 +681,59 @@ class _Evaluator:
                     continue
                 check = start and i and i < k
                 for p1, mu1 in left:
+                    key = left_key(mu1)
                     for p2, mu2 in right.get(p1.tgt, ()):
                         self.charge()
                         if check and any(map(p1.elements.__contains__, p2.elements[start::2])):
                             continue
-                        merged = unify(mu1, mu2)
-                        if merged is not None:
-                            out.add((p1.concat(p2), merged))
+                        if shared and right_key(mu2) != key:
+                            continue
+                        out.add((p1.concat(p2), gather(mu1 + mu2)))
             return out
         if isinstance(pat, Union_):
-            domain = set(self.schema(pat))
-            out = set()
-            for p, mu in self.answers(pat.left, k) | self.answers(pat.right, k):
-                if set(mu) != domain:
-                    mu = Assignment(
-                        {x: mu.get(x, NOTHING) for x in domain}
-                    )
-                out.add((p, mu))
+            pad_left, pad_right = self.plan(pat)
+            out = {(p, pad_left(mu)) for p, mu in self.answers(pat.left, k)}
+            out.update((p, pad_right(mu)) for p, mu in self.answers(pat.right, k))
             return out
         if isinstance(pat, Cond):
+            theta = self.plan(pat)
             return {
                 (p, mu)
                 for p, mu in self.answers(pat.pattern, k)
-                if satisfies(self.graph, mu, pat.condition)
+                if satisfies(self.graph, mu, theta)
             }
         if isinstance(pat, Repeat):
             return self._repeat(pat, k)
         raise TypeError(f"not a pattern: {pat!r}")
 
-    def witnesses(self, pat: Pattern) -> frozenset:
-        """The pair analysis: entries (src, tgt, kept bindings, edgeless?).
+    def witnesses(self, pat: Pattern, need: frozenset = frozenset()) -> frozenset:
+        """The pair analysis: entries (src, tgt, binding, edgeless?).
 
-        A composed relation is charged to the work budget by its size.
+        An entry's binding is laid out over `kept(pat, need)`: it holds a
+        variable only if an operator above compares it, which is what
+        `need` names. So a leg's top call needs nothing. The endpoint
+        filter and the atom matcher are the evaluator's. A composed
+        relation is charged to the work budget by its size.
         """
+        out_names = self.kept(pat, need)
         if isinstance(pat, (NodePat, EdgePat)):
+            keep = bool(out_names)
             return frozenset(
-                (elements[0], elements[-1], mu, len(elements) == 1)
+                (elements[0], elements[-1], mu if keep else (), len(elements) == 1)
                 for elements, mu in _atom_matches(self.graph, pat)
             )
         if isinstance(pat, Cond):
+            inner = need | condition_vars(pat.condition)
+            names = self.kept(pat.pattern, inner)
+            theta = _by_position(pat.condition, names)
+            gather = _gather(names, out_names)
             return frozenset(
-                entry
-                for entry in self.witnesses(pat.pattern)
-                if satisfies(self.graph, entry[2], pat.condition)
+                (s, t, gather(mu), z)
+                for s, t, mu, z in self.witnesses(pat.pattern, inner)
+                if satisfies(self.graph, mu, theta)
             )
         if isinstance(pat, Repeat):
+            # Its variables are groups, which no operator compares.
             grouping = self.cfg.collect_mode == "grouping"
             steps = frozenset(
                 (s, t, z)
@@ -588,36 +741,39 @@ class _Evaluator:
                 if grouping or not z
             )
             pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes)
-            out = frozenset((s, t, EMPTY, z) for s, t, z in pairs)
-        elif isinstance(pat, (Concat, Union_)):
-            keep = {v for v, t in self.schema(pat).items() if is_singleton(t)}
-
-            def project(mu: Assignment) -> Assignment:
-                return mu if set(mu) == keep else Assignment({v: mu[v] for v in keep})
-
-            beside = _endpoint_filter(self.graph, pat) if isinstance(pat, Concat) else None
+            out = frozenset((s, t, (), z) for s, t, z in pairs)
+        elif isinstance(pat, Union_):
+            out = frozenset()
+            for side in (pat.left, pat.right):
+                gather = _gather(self.kept(side, need), out_names)
+                out |= {(s, t, gather(mu), z) for s, t, mu, z in self.witnesses(side, need)}
+        elif isinstance(pat, Concat):
+            beside = _endpoint_atom(pat)
             if beside is not None:
-                other, at_src, bind = beside
+                atom, other, at_src = beside
+                # The atom re-checks its variable where the other binds it.
+                var = atom.descriptor.var
+                inner = need if var is None else need | {var}
+                bind = _endpoint_filter(self.graph, atom, self.kept(other, inner), out_names)
                 # The atom's own entries are edgeless, so `z` is the other's.
                 out = frozenset(
-                    (s, t, project(merged), z)
-                    for s, t, mu, z in self.witnesses(other)
+                    (s, t, merged, z)
+                    for s, t, mu, z in self.witnesses(other, inner)
                     if (merged := bind(s if at_src else t, mu)) is not None
                 )
-            elif isinstance(pat, Union_):
-                both = self.witnesses(pat.left) | self.witnesses(pat.right)
-                out = frozenset((s, t, project(mu), z) for s, t, mu, z in both)
             else:
-                left = self.witnesses(pat.left)
-                right = self.witnesses(pat.right)
+                inner = need | (self.schema(pat.left).keys() & self.schema(pat.right).keys())
+                shared, left_key, right_key, gather = _merge(
+                    self.kept(pat.left, inner), self.kept(pat.right, inner), out_names
+                )
                 by_src: dict = {}
-                for s, t, mu, z in right:
+                for s, t, mu, z in self.witnesses(pat.right, inner):
                     by_src.setdefault(s, []).append((t, mu, z))
                 out = frozenset(
-                    (s, u, project(merged), z1 and z2)
-                    for s, t, mu1, z1 in left
+                    (s, u, gather(mu1 + mu2), z1 and z2)
+                    for s, t, mu1, z1 in self.witnesses(pat.left, inner)
                     for u, mu2, z2 in by_src.get(t, ())
-                    if (merged := unify(mu1, mu2)) is not None
+                    if not shared or left_key(mu1) == right_key(mu2)
                 )
         else:
             raise TypeError(f"not a pattern: {pat!r}")
@@ -626,14 +782,16 @@ class _Evaluator:
 
     # -- repetition -----------------------------------------------------------
 
-    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Path, Assignment]]:
+    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Path, tuple]]:
         """Collect over segment splits, as one worklist for every mode.
 
         A state is (path so far, groups, open edgeless run, count, pumped);
-        its groups end with the open run, if any. Edgeless segments are
+        its groups end with the open run, if any. The body's layout is the
+        repetition's, so each answer's group value at a position pairs every
+        group's path with that group's value there. Edgeless segments are
         undefined in dynamic mode and, after validation, cannot occur in
         syntactic mode, so both drop them. A variable-free body records no
-        groups, and its open run is EMPTY. A state that holds an edgeless
+        groups, and its open run is (). A state that holds an edgeless
         run could merge that run's segment again, raising its count by any
         amount with the same bindings: it is pumped and matches even below
         `lo`. So a merge that leaves the open run unchanged is skipped, and
@@ -662,12 +820,12 @@ class _Evaluator:
             if longest is not None and levels and not any(recent):
                 return set()  # a state extends one at most `longest` shorter
             self.answers(pat, len(levels))
-        domain = tuple(sorted(self.schema(body)))
+        width = len(self.names(body))
         lo, hi = pat.lo, pat.hi
         grouping = self.cfg.collect_mode == "grouping"
         # Only edgeless merges or unrecorded groups reach a state twice;
         # otherwise each state extends its parent's groups by one segment.
-        dedupe = grouping or not domain
+        dedupe = grouping or not width
         states: list = []
         seen: set = set()
         start = self.fresh_from
@@ -706,7 +864,7 @@ class _Evaluator:
                         map(path_so_far.elements.__contains__, segment[0].elements[start::2])
                     ):
                         continue
-                    ngroups = groups + (segment,) if domain else ()
+                    ngroups = groups + (segment,) if width else ()
                     push((path_so_far.concat(segment[0]), ngroups, None, nk, pumped))
         edgeless = self.by_src(body, 0)
         lenient = self.cfg.lenient_unify
@@ -718,10 +876,10 @@ class _Evaluator:
             nk = count + 1 if hi is not None or count < lo else count
             closed = groups if open_mu is None else groups[:-1]
             for _, mu in edgeless.get(path_so_far.tgt, ()):
-                merged = mu if open_mu is None else unify(open_mu, mu, lenient)
+                merged = mu if open_mu is None else _merge_run(open_mu, mu, lenient)
                 if merged is None or merged == open_mu:
                     continue
-                ngroups = closed + ((Path((path_so_far.tgt,)), merged),) if domain else ()
+                ngroups = closed + ((Path((path_so_far.tgt,)), merged),) if width else ()
                 state = (path_so_far, ngroups, merged, nk, True)
                 if push(state):
                     queue.append(state)
@@ -729,9 +887,9 @@ class _Evaluator:
         if longest is not None and k >= longest:
             levels[k - longest] = None  # no later length extends these
         return {
-            (path_so_far, Assignment(
-                {x: GroupVal(tuple((p, mu[x]) for p, mu in groups)) for x in domain}
-            ) if domain else EMPTY)
+            (path_so_far, tuple(
+                GroupVal(tuple([(p, mu[i]) for p, mu in groups])) for i in range(width)
+            ))
             for path_so_far, groups, _, count, pumped in states
             if count >= lo or pumped
         }
@@ -746,7 +904,12 @@ def eval_pattern(
     infer_schema(pattern)
     validate_for_mode(pattern, cfg.collect_mode)
     evaluator = _Evaluator(graph, cfg)
-    return {a for k in range(cfg.max_len + 1) for a in evaluator.answers(pattern, k)}
+    names = evaluator.names(pattern)
+    return {
+        (p, Assignment(zip(names, mu)))
+        for k in range(cfg.max_len + 1)
+        for p, mu in evaluator.answers(pattern, k)
+    }
 
 
 def power(
@@ -786,14 +949,17 @@ def length_bound(
 
 def _eval_restricted(
     evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
-) -> set[tuple[Path, Assignment]]:
-    """The answers of a restricted leg, one length stratum at a time.
+) -> list[tuple[Path, tuple]]:
+    """The answers of a restricted leg, one length stratum at a time, with
+    bindings laid out over `evaluator.names(pattern)`.
 
     A SHORTEST leg keeps each endpoint pair's first stratum. It runs the
     pair analysis once, before its first stratum, only if it holds more
     than one stratum, to stop once every pair the pattern connects has its
     answers, or if its default bound was cut at the ceiling short of the
     longest match, which is sound only when every such pair has them.
+    A finite window runs it too: the strata it lets the leg skip can hold
+    far more walks than the answers, as length 3 does on a complete graph.
     """
     graph, cfg = evaluator.graph, evaluator.cfg
     bound = length_bound(restrictor, graph, pattern, cfg)
@@ -805,13 +971,13 @@ def _eval_restricted(
     if shortest and (lo < bound or cut):
         sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
     best: dict[tuple[str, str], int] = {}
-    kept: set[tuple[Path, Assignment]] = set()
+    kept: list[tuple[Path, tuple]] = []  # distinct: strata hold distinct lengths
     evaluator.reset(restrictor)
     for level in range(lo, bound + 1):
         for p, mu in evaluator.answers(pattern, level):
             if shortest and best.setdefault((p.src, p.tgt), level) != level:
                 continue
-            kept.add((p, mu))
+            kept.append((p, mu))
         if sat is not None and sat <= best.keys():
             break
     if cut and not sat <= best.keys():
@@ -831,7 +997,8 @@ def eval_query(
     infer_schema(query)
     validate_for_mode(query, cfg.collect_mode)
     # Each leg's pattern and each join check the answer ceiling themselves.
-    return _eval_query(_Evaluator(graph, cfg), query)
+    names, rows = _eval_query(_Evaluator(graph, cfg), query)
+    return {Answer(paths, Assignment(zip(names, mu))) for paths, mu in rows}
 
 
 def eval_ruleset(
@@ -848,37 +1015,41 @@ def eval_ruleset(
     evaluator = _Evaluator(graph, cfg)
     out: set[tuple[Value, ...]] = set()
     for rule in rules.rules:
-        out |= {
-            tuple(answer.bindings[var] for var in rule.head)
-            for answer in _eval_query(evaluator, rule.body)
-        }
+        names, rows = _eval_query(evaluator, rule.body)
+        head = _picker([names.index(var) for var in rule.head])
+        out.update(head(mu) for _, mu in rows)
         evaluator.check_ceiling(len(out))
     return out
 
 
-def _eval_query(evaluator: _Evaluator, query: Query) -> set[Answer]:
+def _eval_query(
+    evaluator: _Evaluator, query: Query
+) -> tuple[tuple[str, ...], list[tuple[tuple[Path, ...], tuple]]]:
+    """The query's sorted variables, and its answers as (paths, binding)
+    with each binding laid out over those variables. The answers are
+    distinct: a leg's are, and a join's output determines its inputs."""
     if isinstance(query, Restricted):
+        names = evaluator.names(query.pattern)
         pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
         if query.var is None:
-            return {Answer((p,), mu) for p, mu in pairs}
-        return {
-            Answer((p,), mu.with_binding(query.var, PathVal(p))) for p, mu in pairs
-        }
+            return names, [((p,), mu) for p, mu in pairs]
+        out = tuple(sorted(names + (query.var,)))
+        gather = _gather(names + (query.var,), out)
+        return out, [((p,), gather(mu + (PathVal(p),))) for p, mu in pairs]
     if isinstance(query, Join):
-        left = _eval_query(evaluator, query.left)
-        right = _eval_query(evaluator, query.right)
+        names1, left = _eval_query(evaluator, query.left)
+        names2, right = _eval_query(evaluator, query.right)
         # Shared join variables are node/edge singletons and unification is
-        # strict, so two answers unify exactly when their keys are equal, and
-        # their merge is then the plain union of the two assignments.
-        shared = sorted(set(infer_schema(query.left)) & set(infer_schema(query.right)))
-        buckets: dict[tuple[Value, ...], list[Answer]] = {}
-        for ra in right:
-            buckets.setdefault(tuple(ra.bindings[x] for x in shared), []).append(ra)
-        out = set()
-        for la in left:
-            for ra in buckets.get(tuple(la.bindings[x] for x in shared), ()):
-                merged = Assignment({**la.bindings, **ra.bindings})
-                out.add(Answer(la.paths + ra.paths, merged))
+        # strict, so two answers unify exactly when their keys are equal.
+        names = tuple(sorted(set(names1) | set(names2)))
+        _, left_key, right_key, gather = _merge(names1, names2, names)
+        buckets: dict[tuple, list] = {}
+        for paths, mu in right:
+            buckets.setdefault(right_key(mu), []).append((paths, mu))
+        out = []
+        for paths1, mu1 in left:
+            for paths2, mu2 in buckets.get(left_key(mu1), ()):
+                out.append((paths1 + paths2, gather(mu1 + mu2)))
                 evaluator.check_ceiling(len(out))
-        return out
+        return names, out
     raise TypeError(f"not a query: {query!r}")

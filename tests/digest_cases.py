@@ -1,0 +1,100 @@
+"""Print one digest per seeded random `gpc` call, to compare two trees.
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/digest_cases.py --cases 3000 > a.txt
+
+Run it in two checkouts and diff the outputs: a line differs exactly when
+the two give a different exit code, stdout, or stderr once the run
+report's `elapsed_ms` is dropped. Each case draws a graph and a query,
+rule set or pattern from `gen.py`, writes them to a temporary directory,
+and runs `gpc run` or `gpc match` through `cli.main` in-process. The
+cases cycle the collect modes and mix default and explicit `--max-len`,
+`--lenient-unify` and `--max-answers 5`. Each line holds the case's
+number, its digest, its flags and its query text. Pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+import sys
+import tempfile
+
+from gpc import infer_schema
+from gpc.cli import main
+from gpc.engine import COLLECT_MODES
+from gpc.render import render
+
+import gen
+
+ELAPSED = re.compile(r'"elapsed_ms": \d+, ')
+
+
+def rand_ruleset(rng: random.Random) -> str:
+    """One to three rules of arity 1 over random well-typed bodies."""
+    rules: list[str] = []
+    count = rng.randint(1, 3)
+    while len(rules) < count:
+        body = gen.well_typed_query(rng, 3)
+        variables = sorted(infer_schema(body))
+        if variables:
+            rules.append(f"Ans({rng.choice(variables)}) <- {render(body)}")
+    return "; ".join(rules)
+
+
+def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]]:
+    """(graph document, command, source text, flags) of case `index`."""
+    graph = gen.rand_graph_data(rng)
+    roll = rng.random()
+    if roll < 0.7:
+        command, text = "run", render(gen.well_typed_query(rng, 3))
+    elif roll < 0.87:
+        command, text = "run", rand_ruleset(rng)
+    else:
+        command, text = "match", render(gen.rand_pattern(rng, 3))
+    flags = ["--collect-mode", COLLECT_MODES[index % len(COLLECT_MODES)]]
+    if rng.random() < 0.6:
+        flags += ["--max-len", str(rng.choice((0, 1, 2, 3, 5, 1000)))]
+    if rng.random() < 0.25:
+        flags.append("--lenient-unify")
+    if rng.random() < 0.2:
+        flags += ["--max-answers", "5"]
+    return graph, command, text, flags
+
+
+def run_case(workdir: str, graph: dict, command: str, text: str, flags: list[str]) -> str:
+    graph_path = os.path.join(workdir, "graph.json")
+    with open(graph_path, "w", encoding="utf-8") as handle:
+        json.dump(graph, handle)
+    source = os.path.join(workdir, "source.gpc")
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, graph_path, source, *flags])
+    record = json.dumps([code, out.getvalue(), ELAPSED.sub("", err.getvalue())])
+    return hashlib.sha256(record.encode()).hexdigest()[:16]
+
+
+def main_digests(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cases", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    with tempfile.TemporaryDirectory() as workdir:
+        for index in range(args.cases):
+            graph, command, text, flags = rand_case(rng, index)
+            digest = run_case(workdir, graph, command, text, flags)
+            print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{text}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

@@ -40,6 +40,11 @@ VAR_POOL = ("x", "y", "z")
 
 
 def rand_graph(rng: random.Random, max_nodes: int = 4, max_edges: int = 6) -> PropertyGraph:
+    return validate_graph(rand_graph_data(rng, max_nodes, max_edges))
+
+
+def rand_graph_data(rng: random.Random, max_nodes: int = 4, max_edges: int = 6) -> dict:
+    """The JSON document of a random graph, as `gpc run` reads it."""
     node_count = rng.randint(1, max_nodes)
     names = [f"n{i}" for i in range(node_count)]
     data: dict = {"nodes": [], "directed_edges": [], "undirected_edges": []}
@@ -78,7 +83,7 @@ def rand_graph(rng: random.Random, max_nodes: int = 4, max_edges: int = 6) -> Pr
                     "properties": props,
                 }
             )
-    return validate_graph(data)
+    return data
 
 
 def g_random(n: int, seed: int) -> PropertyGraph:

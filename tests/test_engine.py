@@ -485,6 +485,84 @@ def test_satisfiable_pairs_match_a_breadth_first_search(step):
     assert nonempty > 10
 
 
+def _steps(g, label=None):
+    """The directed edges with `label` (any, if None), as a successor map."""
+    succ: dict = {}
+    for e, (src, tgt) in g.directed_edges.items():
+        if label is None or label in g.label_set(e):
+            succ.setdefault(src, set()).add(tgt)
+    return succ
+
+
+def _walk_targets(succ, src):
+    """The nodes that a walk of one or more steps from src reaches."""
+    seen: set = set()
+    frontier = list(succ.get(src, ()))
+    while frontier:
+        u = frontier.pop()
+        if u not in seen:
+            seen.add(u)
+            frontier.extend(succ.get(u, ()))
+    return seen
+
+
+def _cycles_back(g, text):
+    """The (n, n) pairs of the three patterns below, by a search here."""
+    a, b, any_edge = _steps(g, "a"), _steps(g, "b"), _steps(g)
+    labelled_a = {n for n in g.nodes if "A" in g.label_set(n)}
+    if text == "(x) -[:a]->{1..} (x)":
+        return {(n, n) for n in g.nodes if n in _walk_targets(a, n)}
+    if text == "(x:A) -[e:a]-> (y) -[f]-> (x)":
+        return {
+            (n, n) for n in labelled_a if any(n in any_edge.get(m, ()) for m in a.get(n, ()))
+        }
+    return {(n, n) for n in labelled_a if any(n in _walk_targets(b, m) for m in a.get(n, ()))}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the last atom re-checks the variable that the first one binds
+        "(x) -[:a]->{1..} (x)",
+        "(x:A) -[e:a]-> (y) -[f]-> (x)",
+        # the two operands of a concatenation share x at its two ends
+        "[(x:A) -[:a]-> (y)] [(y) -[:b]->{1..} (x)]",
+    ],
+)
+def test_pair_analysis_keeps_the_bindings_an_operator_compares(text):
+    # The analysis drops every binding that no operator above compares, so
+    # a variable bound at one end and compared at the other must survive.
+    # A walk from n back to n is found here without the engine.
+    pattern = parse_pattern(text)
+    rng = random.Random(text)
+    closed = 0
+    for _ in range(60):
+        g = gen.rand_graph(rng, 6, 10)
+        expected = _cycles_back(g, text)
+        assert satisfiable_pairs(g, pattern) == expected
+        closed += bool(expected)
+    assert closed > 10
+
+
+def test_finite_window_on_a_complete_digraph_runs_the_pair_analysis():
+    # Every pair is answered at length 1 or 2, which the analysis sees, so
+    # the leg never builds the 20 x 19^3 walks of length 3. Without the
+    # analysis the answer ceiling stops the leg at that stratum.
+    nodes = [f"n{i}" for i in range(20)]
+    g = validate_graph(
+        {
+            "nodes": [{"id": n} for n in nodes],
+            "directed_edges": [
+                {"id": f"{s}-{t}", "src": s, "tgt": t} for s in nodes for t in nodes if s != t
+            ],
+        }
+    )
+    answers = eval_query(g, parse_query("SHORTEST (x) -[e]->{1..3} (y)"))
+    # 380 pairs of distinct nodes at length 1, and 20 x 19 two-step walks
+    # from each node back to itself.
+    assert len(answers) == 760
+
+
 def test_pair_analysis_stops_where_the_pattern_cannot_die_out():
     # Every pair is covered at length 0, which the analysis sees at once. A
     # stop that waited for the huge-count branch to die out would walk a
@@ -668,6 +746,22 @@ def test_pair_analysis_runs_once_for_a_bound_cut_at_the_ceiling(monkeypatch):
     with pytest.raises(ResourceLimitError, match="bound ceiling"):
         eval_query(g, parse_query("SHORTEST (x) ->{1000001} (y)"))
     assert len(calls) == 1
+
+
+def test_assignments_are_built_only_for_the_answers_returned(monkeypatch):
+    # Inside the evaluator bindings are positional; an `Assignment` is built
+    # once per answer that `eval_query` returns, and nowhere else.
+    built = []
+    init = Assignment.__init__
+
+    def counting(self, mapping=()):
+        built.append(self)
+        init(self, mapping)
+
+    monkeypatch.setattr(Assignment, "__init__", counting)
+    answers = eval_query(gen.g_random(40, 1), parse_query("SHORTEST (x:A) -[e:a]-> (y)"))
+    assert len(answers) > 5
+    assert len(built) == len(answers)
 
 
 def test_one_evaluator_per_query(monkeypatch, g_intro):

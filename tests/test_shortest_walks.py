@@ -1,10 +1,11 @@
-"""Default-bound SHORTEST over an open repetition, against a breadth-first count.
+"""Default-bound SHORTEST over a repetition, against a breadth-first count.
 
 The CLI runs SHORTEST legs at their default bound, where the brute-force
 oracle cannot follow. For single-label repetitions the answers are the
 shortest walks of at least one edge, which a BFS that knows nothing of the
 engine or the oracle counts per endpoint pair: parallel edges make
-distinct walks. Under plain SHORTEST the engine keeps a repetition state
+distinct walks. A finite window {1..h} truncates the BFS at h steps, and
+labelled endpoints keep only the pairs whose ends carry the labels. Under plain SHORTEST the engine keeps a repetition state
 only at the first length where its endpoints and count class appear, so
 graphs of up to 60 edges stay cheap.
 """
@@ -21,18 +22,18 @@ from gpc.engine import COLLECT_MODES
 import gen
 
 
-def shortest_walks(steps, src):
+def shortest_walks(steps, src, limit=None):
     """BFS from src over (from, to) steps, one per edge traversal.
 
-    Returns, per node reached by a walk of at least one step, the length
-    of its shortest such walks and their number.
+    Returns, per node reached by a walk of at least one step and at most
+    `limit` steps, the length of its shortest such walks and their number.
     """
     succ: dict = {}
     for s, t in steps:
         succ.setdefault(s, []).append(t)
     dist, count = {}, {}
     frontier, length = {src: 1}, 0
-    while frontier:
+    while frontier and length != limit:
         length += 1
         reached: Counter = Counter()
         for u, walks in frontier.items():
@@ -44,14 +45,22 @@ def shortest_walks(steps, src):
     return dist, count
 
 
-def check_shortest_walks(g, answers, steps):
-    """The answers are exactly the shortest walks along `steps`."""
+def check_shortest_walks(g, answers, steps, limit=None, ends=(None, None)):
+    """The answers are exactly the shortest walks along `steps`, of at most
+    `limit` steps, from a node with label ends[0] to one with ends[1]."""
+
+    def labelled(node, label):
+        return label is None or label in g.label_set(node)
+
     found = Counter((a.paths[0].src, a.paths[0].tgt) for a in answers)
     expected = {}
     for src in g.nodes:
-        dist, count = shortest_walks(steps, src)
+        if not labelled(src, ends[0]):
+            continue
+        dist, count = shortest_walks(steps, src, limit)
         for tgt in dist:
-            expected[(src, tgt)] = dist[tgt], count[tgt]
+            if labelled(tgt, ends[1]):
+                expected[(src, tgt)] = dist[tgt], count[tgt]
     assert found.keys() == expected.keys()
     for a in answers:
         p = a.paths[0]
@@ -75,6 +84,20 @@ def test_default_bound_shortest_counts_every_shortest_walk(mode, backward):
         ]
         answers = eval_query(g, query, EvalConfig(collect_mode=mode))
         check_shortest_walks(g, answers, steps)
+
+
+@pytest.mark.parametrize("mode", COLLECT_MODES)
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_finite_window_shortest_counts_every_shortest_walk(mode, h):
+    # A finite window runs the pair analysis too; its labelled endpoints
+    # filter the analysis's witnesses as they filter the answers.
+    query = parse_query(f"SHORTEST (x:A) -[e:a]->{{1..{h}}} (y:B)")
+    rng = random.Random(f"{mode}-{h}")
+    for _ in range(20):
+        g = gen.rand_graph(rng, max_nodes=40, max_edges=60)
+        steps = [(s, t) for e, (s, t) in g.directed_edges.items() if "a" in g.label_set(e)]
+        answers = eval_query(g, query, EvalConfig(collect_mode=mode))
+        check_shortest_walks(g, answers, steps, limit=h, ends=("A", "B"))
 
 
 def test_open_shortest_on_g40_answers_quickly():
