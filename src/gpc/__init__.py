@@ -25,14 +25,11 @@ from .ast import (
 from .engine import (
     EvalConfig,
     ResourceLimitError,
-    collect_fn,
     default_length_bound,
     eval_pattern,
     eval_query,
     power,
-    refactor,
     satisfies,
-    unify,
 )
 from .gpcplus import (
     C2rpq,
@@ -69,10 +66,13 @@ from .oracle import (
     BudgetExceededError,
     OracleBudget,
     brute_force_query,
+    collect_fn,
     enumerate_paths,
     naive_match,
     product_2rpq,
     recursive_nre,
+    refactor,
+    unify,
 )
 from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
 from .render import render

@@ -24,8 +24,8 @@ with the same filter, and the atom's matches are built in neither.
 One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
-edgeless run matches every count from its own upwards, since `unify` is
-absorptive, so huge repetition counts cost nothing. A leg's restrictor
+edgeless run matches every count from its own upwards, since `_merge_run`
+is absorptive, so huge repetition counts cost nothing. A leg's restrictor
 prunes partial paths where they are built. Trails and simple paths are
 closed under subpaths, so under `trail` or `simple` (with or without
 `shortest`) an atom, a concatenation or a repetition state that breaks
@@ -118,35 +118,7 @@ class EvalConfig:
             raise ValueError("max_len and max_answers must be non-negative")
 
 
-# -- assignments and conditions -------------------------------------------
-
-
-def unify(mu1: Assignment, mu2: Assignment, lenient: bool = False) -> Optional[Assignment]:
-    """Merge two assignments agreeing on shared variables, or None.
-
-    In lenient mode a shared variable also unifies when either side is
-    Nothing, resolving to the non-Nothing value. Lenient unification only
-    matters inside collect: the type system keeps shared variables of
-    concatenations and joins at node/edge types, which never bind Nothing.
-    """
-    if len(mu2) > len(mu1):
-        mu1, mu2 = mu2, mu1
-    if not mu2:
-        return mu1
-    out = dict(mu1)
-    for var, val in mu2.items():
-        cur = out.get(var)
-        if cur is None:
-            out[var] = val
-        elif cur == val:
-            continue
-        elif lenient and cur is NOTHING:
-            out[var] = val
-        elif lenient and val is NOTHING:
-            continue
-        else:
-            return None
-    return Assignment(out)
+# -- conditions -------------------------------------------------------------
 
 
 def satisfies(graph: PropertyGraph, mu: Assignment, theta: Condition) -> bool:
@@ -170,73 +142,6 @@ def satisfies(graph: PropertyGraph, mu: Assignment, theta: Condition) -> bool:
     if isinstance(theta, Not):
         return not satisfies(graph, mu, theta.operand)
     raise TypeError(f"not a condition: {theta!r}")
-
-
-# -- collect ----------------------------------------------------------------
-
-
-def refactor(lengths: list[int]) -> list[int]:
-    """Group boundaries fusing maximal runs of zero lengths.
-
-    Returns 0-based boundary positions b_0=0 < ... < b_l=len(lengths);
-    group k spans lengths[b_k:b_{k+1}].
-    """
-    if not lengths:
-        raise ValueError("refactor needs a non-empty sequence")
-    bounds = [0]
-    i, n = 0, len(lengths)
-    while i < n:
-        if lengths[i] > 0:
-            i += 1
-        else:
-            while i < n and lengths[i] == 0:
-                i += 1
-        bounds.append(i)
-    return bounds
-
-
-def collect_fn(
-    mode: str,
-    segments: list[tuple[Path, Assignment]],
-    lenient: bool = False,
-) -> Optional[Assignment]:
-    """Assemble per-segment bindings into path-tagged group lists.
-
-    dynamic: undefined (None) when any segment is edgeless, else one list
-    entry per segment. syntactic: one entry per segment (a validated
-    pattern never produces edgeless segments here). grouping: fuse
-    maximal runs of edgeless segments; each run's assignments must
-    pairwise unify, else None.
-    """
-    if not segments:
-        raise ValueError("collect needs at least one segment")
-    for (p, _), (q, _) in zip(segments, segments[1:]):
-        if p.tgt != q.src:
-            raise ValueError("collect segments must concatenate")
-    domain = list(segments[0][1])
-    if mode == "dynamic" and any(p.length == 0 for p, _ in segments):
-        return None
-    if mode in ("dynamic", "syntactic"):
-        groups = segments
-    elif mode == "grouping":
-        bounds = refactor([p.length for p, _ in segments])
-        groups = []
-        for k in range(len(bounds) - 1):
-            chunk = segments[bounds[k] : bounds[k + 1]]
-            merged = chunk[0][1]
-            for _, mu in chunk[1:]:
-                merged = unify(merged, mu, lenient)  # type: ignore[assignment]
-                if merged is None:
-                    return None
-            group_path = chunk[0][0]
-            for p, _ in chunk[1:]:
-                group_path = group_path.concat(p)  # type: ignore[assignment]
-            groups.append((group_path, merged))
-    else:
-        raise ValueError(f"unknown collect mode {mode!r}")
-    return Assignment(
-        {x: GroupVal(tuple((p, mu[x]) for p, mu in groups)) for x in domain}
-    )
 
 
 # -- length bounds -----------------------------------------------------------
@@ -344,8 +249,8 @@ def _by_position(theta: Condition, names: tuple[str, ...]) -> Condition:
 
 
 def _merge_run(mu1: tuple, mu2: tuple, lenient: bool) -> Optional[tuple]:
-    """`unify` of two bindings with one layout, or None: an edgeless run of
-    a repetition merges its segments' bindings this way."""
+    """The unification of two bindings with one layout, or None: an edgeless
+    run of a repetition merges its segments' bindings this way."""
     if mu1 == mu2:
         return mu1
     if not lenient:
@@ -418,7 +323,7 @@ def _endpoint_filter(
     """The node atom beside a path, as a filter on that path's endpoint.
 
     The filter maps an endpoint and the other operand's binding, laid out
-    over `names`, to their strict `unify` with the atom's one match at that
+    over `names`, to their strict unification with the atom's one match at that
     node, laid out over `out`, or None: the endpoint must have the atom's
     label, and where `names` holds the atom's variable it must be bound to
     that node; else the node is inserted. So the atom's matches are never
@@ -626,7 +531,8 @@ class _Evaluator:
         return index
 
     def reset(self, restrictor: Optional[Restrictor] = None) -> None:
-        """Forget the memo, and prune the paths built next for `restrictor`.
+        """Forget the memo and the answer counts, and prune the paths built
+        next for `restrictor`.
 
         Under TRAIL a path joined on must not repeat the edges of the path
         it extends: its elements from 1, every second one. Under SIMPLE it
@@ -639,6 +545,7 @@ class _Evaluator:
         self.memo.clear()
         self.index.clear()
         self.levels.clear()
+        self.sizes.clear()
         base = restrictor and restrictor.base
         self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
         self.first = {} if restrictor is Restrictor.SHORTEST else None

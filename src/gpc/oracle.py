@@ -6,11 +6,17 @@ path splits, literal restrictor filters, product-automaton reachability
 for two-way regular expressions, and memoized relational recursion for
 nested regular expressions.
 
-These evaluators share only the data model (graphs, paths, syntax trees,
-values, schemas) with the engine; merging, condition checking, group
-collection, and enumeration are all reimplemented, so agreement with the
-engine is meaningful evidence. Budgets fail loudly instead of truncating:
-a passing comparison never silently covered a partial set.
+The paper's unify, refactor and collect live here as `unify`, `refactor`
+and `collect_fn` (exported by `gpc`), and `naive_match` and the join of
+`brute_force_query` use them. The evaluator calls none of them: it merges
+positional bindings in `engine._merge` and `engine._merge_run` and
+collects in `engine._Evaluator._repeat`. From the engine this module
+takes only `EvalConfig` and `default_length_bound`, and otherwise shares
+only the data model (graphs, paths, syntax trees, values, schemas);
+merging, condition checking, group collection, and enumeration are all
+reimplemented, so agreement with the engine is meaningful evidence.
+`tests/test_oracle.py` checks these imports. Budgets fail loudly instead
+of truncating: a passing comparison never silently covered a partial set.
 """
 
 from __future__ import annotations
@@ -109,6 +115,101 @@ def enumerate_paths(
     return out
 
 
+# -- unify, refactor and collect ----------------------------------------------
+
+
+def unify(mu1: Assignment, mu2: Assignment, lenient: bool = False) -> Optional[Assignment]:
+    """Merge two assignments agreeing on shared variables, or None.
+
+    In lenient mode a shared variable also unifies when either side is
+    Nothing, resolving to the non-Nothing value. Lenient unification only
+    matters inside collect: the type system keeps shared variables of
+    concatenations and joins at node/edge types, which never bind Nothing.
+    """
+    if len(mu2) > len(mu1):
+        mu1, mu2 = mu2, mu1
+    if not mu2:
+        return mu1
+    out = dict(mu1)
+    for var, val in mu2.items():
+        cur = out.get(var)
+        if cur is None:
+            out[var] = val
+        elif cur == val:
+            continue
+        elif lenient and cur is NOTHING:
+            out[var] = val
+        elif lenient and val is NOTHING:
+            continue
+        else:
+            return None
+    return Assignment(out)
+
+
+def refactor(lengths: list[int]) -> list[int]:
+    """Group boundaries fusing maximal runs of zero lengths.
+
+    Returns 0-based boundary positions b_0=0 < ... < b_l=len(lengths);
+    group k spans lengths[b_k:b_{k+1}].
+    """
+    if not lengths:
+        raise ValueError("refactor needs a non-empty sequence")
+    bounds = [0]
+    i, n = 0, len(lengths)
+    while i < n:
+        if lengths[i] > 0:
+            i += 1
+        else:
+            while i < n and lengths[i] == 0:
+                i += 1
+        bounds.append(i)
+    return bounds
+
+
+def collect_fn(
+    mode: str,
+    segments: list[tuple[Path, Assignment]],
+    lenient: bool = False,
+) -> Optional[Assignment]:
+    """Assemble per-segment bindings into path-tagged group lists.
+
+    dynamic: undefined (None) when any segment is edgeless, else one list
+    entry per segment. syntactic: one entry per segment (a validated
+    pattern never produces edgeless segments here). grouping: fuse
+    maximal runs of edgeless segments; each run's assignments must
+    pairwise unify, else None.
+    """
+    if not segments:
+        raise ValueError("collect needs at least one segment")
+    for (p, _), (q, _) in zip(segments, segments[1:]):
+        if p.tgt != q.src:
+            raise ValueError("collect segments must concatenate")
+    domain = list(segments[0][1])
+    if mode == "dynamic" and any(p.length == 0 for p, _ in segments):
+        return None
+    if mode in ("dynamic", "syntactic"):
+        groups = segments
+    elif mode == "grouping":
+        bounds = refactor([p.length for p, _ in segments])
+        groups = []
+        for k in range(len(bounds) - 1):
+            chunk = segments[bounds[k] : bounds[k + 1]]
+            merged = chunk[0][1]
+            for _, mu in chunk[1:]:
+                merged = unify(merged, mu, lenient)  # type: ignore[assignment]
+                if merged is None:
+                    return None
+            group_path = chunk[0][0]
+            for p, _ in chunk[1:]:
+                group_path = group_path.concat(p)  # type: ignore[assignment]
+            groups.append((group_path, merged))
+    else:
+        raise ValueError(f"unknown collect mode {mode!r}")
+    return Assignment(
+        {x: GroupVal(tuple((p, mu[x]) for p, mu in groups)) for x in domain}
+    )
+
+
 # -- direct pattern matching --------------------------------------------------
 
 
@@ -127,64 +228,6 @@ def _holds(graph: PropertyGraph, mu: Assignment, theta) -> bool:
     if isinstance(theta, Not):
         return not _holds(graph, mu, theta.operand)
     raise TypeError(f"not a condition: {theta!r}")
-
-
-def _merge(mu1: Assignment, mu2: Assignment, lenient: bool = False):
-    out = dict(mu1)
-    for var, val in mu2.items():
-        cur = out.get(var)
-        if cur is None:
-            out[var] = val
-        elif cur == val:
-            continue
-        elif lenient and cur is NOTHING:
-            out[var] = val
-        elif lenient and val is NOTHING:
-            continue
-        else:
-            return None
-    return Assignment(out)
-
-
-def _zero_run_groups(parts: list[tuple[Path, Assignment]], lenient: bool):
-    """Fuse maximal runs of edgeless parts; None when a run fails to unify."""
-    groups: list[tuple[Path, Assignment]] = []
-    i = 0
-    while i < len(parts):
-        p, mu = parts[i]
-        if p.length > 0:
-            groups.append((p, mu))
-            i += 1
-            continue
-        merged = mu
-        j = i + 1
-        while j < len(parts) and parts[j][0].length == 0:
-            merged = _merge(merged, parts[j][1], lenient)
-            if merged is None:
-                return None
-            j += 1
-        groups.append((p, merged))
-        i = j
-    return groups
-
-
-def _collect(
-    mode: str,
-    parts: list[tuple[Path, Assignment]],
-    domain: tuple[str, ...],
-    lenient: bool,
-):
-    if mode == "dynamic" and any(p.length == 0 for p, _ in parts):
-        return None
-    if mode == "grouping":
-        groups = _zero_run_groups(parts, lenient)
-        if groups is None:
-            return None
-    else:
-        groups = parts
-    return Assignment(
-        {x: GroupVal(tuple((p, mu[x]) for p, mu in groups)) for x in domain}
-    )
 
 
 def naive_match(
@@ -259,7 +302,7 @@ def naive_match(
                 for mu1 in match(pat.left, left):
                     for mu2 in match(pat.right, right):
                         meter.tick()
-                        merged = _merge(mu1, mu2)
+                        merged = unify(mu1, mu2)
                         if merged is not None:
                             out.add(merged)
             return out
@@ -321,11 +364,8 @@ def naive_match(
                     continue
                 for chosen in itertools.product(*part_matches):
                     meter.tick()
-                    result = _collect(
-                        cfg.collect_mode,
-                        list(zip(parts, chosen)),
-                        domain,
-                        cfg.lenient_unify,
+                    result = collect_fn(
+                        cfg.collect_mode, list(zip(parts, chosen)), cfg.lenient_unify
                     )
                     if result is not None:
                         out.add(result)
@@ -390,7 +430,7 @@ def _query_answers(
         right = _query_answers(graph, query.right, cfg, budget)
         out = set()
         for la, ra in itertools.product(left, right):
-            merged = _merge(la.bindings, ra.bindings)
+            merged = unify(la.bindings, ra.bindings)
             if merged is not None:
                 out.add(Answer(la.paths + ra.paths, merged))
         if len(out) > budget.max_answers:

@@ -8,9 +8,11 @@ report's `elapsed_ms` is dropped. Each case draws a graph and a query,
 rule set or pattern from `gen.py`, writes them to a temporary directory,
 and runs `gpc run` or `gpc match` through `cli.main` in-process. The
 cases cycle the collect modes and mix default and explicit `--max-len`,
-`--lenient-unify` and `--max-answers 5`. Each line holds the case's
-number, its digest, its flags and its query text. Pytest does not
-collect this file.
+`--lenient-unify` and `--max-answers 5`. About 30% of the `run` cases
+add `--oracle` with a `--max-len` of at most 3 and the default answer
+ceiling, so a changed oracle shows up too: a disagreement exits 3. Each
+line holds the case's number, its digest, its flags and its query text.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -59,11 +61,16 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     else:
         command, text = "match", render(gen.rand_pattern(rng, 3))
     flags = ["--collect-mode", COLLECT_MODES[index % len(COLLECT_MODES)]]
-    if rng.random() < 0.6:
+    # The oracle enumerates every path up to the bound, so keep it short;
+    # its path budget is the answer ceiling, so leave that at its default.
+    oracle = command == "run" and rng.random() < 0.3
+    if oracle:
+        flags += ["--oracle", "--max-len", str(rng.choice((0, 1, 2, 3)))]
+    elif rng.random() < 0.6:
         flags += ["--max-len", str(rng.choice((0, 1, 2, 3, 5, 1000)))]
     if rng.random() < 0.25:
         flags.append("--lenient-unify")
-    if rng.random() < 0.2:
+    if not oracle and rng.random() < 0.2:
         flags += ["--max-answers", "5"]
     return graph, command, text, flags
 

@@ -9,6 +9,7 @@ from gpc import (
     EdgeVal,
     EvalConfig,
     GroupVal,
+    Join,
     NodeVal,
     NOTHING,
     ResourceLimitError,
@@ -251,6 +252,21 @@ def test_resource_ceiling(g_exp):
         eval_pattern(g_exp, parse_pattern("[-[g]->]{0..}"), cfg)
 
 
+def test_answer_ceiling_counts_each_leg_afresh():
+    # Both legs of the join are one pattern object. The ceiling counts a
+    # subpattern's answers over one leg's strata, so the second leg must
+    # not start from the first one's counts: its edge atom alone has 50
+    # answers, the whole ceiling.
+    g = gen.g_random(40, 1)
+    text = "SHORTEST (x:A) -[e:a]-> (y)"
+    leg = parse_query(text)
+    cfg = EvalConfig(max_answers=50)
+    assert len(eval_query(g, leg, cfg)) == 22
+    shared = eval_query(g, Join(leg, leg), cfg)
+    assert shared == eval_query(g, Join(leg, parse_query(text)), cfg)
+    assert len(shared) == 22
+
+
 def test_huge_repetition_bounds_collapse():
     """Counts beyond the stabilization bound reuse the stable power, so
     astronomically large quantifiers evaluate immediately."""
@@ -294,16 +310,23 @@ def _cycle(n):
         ("SHORTEST (x) [[(y) + (z:A)] + -[e]->]{100000..} (w)", True, 4782),
     ],
 )
-def test_large_repetition_counts_on_cycle(text, lenient, count):
+def test_large_repetition_counts_on_cycle(monkeypatch, text, lenient, count):
     # A repetition whose groups hold an edgeless run reaches any count at
     # or above its own with the same bindings, so these counts are met by
-    # the answers of short paths.
-    import time
+    # the answers of short paths. Building the counts one by one would
+    # charge about 10^5 states; these queries charge at most 14,526.
+    built = []
 
-    started = time.monotonic()
+    class Recording(engine._Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "_Evaluator", Recording)
     answers = eval_query(_cycle(6), parse_query(text), EvalConfig(lenient_unify=lenient))
-    assert time.monotonic() - started < 1.0
     assert len(answers) == count
+    (evaluator,) = built
+    assert evaluator.work < 30_000
 
 
 def test_repetition_that_dies_out_stops_early():

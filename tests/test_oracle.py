@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from gpc import (
     path_is_valid,
     validate_graph,
 )
+from gpc import engine, oracle
 from gpc.values import EMPTY
 
 import gen
@@ -171,3 +174,30 @@ def test_dynamic_mode_edgeless_repeat_is_empty():
     cfg = EvalConfig(collect_mode="dynamic", max_len=3)
     assert eval_query(g, q, cfg) == set()
     assert eval_query(g, q, EvalConfig(collect_mode="grouping", max_len=3)) != set()
+
+
+# -- the boundary between the evaluator and the oracle -------------------------
+
+
+def _imports(module) -> set[str]:
+    """Each name that the module's source imports, dotted as written:
+    `itertools`, `.engine.EvalConfig`."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_the_evaluator_shares_no_merging_or_collecting_with_the_oracle():
+    # The paper's unify, refactor and collect live in the oracle, which
+    # checks the evaluator, so the evaluator must merge and collect with
+    # its own code.
+    assert not {"unify", "refactor", "collect_fn"} & vars(engine).keys()
+    assert not [name for name in _imports(engine) if "oracle" in name.split(".")]
+    from_engine = {name for name in _imports(oracle) if "engine" in name.split(".")}
+    assert from_engine == {".engine.EvalConfig", ".engine.default_length_bound"}
