@@ -55,11 +55,7 @@ from .graph import (
     PropertyGraph,
     load_graph,
     path,
-    path_concat,
     path_is_valid,
-    path_len,
-    path_src,
-    path_tgt,
     validate_graph,
 )
 from .oracle import (

@@ -456,9 +456,8 @@ class _Evaluator:
         self.work_limit = max(cfg.max_answers * 20, 1_000_000)
 
     def schema(self, pat: Pattern) -> Schema:
-        if id(pat) not in self.schemas:
-            self.schemas[id(pat)] = infer_schema(pat)
-        return self.schemas[id(pat)]
+        schema = self.schemas.get(id(pat))
+        return infer_schema(pat, self.schemas) if schema is None else schema
 
     def names(self, pat: Pattern) -> tuple[str, ...]:
         """The layout of the pattern's bindings: its sorted variables."""
@@ -808,9 +807,9 @@ def eval_pattern(
     """All (path, assignment) answers with path length <= cfg.max_len."""
     if cfg.max_len is None:
         raise ValueError("pattern evaluation needs an explicit max_len")
-    infer_schema(pattern)
-    validate_for_mode(pattern, cfg.collect_mode)
     evaluator = _Evaluator(graph, cfg)
+    infer_schema(pattern, evaluator.schemas)
+    validate_for_mode(pattern, cfg.collect_mode)
     names = evaluator.names(pattern)
     return {
         (p, Assignment(zip(names, mu)))
@@ -901,10 +900,11 @@ def eval_query(
 ) -> set[Answer]:
     """The answer set of a query: tuples of witness paths with bindings."""
     cfg = cfg or EvalConfig()
-    infer_schema(query)
+    evaluator = _Evaluator(graph, cfg)
+    infer_schema(query, evaluator.schemas)
     validate_for_mode(query, cfg.collect_mode)
     # Each leg's pattern and each join check the answer ceiling themselves.
-    names, rows = _eval_query(_Evaluator(graph, cfg), query)
+    names, rows = _eval_query(evaluator, query)
     return {Answer(paths, Assignment(zip(names, mu))) for paths, mu in rows}
 
 

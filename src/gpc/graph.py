@@ -109,9 +109,6 @@ class PropertyGraph:
     def prop(self, element_id: str, key: str) -> Optional[Constant]:
         return self.properties.get((element_id, key))
 
-    def endpoints(self, edge_id: str) -> frozenset[str]:
-        return self.undirected_edges[edge_id]
-
     @property
     def edge_count(self) -> int:
         return len(self.directed_edges) + len(self.undirected_edges)
@@ -133,47 +130,34 @@ class PropertyGraph:
                 yield e, next(iter(others)) if others else node
 
 
-def _check_property_map(
-    raw: object, owner: str, violations: list[str]
-) -> dict[str, Constant]:
-    out: dict[str, Constant] = {}
-    if raw is None:
-        return out
-    if not isinstance(raw, dict):
-        violations.append(f"{owner}: properties must be an object")
-        return out
-    for key, value in raw.items():
-        if not isinstance(key, str) or not key:
-            violations.append(f"{owner}: property keys must be non-empty strings")
-        elif isinstance(value, bool) or isinstance(value, (str, int)):
-            out[key] = value
-        else:
-            violations.append(
-                f"{owner}: property {key!r} must be a string, integer, or boolean"
-            )
-    return out
-
-
-def _check_labels(raw: object, owner: str, violations: list[str]) -> frozenset[str]:
-    if raw is None:
-        return frozenset()
-    if not isinstance(raw, list) or not all(isinstance(x, str) and x for x in raw):
-        violations.append(f"{owner}: labels must be a list of non-empty strings")
-        return frozenset()
-    return frozenset(raw)
+# Each element list of a graph document: its key, the kind of element its
+# messages name, and the keys an element may have.
+_SECTIONS = (
+    ("nodes", "node", frozenset({"id", "labels", "properties"})),
+    ("directed_edges", "directed edge",
+     frozenset({"id", "src", "tgt", "labels", "properties"})),
+    ("undirected_edges", "undirected edge",
+     frozenset({"id", "endpoints", "labels", "properties"})),
+)
+_DOCUMENT_KEYS = frozenset(section for section, _, _ in _SECTIONS)
 
 
 def validate_graph(data: dict) -> PropertyGraph:
     """Build a PropertyGraph from a raw JSON-style description.
 
     Raises GraphValidationError carrying every violation found: a
-    document or element list of the wrong shape, duplicate ids across the
-    three id spaces, dangling src/tgt/endpoint references, and undirected
-    edges whose endpoint set is not of size 1 or 2.
+    document or element list of the wrong shape, a key that the document
+    or an element may not have, duplicate ids across the three id spaces,
+    dangling src/tgt/endpoint references, undirected edges whose endpoint
+    set is not of size 1 or 2, and malformed labels or properties.
     """
     if not isinstance(data, dict):
         raise GraphValidationError(["a graph must be a JSON object"])
     violations: list[str] = []
+    if not _DOCUMENT_KEYS.issuperset(data):
+        violations += [
+            f"unknown graph key {key!r}" for key in data if key not in _DOCUMENT_KEYS
+        ]
     nodes: set[str] = set()
     directed: dict[str, tuple[str, str]] = {}
     undirected: dict[str, frozenset[str]] = {}
@@ -181,70 +165,75 @@ def validate_graph(data: dict) -> PropertyGraph:
     properties: dict[tuple[str, str], Constant] = {}
     seen_ids: set[str] = set()
 
-    def fresh_id(raw: object, kind: str) -> Optional[str]:
-        if not isinstance(raw, str) or not raw:
-            violations.append(f"{kind} id must be a non-empty string: {raw!r}")
-            return None
-        if raw in seen_ids:
-            violations.append(f"duplicate id {raw!r}")
-            return None
-        seen_ids.add(raw)
-        return raw
-
-    def element_common(entry: dict, eid: str) -> None:
-        labels[eid] = _check_labels(entry.get("labels"), eid, violations)
-        for key, value in _check_property_map(
-            entry.get("properties"), eid, violations
-        ).items():
-            properties[(eid, key)] = value
-
-    def entries(section: str) -> list[dict]:
-        raw = data.get(section, [])
-        if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+    for section, kind, allowed in _SECTIONS:
+        entries = data.get(section, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             violations.append(f"{section} must be a list of objects")
-            return []
-        return raw
-
-    for entry in entries("nodes"):
-        eid = fresh_id(entry.get("id"), "node")
-        if eid is None:
             continue
-        nodes.add(eid)
-        element_common(entry, eid)
+        for entry in entries:
+            eid = entry.get("id")
+            if not isinstance(eid, str) or not eid:
+                violations.append(f"{kind} id must be a non-empty string: {eid!r}")
+                continue
+            if eid in seen_ids:
+                violations.append(f"duplicate id {eid!r}")
+                continue
+            seen_ids.add(eid)
+            if not allowed.issuperset(entry):
+                violations += [
+                    f"{eid}: unknown key {key!r}" for key in entry if key not in allowed
+                ]
 
-    for entry in entries("directed_edges"):
-        eid = fresh_id(entry.get("id"), "directed edge")
-        if eid is None:
-            continue
-        src, tgt = entry.get("src"), entry.get("tgt")
-        ok = True
-        for name, ref in (("src", src), ("tgt", tgt)):
-            if not isinstance(ref, str) or ref not in nodes:
-                violations.append(f"dangling endpoint: {eid!r}.{name} = {ref!r}")
-                ok = False
-        if ok:
-            directed[eid] = (src, tgt)
-        element_common(entry, eid)
-
-    for entry in entries("undirected_edges"):
-        eid = fresh_id(entry.get("id"), "undirected edge")
-        if eid is None:
-            continue
-        raw_ends = entry.get("endpoints", [])
-        ends = frozenset()
-        if isinstance(raw_ends, list) and all(isinstance(n, str) for n in raw_ends):
-            ends = frozenset(raw_ends)
-        if len(ends) not in (1, 2):
-            violations.append(f"undirected edge {eid!r} needs 1 or 2 endpoints")
-        else:
-            dangling = [n for n in ends if n not in nodes]
-            if dangling:
-                violations.append(
-                    f"dangling endpoint: {eid!r}.endpoints includes {dangling[0]!r}"
-                )
+            if kind == "node":
+                nodes.add(eid)
+            elif kind == "directed edge":
+                src, tgt = entry.get("src"), entry.get("tgt")
+                ok = True
+                for name, ref in (("src", src), ("tgt", tgt)):
+                    if not isinstance(ref, str) or ref not in nodes:
+                        violations.append(f"dangling endpoint: {eid!r}.{name} = {ref!r}")
+                        ok = False
+                if ok:
+                    directed[eid] = (src, tgt)
             else:
-                undirected[eid] = ends
-        element_common(entry, eid)
+                raw_ends = entry.get("endpoints", [])
+                ends = frozenset()
+                if isinstance(raw_ends, list) and all(isinstance(n, str) for n in raw_ends):
+                    ends = frozenset(raw_ends)
+                if len(ends) not in (1, 2):
+                    violations.append(f"undirected edge {eid!r} needs 1 or 2 endpoints")
+                else:
+                    # In list order, so the message is the same in every process.
+                    dangling = [n for n in raw_ends if n not in nodes]
+                    if dangling:
+                        violations.append(
+                            f"dangling endpoint: {eid!r}.endpoints includes {dangling[0]!r}"
+                        )
+                    else:
+                        undirected[eid] = ends
+
+            tags = entry.get("labels")
+            if tags is not None and not (
+                isinstance(tags, list) and all(isinstance(x, str) and x for x in tags)
+            ):
+                violations.append(f"{eid}: labels must be a list of non-empty strings")
+                tags = None
+            labels[eid] = frozenset(tags or ())
+            props = entry.get("properties")
+            if props is None:
+                continue
+            if not isinstance(props, dict):
+                violations.append(f"{eid}: properties must be an object")
+                continue
+            for key, value in props.items():
+                if not isinstance(key, str) or not key:
+                    violations.append(f"{eid}: property keys must be non-empty strings")
+                elif isinstance(value, (str, int)):  # bool is an int
+                    properties[(eid, key)] = value
+                else:
+                    violations.append(
+                        f"{eid}: property {key!r} must be a string, integer, or boolean"
+                    )
 
     if violations:
         raise GraphValidationError(violations)
@@ -286,18 +275,3 @@ def path_is_valid(graph: PropertyGraph, p: Path) -> bool:
         return False
     return True
 
-
-def path_concat(p: Path, q: Path) -> Optional[Path]:
-    return p.concat(q)
-
-
-def path_src(p: Path) -> str:
-    return p.src
-
-
-def path_tgt(p: Path) -> str:
-    return p.tgt
-
-
-def path_len(p: Path) -> int:
-    return p.length

@@ -111,49 +111,59 @@ class TypeCheckError(ValueError):
         self.location = location
 
 
-def infer_schema(expr) -> Schema:
-    """Schema of a pattern or query; raises TypeCheckError if not well-typed."""
+def infer_schema(expr, memo: Optional[dict] = None) -> Schema:
+    """Schema of a pattern or query; raises TypeCheckError if not well-typed.
+
+    `memo`, keyed by node identity, keeps the schemas of subpatterns across
+    calls, so that typing every node of a tree walks each node once. The
+    schemas it holds are shared: a caller must not change them.
+    """
+    if memo is None:
+        memo = {}
     if isinstance(expr, (NodePat, EdgePat, Union_, Concat, Cond, Repeat)):
-        return _pattern_schema(expr)
+        return _pattern_schema(expr, memo)
     if isinstance(expr, (Restricted, Join)):
-        return _query_schema(expr)
+        return _query_schema(expr, memo)
     raise TypeError(f"not a pattern or query: {expr!r}")
 
 
-def _pattern_schema(pat: Pattern) -> Schema:
-    if isinstance(pat, NodePat):
-        return {pat.descriptor.var: NODE} if pat.descriptor.var else {}
-    if isinstance(pat, EdgePat):
-        return {pat.descriptor.var: EDGE} if pat.descriptor.var else {}
-    if isinstance(pat, Concat):
-        return _merge_conjunctive(
-            _pattern_schema(pat.left), _pattern_schema(pat.right), pat.pos
-        )
-    if isinstance(pat, Union_):
-        return _merge_union(
-            _pattern_schema(pat.left), _pattern_schema(pat.right), pat.pos
-        )
-    if isinstance(pat, Cond):
-        schema = _pattern_schema(pat.pattern)
-        _check_condition_against(schema, pat.condition)
+def _pattern_schema(pat: Pattern, memo: dict) -> Schema:
+    schema = memo.get(id(pat))
+    if schema is not None:
         return schema
-    if isinstance(pat, Repeat):
-        inner = _pattern_schema(pat.pattern)
-        return {var: Group(t) for var, t in inner.items()}
-    raise TypeError(f"not a pattern: {pat!r}")
+    if isinstance(pat, NodePat):
+        schema = {pat.descriptor.var: NODE} if pat.descriptor.var else {}
+    elif isinstance(pat, EdgePat):
+        schema = {pat.descriptor.var: EDGE} if pat.descriptor.var else {}
+    elif isinstance(pat, Concat):
+        schema = _merge_conjunctive(
+            _pattern_schema(pat.left, memo), _pattern_schema(pat.right, memo), pat.pos
+        )
+    elif isinstance(pat, Union_):
+        schema = _merge_union(
+            _pattern_schema(pat.left, memo), _pattern_schema(pat.right, memo), pat.pos
+        )
+    elif isinstance(pat, Cond):
+        schema = _pattern_schema(pat.pattern, memo)
+        _check_condition_against(schema, pat.condition)
+    elif isinstance(pat, Repeat):
+        inner = _pattern_schema(pat.pattern, memo)
+        schema = {var: Group(t) for var, t in inner.items()}
+    else:
+        raise TypeError(f"not a pattern: {pat!r}")
+    memo[id(pat)] = schema
+    return schema
 
 
-def _query_schema(query: Query) -> Schema:
+def _query_schema(query: Query, memo: dict) -> Schema:
     if isinstance(query, Restricted):
         if query.var is not None and query.var in expr_vars(query.pattern):
             raise TypeCheckError("path_var_reuse", query.var, query.pos)
-        schema = _pattern_schema(query.pattern)
-        if query.var is not None:
-            schema[query.var] = PATH
-        return schema
+        schema = _pattern_schema(query.pattern, memo)
+        return schema if query.var is None else {**schema, query.var: PATH}
     if isinstance(query, Join):
         return _merge_conjunctive(
-            _query_schema(query.left), _query_schema(query.right), query.pos
+            _query_schema(query.left, memo), _query_schema(query.right, memo), query.pos
         )
     raise TypeError(f"not a query: {query!r}")
 
@@ -213,7 +223,7 @@ def _check_condition_against(schema: Schema, theta: Condition) -> None:
 
 def check_condition(pattern: Pattern, theta: Condition) -> None:
     """Raise unless theta type-checks as Bool over pattern's schema."""
-    _check_condition_against(_pattern_schema(pattern), theta)
+    _check_condition_against(_pattern_schema(pattern, {}), theta)
 
 
 def check_ruleset(rules: RuleSet) -> list[Schema]:

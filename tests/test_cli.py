@@ -370,6 +370,30 @@ def test_run_malformed_graph_exit_2(capsys, tmp_path, content):
     assert json.loads(err)["error"] == "graph"
 
 
+@pytest.mark.parametrize(
+    "document, violation",
+    [
+        ({"nodes": [{"id": "a"}], "edges": [{"id": "e", "src": "a", "tgt": "a"}]},
+         "unknown graph key 'edges'"),
+        ({"nodes": [{"id": "a", "label": ["A"]}]}, "a: unknown key 'label'"),
+    ],
+    ids=["edges", "label"],
+)
+def test_run_unknown_graph_key_exit_2(capsys, tmp_path, document, violation):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(document))
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST ()")
+    code, out, err = run_cli(capsys, "run", str(graph), str(query))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == "graph"
+    assert diag["violations"] == [violation]
+
+
 def test_run_internal_error_exit_1(capsys, graph_file, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("path must alternate node,edge,...,node (odd length >= 1)")

@@ -33,7 +33,7 @@ from gpc import (
     validate_for_mode,
     validate_graph,
 )
-from gpc import engine
+from gpc import engine, typecheck
 from gpc.engine import COLLECT_MODES, match_lengths, satisfiable_pairs
 from gpc.values import EMPTY
 
@@ -798,6 +798,24 @@ def test_one_evaluator_per_query(monkeypatch, g_intro):
     monkeypatch.setattr(engine, "_Evaluator", Counting)
     eval_query(g_intro, parse_query("SHORTEST (x)-[e]->{1..}(y), SHORTEST (y)-[f]->(z)"))
     assert len(built) == 1
+
+
+def test_each_subpattern_is_typed_once(monkeypatch):
+    # The evaluator asks for the schema of every node; each must reuse the
+    # schemas of the node's operands rather than walk its subtree again.
+    n = 400
+    calls = []
+    pattern_schema = typecheck._pattern_schema
+
+    def counting(pat, *memo):
+        calls.append(pat)
+        return pattern_schema(pat, *memo)
+
+    monkeypatch.setattr(typecheck, "_pattern_schema", counting)
+    g = validate_graph({"nodes": [{"id": "a"}]})
+    answers = eval_query(g, parse_query("SHORTEST " + " ".join(["()"] * n)))
+    assert len(answers) == 1
+    assert len(calls) < 10 * n
 
 
 def test_lenient_unify_enlarges_grouping_answers():
