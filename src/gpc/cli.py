@@ -80,15 +80,19 @@ def _parse_any(text: str):
     stripped = text.strip()
     if stripped.lower().startswith(("#nre", "#c2rpq")):
         return translate_source(stripped)
+    # Parse the text itself, not the stripped copy, so that error positions
+    # count the lines and columns of any leading whitespace.
     if stripped.lower().startswith("ans"):
-        return parse_ruleset(stripped)
+        return parse_ruleset(text)
     try:
-        return parse_query(stripped)
+        return parse_query(text)
     except ParseError as query_error:
         try:
-            return parse_pattern(stripped)
-        except ParseError:
-            raise query_error
+            return parse_pattern(text)
+        except ParseError as pattern_error:
+            # The parser that read further names the fault; max keeps the
+            # query's error on a tie.
+            raise max(query_error, pattern_error, key=lambda e: (e.line, e.column))
 
 
 def _non_negative(text: str) -> int:

@@ -16,6 +16,7 @@ down.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union as TUnion
 
@@ -232,25 +233,11 @@ class _RegexParser:
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
-        tokens = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif ch in "()[]|+*-.,<":
-                tokens.append(ch)
-                i += 1
-            else:
-                raise TranslateError(f"unexpected character {ch!r} in expression")
-        tokens.append("<eof>")
-        return tokens
+        tokens = re.findall(r"\w+|\S", text)
+        for tok in tokens:
+            if not (tok[0].isalpha() or tok[0] == "_" or tok in "()[]|+*-.,<"):
+                raise TranslateError(f"unexpected character {tok[0]!r} in expression")
+        return tokens + ["<eof>"]
 
     def peek(self) -> str:
         return self.tokens[self.pos]

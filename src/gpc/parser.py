@@ -21,16 +21,19 @@ Grammar sketch (whitespace-insensitive, keywords case-insensitive):
 A '<' opens a condition only when not immediately followed by '-';
 '<-' always begins a backward edge (and doubles as the rule arrow).
 Postfix conditions and quantifiers bind to the nearest preceding atom.
-Variables starting with the reserved prefix '_v' are rejected; that
-prefix is kept for machine-generated rule sets. Bracket groups,
-parenthesized conditions and NOT may nest at most MAX_NESTING deep, so
-that deep input is a ParseError rather than a recursion overflow.
+A label or property key is any word, a keyword too, as spelled; a
+variable is a word that is no keyword. Variables starting with the
+reserved prefix '_v' are rejected; that prefix is kept for
+machine-generated rule sets. Bracket groups, parenthesized conditions
+and NOT may nest at most MAX_NESTING deep, so that deep input is a
+ParseError rather than a recursion overflow.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NoReturn, Optional, Union
 
 from .ast import (
     And,
@@ -63,30 +66,22 @@ MAX_NESTING = 100
 
 KEYWORDS = {"AND", "OR", "NOT", "SIMPLE", "TRAIL", "SHORTEST", "ANS", "TRUE", "FALSE"}
 
-_PUNCT = [
-    "<-[",
-    "]->",
-    "-[",
-    "]-",
-    "->",
-    "<-",
-    "--",
-    "..",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    "<",
-    ">",
-    "+",
-    ",",
-    ";",
-    "=",
-    ":",
-    ".",
-]
+# One alternative per token class, tried in this order at each position.
+# Punctuation is listed longest first where one spelling is a prefix of
+# another. In `re`, \s, \w and \d hold exactly where str.isspace(),
+# str.isalnum() or '_', and str.isdecimal() do; a word must also start
+# with a letter or '_', which `tokenize` checks. The last alternative
+# takes any character that starts no token.
+_TOKEN = re.compile(
+    r"""(?P<SPACE>\s+)
+      | "(?P<STRING>(?:[^"\\]|\\["\\]|\\(?!["\\]))*)"
+      | (?P<INT>-?\d+)
+      | (?P<WORD>\w+)
+      | (?P<PUNCT><-\[ | \]-> | -\[ | \]- | -> | <- | -- | \.\. | [()\[\]{}<>+,;=:.])
+      | (?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 class ParseError(ValueError):
@@ -102,80 +97,42 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # punctuation literal, keyword name, 'IDENT', 'INT', 'STRING', 'EOF'
+    kind: str  # punctuation literal, keyword name, 'IDENT', 'INT', 'STRING', 'BOOL', 'EOF'
     value: Union[str, int, bool, None]
     line: int
     column: int
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+    word: Optional[str] = None  # a word's own spelling, keywords included
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch.isspace():
-            i, col = i + 1, col + 1
-            continue
-        if ch == '"':
-            j, out = i + 1, []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col, {'"'})
-            tokens.append(Token("STRING", "".join(out), line, col))
-            step = j + 1 - i
-            i, col = j + 1, col + step
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", int(text[i:j]), line, col))
-            i, col = j, col + (j - i)
-            continue
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
-            if upper in KEYWORDS:
-                value: Union[str, bool] = upper
-                if upper == "TRUE":
-                    tokens.append(Token("BOOL", True, line, col))
-                elif upper == "FALSE":
-                    tokens.append(Token("BOOL", False, line, col))
-                else:
-                    tokens.append(Token(upper, value, line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, lexeme = match.lastgroup, match.group()
+        column = match.start() - line_start + 1
+        if kind == "STRING":
+            value = _ESCAPE.sub(r"\1", match.group("STRING"))
+            tokens.append(Token("STRING", value, line, column))
+        elif kind == "INT":
+            tokens.append(Token("INT", int(lexeme), line, column))
+        elif kind == "WORD" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            upper = lexeme.upper()
+            if upper in ("TRUE", "FALSE"):
+                tokens.append(Token("BOOL", upper == "TRUE", line, column, lexeme))
+            elif upper in KEYWORDS:
+                tokens.append(Token(upper, upper, line, column, lexeme))
             else:
-                tokens.append(Token("IDENT", word, line, col))
-            i, col = j, col + (j - i)
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                i, col = i + len(punct), col + len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col, set())
-    tokens.append(Token("EOF", None, line, max(col, 1)))
+                tokens.append(Token("IDENT", lexeme, line, column, lexeme))
+        elif kind == "PUNCT":
+            tokens.append(Token(lexeme, lexeme, line, column))
+        elif lexeme == '"':
+            raise ParseError("unterminated string", line, column, {'"'})
+        elif kind != "SPACE":  # a BAD character, or a word's bad first one
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, column, set())
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = match.start() + lexeme.rindex("\n") + 1
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -213,7 +170,7 @@ class _Parser:
             self.fail(f"unexpected {self.describe(tok)}", {kind})
         return self.advance()
 
-    def fail(self, message: str, expected: set[str]):
+    def fail(self, message: str, expected: set[str]) -> NoReturn:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column, expected)
 
@@ -243,6 +200,12 @@ class _Parser:
                 set(),
             )
         return name  # type: ignore[return-value]
+
+    def word(self) -> str:
+        """A label or property key: any word, keywords included, as spelled."""
+        if self.peek().word is None:
+            self.expect("IDENT")
+        return self.advance().word  # type: ignore[return-value]
 
     # -- patterns ---------------------------------------------------------
 
@@ -319,14 +282,13 @@ class _Parser:
             self.depth -= 1
             return inner
         self.fail(f"unexpected {self.describe(tok)}", set(_ATOM_STARTS))
-        raise AssertionError("unreachable")
 
     def descriptor(self, closers: set[str]) -> Descriptor:
         var = label = None
         if self.at("IDENT"):
             var = self.var_name(self.advance())
         if self.accept(":"):
-            label = self.expect("IDENT").value
+            label = self.word()
         if not self.at(*closers):
             self.fail(f"unexpected {self.describe(self.peek())}", closers)
         return Descriptor(var, label)
@@ -366,13 +328,13 @@ class _Parser:
             self.fail(f"unexpected {self.describe(tok)}", {"IDENT", "NOT", "("})
         var = self.var_name(self.advance())
         self.expect(".")
-        key = self.expect("IDENT").value
+        key = self.word()
         self.expect("=")
         where = (tok.line, tok.column)
         if self.at("IDENT") and self.peek(1).kind == ".":
             other = self.var_name(self.advance())
             self.expect(".")
-            other_key = self.expect("IDENT").value
+            other_key = self.word()
             return PropEqProp(var, key, other, other_key, pos=where)
         if self.at("STRING", "INT", "BOOL"):
             const = self.advance().value
@@ -381,7 +343,6 @@ class _Parser:
             f"unexpected {self.describe(self.peek())}",
             {"STRING", "INT", "TRUE", "FALSE", "IDENT"},
         )
-        raise AssertionError("unreachable")
 
     # -- queries -----------------------------------------------------------
 
@@ -417,7 +378,6 @@ class _Parser:
             f"unexpected {self.describe(self.peek())}",
             {"SIMPLE", "TRAIL", "SHORTEST"},
         )
-        raise AssertionError("unreachable")
 
     # -- rule sets -----------------------------------------------------------
 

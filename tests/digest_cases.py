@@ -6,12 +6,15 @@ Run it in two checkouts and diff the outputs: a line differs exactly when
 the two give a different exit code, stdout, or stderr once the run
 report's `elapsed_ms` is dropped. Each case draws a graph and a query,
 rule set or pattern from `gen.py`, writes them to a temporary directory,
-and runs `gpc run` or `gpc match` through `cli.main` in-process. The
-cases cycle the collect modes and mix default and explicit `--max-len`,
-`--lenient-unify` and `--max-answers 5`. About 30% of the `run` cases
-add `--oracle` with a `--max-len` of at most 3 and the default answer
-ceiling, so a changed oracle shows up too: a disagreement exits 3. Each
-line holds the case's number, its digest, its flags and its query text.
+and runs `gpc run`, `gpc match` or `gpc check` through `cli.main`
+in-process. The cases cycle the collect modes and mix default and
+explicit `--max-len`, `--lenient-unify` and `--max-answers 5`. About 30%
+of the `run` cases add `--oracle` with a `--max-len` of at most 3 and the
+default answer ceiling, so a changed oracle shows up too: a disagreement
+exits 3. About 10% of the cases check a rendered query with one token
+deleted, doubled or replaced, some by a non-ASCII character, so that the
+lexer's and the parser's errors show up too. Each line holds the case's
+number, its digest, its flags and its query text, non-ASCII escaped.
 Pytest does not collect this file.
 """
 
@@ -37,6 +40,28 @@ import gen
 
 ELAPSED = re.compile(r'"elapsed_ms": \d+, ')
 
+# A token is a word or one other character; this is coarser than the
+# lexer's tokens, so that a deletion can also split a two-character one.
+PIECE = re.compile(r"\w+|\S")
+REPLACEMENTS = (
+    "(", ")", "[", "]", "{", "}", "<", ">", "-[", "]->", "<-", "->", "..", ":",
+    ".", ",", "=", "+", '"', "x", "A", "7", "-1", "AND", "trail",
+    "\u00b2", "\u0663", "\u00e9", "\u2167", "\u00a0",
+)
+
+
+def damaged(rng: random.Random, text: str) -> str:
+    """`text` with one token deleted, doubled or replaced."""
+    piece = rng.choice(list(PIECE.finditer(text)))
+    start, end = piece.span()
+    edit = rng.choice(("delete", "double", "replace"))
+    middle = {
+        "delete": "",
+        "double": piece.group() * 2,
+        "replace": rng.choice(REPLACEMENTS),
+    }[edit]
+    return text[:start] + middle + text[end:]
+
 
 def rand_ruleset(rng: random.Random) -> str:
     """One to three rules of arity 1 over random well-typed bodies."""
@@ -54,6 +79,8 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     """(graph document, command, source text, flags) of case `index`."""
     graph = gen.rand_graph_data(rng)
     roll = rng.random()
+    if roll < 0.1:
+        return graph, "check", damaged(rng, render(gen.rand_query(rng, 3))), []
     if roll < 0.7:
         command, text = "run", render(gen.well_typed_query(rng, 3))
     elif roll < 0.87:
@@ -82,9 +109,10 @@ def run_case(workdir: str, graph: dict, command: str, text: str, flags: list[str
     source = os.path.join(workdir, "source.gpc")
     with open(source, "w", encoding="utf-8") as handle:
         handle.write(text)
+    argv = [command, source] if command == "check" else [command, graph_path, source, *flags]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, graph_path, source, *flags])
+        code = main(argv)
     record = json.dumps([code, out.getvalue(), ELAPSED.sub("", err.getvalue())])
     return hashlib.sha256(record.encode()).hexdigest()[:16]
 
@@ -99,7 +127,8 @@ def main_digests(argv: list[str] | None = None) -> int:
         for index in range(args.cases):
             graph, command, text, flags = rand_case(rng, index)
             digest = run_case(workdir, graph, command, text, flags)
-            print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{text}")
+            shown = text.encode("ascii", "backslashreplace").decode()
+            print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{shown}")
     return 0
 
 

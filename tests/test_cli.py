@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpc
 from gpc import (
@@ -19,6 +23,7 @@ from gpc import (
     parse_pattern,
     parse_query,
     parse_ruleset,
+    translate_source,
 )
 from gpc.cli import _as_table_row, main
 from gpc.values import (
@@ -593,3 +598,96 @@ def test_huge_max_len_stops_at_the_longest_trail_or_simple_path(tmp_path, restri
     assert report["answer_count"] == 210
     assert report["bound_used"] == default_report["bound_used"] == cap
     assert report["elapsed_ms"] < 1000
+
+
+def test_check_reports_a_numeric_character_that_is_no_digit(capsys):
+    code, out, err = run_cli(capsys, "check", "--", "(x)-[e]->{²}")
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert (diag["error"], diag["line"], diag["column"]) == ("parse", 1, 11)
+    assert diag["message"].startswith("unexpected character")
+
+
+def test_check_reports_the_error_of_the_parser_that_read_further(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "check", "--", "(x) -[e]-> (")
+    assert code == 2
+    assert json.loads(err)["message"] == "unexpected end of input at 1:13 (expected ))"
+    # On a tie the query parser's error stands.
+    code, _, err = run_cli(capsys, "check", "--", "SHORTEST (x")
+    assert code == 2
+    assert json.loads(err)["message"] == "unexpected end of input at 1:12 (expected ))"
+    source = tmp_path / "q.gpc"
+    source.write_text(")")
+    code, _, err = run_cli(capsys, "check", str(source))
+    assert code == 2
+    assert json.loads(err)["message"] == (
+        "unexpected ')' at 1:1 (expected SHORTEST, SIMPLE, TRAIL)"
+    )
+
+
+def test_check_positions_count_leading_blank_lines(capsys):
+    code, _, err = run_cli(capsys, "check", "--", "\n\n  SHORTEST (x")
+    assert code == 2
+    assert (json.loads(err)["line"], json.loads(err)["column"]) == (3, 14)
+
+
+@pytest.mark.parametrize("head", ["#nre", "#c2rpq"])
+def test_translate_output_with_keyword_labels_reads_back(capsys, tmp_path, head):
+    words = " ".join(["and", "Trail", "SHORTEST", "ans", "not", "true", "FALSE"])
+    body = f"({words})+" if head == "#nre" else f"Ans(x, y) <- (x, ({words})+, y)"
+    source = tmp_path / "q.txt"
+    source.write_text(f"{head}\n{body}\n")
+    code, out, _ = run_cli(capsys, "translate", str(source))
+    assert code == 0
+    rules = translate_source(source.read_text())
+    assert parse_ruleset(out) == rules
+
+
+# Pieces of CLI input text: the grammar's characters, words and keywords,
+# and non-ASCII letters, decimal digits, other numeric characters and spaces.
+FUZZ_PIECES = list('()[]{}<>-+,;=:."\\ \n_|*xyab017') + [
+    "SHORTEST ", "TRAIL ", "simple", "Ans", "AND", "NOT", "true",
+    "é", "ß", "٣", "²", "Ⅷ", "½", " ", " ",
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    graph = workdir / "graph.json"
+    graph.write_text(json.dumps({
+        "nodes": [{"id": "n1", "labels": ["A"], "properties": {"k": 1}}, {"id": "n2"}],
+        "directed_edges": [{"id": "e1", "src": "n1", "tgt": "n2", "labels": ["a"]}],
+        "undirected_edges": [{"id": "u1", "endpoints": ["n2"], "labels": ["b"]}],
+    }))
+    return workdir
+
+
+def _outcome(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, json.loads(err.getvalue().splitlines()[-1]) if code else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(FUZZ_PIECES), max_size=20).map("".join))
+def test_no_input_text_is_an_internal_error(fuzz_dir, text):
+    source = fuzz_dir / "source.txt"
+    outcomes = []
+    if text != "-":  # '-' names stdin
+        code, diag = _outcome("check", "--", text)
+        if not any(ch in text for ch in "([-<#"):
+            # Such an argument names a file, which does not exist.
+            assert (code, diag["error"]) == (1, "io")
+        else:
+            outcomes.append((code, diag))
+    source.write_text(text, encoding="utf-8")
+    # A small --max-len keeps a huge repetition count from running long.
+    outcomes.append(_outcome("run", str(fuzz_dir / "graph.json"), str(source), "--max-len", "4"))
+    for head in ("#nre", "#c2rpq"):
+        source.write_text(f"{head}\n{text}", encoding="utf-8")
+        outcomes.append(_outcome("translate", str(source)))
+    for code, diag in outcomes:
+        assert code in (0, 1, 2), (code, diag)
+        assert code != 1 or diag["error"] == "resource-limit", diag

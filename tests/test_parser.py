@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,11 @@ from gpc import (
     parse_ruleset,
     render,
 )
-from gpc.ast import PropEqConst
-from gpc.parser import MAX_NESTING
+from gpc.ast import And, PropEqConst, PropEqProp
+from gpc.parser import KEYWORDS, MAX_NESTING, tokenize
 
 import gen
+import lexer_reference
 
 
 def node(var=None, label=None):
@@ -97,9 +100,24 @@ def test_adjacent_edge_tokens_split_greedily():
 
 
 def test_reserved_words_not_identifiers():
-    for bad in ("(and)", "(trail)", "(x) <simple.k = 1>"):
+    for bad in ("(and)", "(trail)", "(x) <simple.k = 1>", "(x) <x.k = ans.m>"):
         with pytest.raises(ParseError):
             parse_pattern(bad)
+
+
+@pytest.mark.parametrize("word", sorted(KEYWORDS) + sorted(k.lower() for k in KEYWORDS))
+def test_labels_and_keys_may_be_keywords(word):
+    assert parse_pattern(f"(x:{word})") == node("x", word)
+    assert parse_pattern(f"(:{word}) <-[:{word}]-") == Concat(
+        node(None, word), edge(Direction.BACKWARD, None, word)
+    )
+    got = parse_pattern(f"-[e:{word}]- <e.{word} = 1 AND e.{word} = e.{word}>")
+    want = Cond(
+        edge(Direction.UNDIRECTED, "e", word),
+        And(PropEqConst("e", word, 1), PropEqProp("e", word, "e", word)),
+    )
+    assert got == want
+    assert parse_pattern(render(want)) == want
 
 
 def test_keywords_case_insensitive():
@@ -243,3 +261,62 @@ def patterns(draw, depth=3):
 @given(patterns())
 def test_roundtrip_property(pat):
     assert parse_pattern(render(pat)) == pat
+
+
+# -- the lexer -----------------------------------------------------------------
+
+# The grammar's characters, keywords in mixed case, and non-ASCII letters,
+# decimal digits (Arabic-Indic three), other numeric characters and spaces.
+LEXER_PIECES = list('()[]{}<>-+,;=:."\\ \t\n_xA07') + [
+    "and", "Shortest", "TRUE", "é", "ß", "\u0663", "\u00b2", "\u2167", "\u00a0", "\u2028",
+]
+
+
+def _lexed(lex, text):
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in lex(text)]
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column, exc.expected)
+    except ValueError:
+        return ("ValueError",)
+
+
+def _without_positions(outcome):
+    if outcome[0] == "ParseError":
+        return (outcome[0], re.sub(r" at \d+:\d+", "", outcome[1]), outcome[4])
+    return [token[:2] for token in outcome]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=24).map("".join))
+def test_tokenize_matches_the_reference_lexer(text):
+    got, want = _lexed(tokenize, text), _lexed(lexer_reference.tokenize, text)
+    if want == ("ValueError",):
+        # int() of a numeric character that is no decimal digit, such as '²'.
+        assert got[0] == "ParseError" and got[1].startswith("unexpected character")
+    elif got != want:
+        # The reference counts no newline inside a string literal, so only
+        # the positions after such a literal may differ.
+        assert re.search(r'"[^"]*\n', text)
+        assert _without_positions(got) == _without_positions(want)
+
+
+def test_regex_classes_are_the_str_predicates():
+    """tokenize relies on these equivalences for every code point."""
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert set(re.findall(r"\s", text)) == {ch for ch in text if ch.isspace()}
+    assert set(re.findall(r"\w", text)) == {ch for ch in text if ch.isalnum() or ch == "_"}
+    assert set(re.findall(r"\d", text)) == {ch for ch in text if ch.isdecimal()}
+
+
+def test_numeric_character_that_is_no_digit_is_a_parse_error():
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_pattern("(x)-[e]->{\u00b2}")
+    assert (err.value.line, err.value.column) == (1, 11)
+    assert parse_pattern("-[e]->{\u0663}") == Repeat(edge(Direction.FORWARD, "e"), 3, 3)
+
+
+def test_positions_count_the_newlines_inside_a_string():
+    with pytest.raises(ParseError, match="trailing input") as err:
+        parse_pattern('(x) <x.k = "a\nb"> ]')
+    assert (err.value.line, err.value.column) == (2, 5)
