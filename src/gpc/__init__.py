@@ -70,7 +70,7 @@ from .oracle import (
     refactor,
     unify,
 )
-from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
+from .parser import ParseError, parse, parse_pattern, parse_query, parse_ruleset
 from .render import render
 from .typecheck import (
     Group,

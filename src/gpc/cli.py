@@ -35,7 +35,7 @@ from .engine import (
 from .gpcplus import TranslateError, translate_source
 from .graph import GraphValidationError, load_graph
 from .oracle import BudgetExceededError, OracleBudget, brute_force_query
-from .parser import ParseError, parse_pattern, parse_query, parse_ruleset
+from .parser import ParseError, parse, parse_pattern
 from .render import render
 from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
 from .values import answer_records, match_records, tuple_records
@@ -80,19 +80,8 @@ def _parse_any(text: str):
     stripped = text.strip()
     if stripped.lower().startswith(("#nre", "#c2rpq")):
         return translate_source(stripped)
-    # Parse the text itself, not the stripped copy, so that error positions
-    # count the lines and columns of any leading whitespace.
-    if stripped.lower().startswith("ans"):
-        return parse_ruleset(text)
-    try:
-        return parse_query(text)
-    except ParseError as query_error:
-        try:
-            return parse_pattern(text)
-        except ParseError as pattern_error:
-            # The parser that read further names the fault; max keeps the
-            # query's error on a tie.
-            raise max(query_error, pattern_error, key=lambda e: (e.line, e.column))
+    # Not the stripped copy: error positions count any leading whitespace.
+    return parse(text)
 
 
 def _non_negative(text: str) -> int:

@@ -16,9 +16,11 @@ down.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional, Union as TUnion
+from typing import Iterator, Optional, Union as TUnion
 
 from .ast import (
     Concat,
@@ -37,8 +39,7 @@ from .ast import (
     Union_,
 )
 from .engine import eval_ruleset  # noqa: F401  (re-export)
-
-FRESH_PREFIX = "_v"
+from .parser import KEYWORDS, RESERVED_VAR_PREFIX
 
 
 class TranslateError(ValueError):
@@ -106,21 +107,35 @@ class C2rpq:
 
 def translate_2rpq(regex: Nre) -> Pattern:
     """Regex over labels/inverse labels as a pattern matching its words."""
-    if isinstance(regex, Label):
-        return EdgePat(Direction.FORWARD, Descriptor(label=regex.label))
-    if isinstance(regex, Inverse):
-        return EdgePat(Direction.BACKWARD, Descriptor(label=regex.label))
-    if isinstance(regex, NreConcat):
-        return Concat(translate_2rpq(regex.left), translate_2rpq(regex.right))
-    if isinstance(regex, NreUnion):
-        return Union_(translate_2rpq(regex.left), translate_2rpq(regex.right))
-    if isinstance(regex, NrePlus):
-        return Repeat(translate_2rpq(regex.operand), 1, None)
-    if isinstance(regex, NreStar):
-        return Repeat(translate_2rpq(regex.operand), 0, None)
-    if isinstance(regex, Nest):
-        raise TranslateError("nested tests are not part of 2RPQ expressions")
-    raise TypeError(f"not a regular expression: {regex!r}")
+    return _translate(regex, None)
+
+
+def _translate(e: Nre, fresh: Optional[Iterator[str]]) -> Pattern:
+    """The pattern of `e`; each nested test takes its anchor's name from
+    `fresh`, and with no `fresh` a nested test is an error."""
+    if isinstance(e, Label):
+        return EdgePat(Direction.FORWARD, Descriptor(label=e.label))
+    if isinstance(e, Inverse):
+        return EdgePat(Direction.BACKWARD, Descriptor(label=e.label))
+    if isinstance(e, NreConcat):
+        return Concat(_translate(e.left, fresh), _translate(e.right, fresh))
+    if isinstance(e, NreUnion):
+        return Union_(_translate(e.left, fresh), _translate(e.right, fresh))
+    if isinstance(e, NrePlus):
+        return Repeat(_translate(e.operand, fresh), 1, None)
+    if isinstance(e, NreStar):
+        return Repeat(_translate(e.operand, fresh), 0, None)
+    if isinstance(e, Nest):
+        if fresh is None:
+            raise TranslateError("nested tests are not part of 2RPQ expressions")
+        anchor = next(fresh)
+        outward = _translate(e.operand, fresh)
+        way_back = _nest_return(e.operand, outward)
+        return Concat(
+            Concat(Concat(NodePat(Descriptor(var=anchor)), outward), way_back),
+            NodePat(Descriptor(var=anchor)),
+        )
+    raise TypeError(f"not a regular expression: {e!r}")
 
 
 def _endpoint_query(x: str, pattern: Pattern, y: str) -> Query:
@@ -135,12 +150,8 @@ def translate_c2rpq(query: C2rpq) -> RuleSet:
     The result must run in grouping collect mode: translated closures can
     nest bodies that match edgeless paths.
     """
-    body: Optional[Query] = None
-    for x, regex, y in query.atoms:
-        leg = _endpoint_query(x, translate_2rpq(regex), y)
-        body = leg if body is None else Join(body, leg)
-    assert body is not None
-    return RuleSet((Rule(query.head, body),))
+    legs = [_endpoint_query(x, translate_2rpq(regex), y) for x, regex, y in query.atoms]
+    return RuleSet((Rule(query.head, functools.reduce(Join, legs)),))
 
 
 def translate_nre(expr: Nre) -> RuleSet:
@@ -153,38 +164,8 @@ def translate_nre(expr: Nre) -> RuleSet:
     direction-inverted, variable-free copy of the outgoing translation,
     so the excursion can always retrace its own steps.
     """
-    counter = [0]
-
-    def fresh() -> str:
-        name = f"{FRESH_PREFIX}{counter[0]}"
-        counter[0] += 1
-        return name
-
-    def build(e: Nre) -> Pattern:
-        if isinstance(e, (Label, Inverse)):
-            return translate_2rpq(e)
-        if isinstance(e, NreConcat):
-            return Concat(build(e.left), build(e.right))
-        if isinstance(e, NreUnion):
-            return Union_(build(e.left), build(e.right))
-        if isinstance(e, NrePlus):
-            return Repeat(build(e.operand), 1, None)
-        if isinstance(e, NreStar):
-            return Repeat(build(e.operand), 0, None)
-        if isinstance(e, Nest):
-            anchor = fresh()
-            outward = build(e.operand)
-            way_back = _nest_return(e.operand, outward)
-            return Concat(
-                Concat(
-                    Concat(NodePat(Descriptor(var=anchor)), outward),
-                    way_back,
-                ),
-                NodePat(Descriptor(var=anchor)),
-            )
-        raise TypeError(f"not an expression: {e!r}")
-
-    pattern = build(expr)
+    fresh = (f"{RESERVED_VAR_PREFIX}{n}" for n in itertools.count())
+    pattern = _translate(expr, fresh)
     body = _endpoint_query("x", pattern, "y")
     return RuleSet((Rule(("x", "y"), body),))
 
@@ -227,9 +208,10 @@ def _invert_anonymous(pat: Pattern) -> Pattern:
 class _RegexParser:
     """Tokens: identifiers, ( ) [ ] | + * - , < and '.' as optional concat."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, nests: bool = True):
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.nests = nests
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -293,6 +275,8 @@ class _RegexParser:
             self.expect(")")
             return node
         if tok == "[":
+            if not self.nests:
+                raise TranslateError("conjunctive query atoms take plain regular expressions")
             self.advance()
             node = self.alternation()
             self.expect("]")
@@ -305,6 +289,17 @@ class _RegexParser:
             return self.advance()
         raise TranslateError(f"expected a name, found {tok!r}")
 
+    def variable(self) -> str:
+        """A name that the query syntax reads as a variable."""
+        name = self.ident()
+        if name.upper() in KEYWORDS:
+            raise TranslateError(f"variable {name!r} is a keyword")
+        if name.startswith(RESERVED_VAR_PREFIX):
+            raise TranslateError(
+                f"variable {name!r} uses the reserved prefix {RESERVED_VAR_PREFIX!r}"
+            )
+        return name
+
 
 def parse_nre(text: str) -> Nre:
     parser = _RegexParser(text)
@@ -314,16 +309,16 @@ def parse_nre(text: str) -> Nre:
 
 
 def parse_c2rpq(text: str) -> C2rpq:
-    parser = _RegexParser(text)
+    parser = _RegexParser(text, nests=False)
     if parser.advance().upper() != "ANS":
         raise TranslateError("a conjunctive query starts with Ans(...)")
     parser.expect("(")
     head: list[str] = []
     if parser.peek() != ")":
-        head.append(parser.ident())
+        head.append(parser.variable())
         while parser.peek() == ",":
             parser.advance()
-            head.append(parser.ident())
+            head.append(parser.variable())
     parser.expect(")")
     parser.expect("<")
     parser.expect("-")
@@ -337,25 +332,13 @@ def parse_c2rpq(text: str) -> C2rpq:
 
 def _c2rpq_atom(parser: _RegexParser) -> tuple[str, Nre, str]:
     parser.expect("(")
-    x = parser.ident()
+    x = parser.variable()
     parser.expect(",")
     regex = parser.alternation()
-    if _contains_nest(regex):
-        raise TranslateError("conjunctive query atoms take plain regular expressions")
     parser.expect(",")
-    y = parser.ident()
+    y = parser.variable()
     parser.expect(")")
     return x, regex, y
-
-
-def _contains_nest(e: Nre) -> bool:
-    if isinstance(e, Nest):
-        return True
-    if isinstance(e, (NreConcat, NreUnion)):
-        return _contains_nest(e.left) or _contains_nest(e.right)
-    if isinstance(e, (NrePlus, NreStar)):
-        return _contains_nest(e.operand)
-    return False
 
 
 def translate_source(text: str) -> RuleSet:

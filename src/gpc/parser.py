@@ -426,6 +426,19 @@ def _pos_of(node) -> Optional[tuple[int, int]]:
     return getattr(node, "pos", None)
 
 
+def parse(text: str) -> Union[Pattern, Query, RuleSet]:
+    """A rule set if the text starts with `Ans`, a pattern if with an atom, else a query."""
+    parser = _Parser(text)
+    if parser.at("ANS"):
+        node = parser.ruleset()
+    elif parser.at(*_ATOM_STARTS):
+        node = parser.pattern()
+    else:
+        node = parser.query()
+    parser.expect_eof()
+    return node
+
+
 def parse_pattern(text: str) -> Pattern:
     parser = _Parser(text)
     node = parser.pattern()

@@ -8,8 +8,6 @@ left-associative) and brackets right-nested operands.
 
 from __future__ import annotations
 
-import json
-
 from .ast import (
     And,
     Concat,
@@ -109,7 +107,8 @@ def _const(value) -> str:
         return "false"
     if isinstance(value, int):
         return str(value)
-    return json.dumps(value)
+    # The lexer's only escapes are \" and \\; it reads any other character as is.
+    return '"%s"' % value.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _cond_operand(theta: Condition) -> str:

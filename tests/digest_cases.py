@@ -13,9 +13,13 @@ of the `run` cases add `--oracle` with a `--max-len` of at most 3 and the
 default answer ceiling, so a changed oracle shows up too: a disagreement
 exits 3. About 10% of the cases check a rendered query with one token
 deleted, doubled or replaced, some by a non-ASCII character, so that the
-lexer's and the parser's errors show up too. Each line holds the case's
-number, its digest, its flags and its query text, non-ASCII escaped.
-Pytest does not collect this file.
+lexer's and the parser's errors show up too. About 2% check a query
+whose path variable starts with the letters `ans`, such as `answer`.
+About 5% run `gpc translate` on a `#nre` or `#c2rpq` source that
+`gen.py` draws and prints; labels include keywords, and some C2RPQs
+take a keyword or a reserved `_v` name as a variable. Each line holds
+the case's number, its digest, its flags and its source text, non-ASCII
+and newlines escaped. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import re
 import sys
 import tempfile
 
-from gpc import infer_schema
+from gpc import Restricted, Restrictor, infer_schema
 from gpc.cli import main
 from gpc.engine import COLLECT_MODES
 from gpc.render import render
@@ -75,11 +79,27 @@ def rand_ruleset(rng: random.Random) -> str:
     return "; ".join(rules)
 
 
+def translator_source(rng: random.Random) -> str:
+    """A '#nre' or '#c2rpq' source; about a third of the C2RPQs draw their
+    variables from a pool that holds a keyword and a reserved name."""
+    labels = ("a", "b", "and", "Trail")
+    if rng.random() < 0.5:
+        return f"#nre\n{gen.nre_text(gen.rand_nre(rng, rng.randint(1, 3), labels))}\n"
+    variables = ("x", "y", "and", "_v0") if rng.random() < 0.3 else ("x", "y", "z", "w")
+    return f"#c2rpq\n{gen.c2rpq_text(gen.rand_c2rpq(rng, labels, variables))}\n"
+
+
 def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]]:
     """(graph document, command, source text, flags) of case `index`."""
     graph = gen.rand_graph_data(rng)
     roll = rng.random()
-    if roll < 0.1:
+    if roll < 0.05:
+        return graph, "translate", translator_source(rng), []
+    if roll < 0.07:
+        name = rng.choice(("answer", "Ans_1", "ansatz"))
+        query = Restricted(rng.choice(list(Restrictor)), gen.rand_pattern(rng, 3), name)
+        return graph, "check", render(query), []
+    if roll < 0.17:
         return graph, "check", damaged(rng, render(gen.rand_query(rng, 3))), []
     if roll < 0.7:
         command, text = "run", render(gen.well_typed_query(rng, 3))
@@ -109,7 +129,10 @@ def run_case(workdir: str, graph: dict, command: str, text: str, flags: list[str
     source = os.path.join(workdir, "source.gpc")
     with open(source, "w", encoding="utf-8") as handle:
         handle.write(text)
-    argv = [command, source] if command == "check" else [command, graph_path, source, *flags]
+    if command in ("check", "translate"):
+        argv = [command, source]
+    else:
+        argv = [command, graph_path, source, *flags]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -127,7 +150,7 @@ def main_digests(argv: list[str] | None = None) -> int:
         for index in range(args.cases):
             graph, command, text, flags = rand_case(rng, index)
             digest = run_case(workdir, graph, command, text, flags)
-            shown = text.encode("ascii", "backslashreplace").decode()
+            shown = text.encode("ascii", "backslashreplace").decode().replace("\n", "\\n")
             print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{shown}")
     return 0
 

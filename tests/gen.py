@@ -239,8 +239,9 @@ def rand_nre(rng: random.Random, depth: int, labels=("a", "b", "c")):
     return Nest(rand_nre(rng, depth - 1, labels))
 
 
-def rand_c2rpq(rng: random.Random, labels=("a", "b", "c")) -> C2rpq:
-    variables = ["x", "y", "z", "w"]
+def rand_c2rpq(
+    rng: random.Random, labels=("a", "b", "c"), variables=("x", "y", "z", "w")
+) -> C2rpq:
     atom_count = rng.randint(1, 3)
     atoms = []
     used: list[str] = []
@@ -255,6 +256,29 @@ def rand_c2rpq(rng: random.Random, labels=("a", "b", "c")) -> C2rpq:
     head_size = rng.randint(1, min(2, len(set(used))))
     head = tuple(rng.sample(sorted(set(used)), head_size))
     return C2rpq(head, tuple(atoms))
+
+
+def nre_text(e) -> str:
+    """`e` in the '#nre' syntax, with every operator bracketed."""
+    if isinstance(e, Label):
+        return e.label
+    if isinstance(e, Inverse):
+        return f"{e.label}-"
+    if isinstance(e, NreConcat):
+        return f"({nre_text(e.left)} {nre_text(e.right)})"
+    if isinstance(e, NreUnion):
+        return f"({nre_text(e.left)} | {nre_text(e.right)})"
+    if isinstance(e, NrePlus):
+        return f"({nre_text(e.operand)})+"
+    if isinstance(e, NreStar):
+        return f"({nre_text(e.operand)})*"
+    return f"[{nre_text(e.operand)}]"
+
+
+def c2rpq_text(query: C2rpq) -> str:
+    """`query` in the '#c2rpq' syntax."""
+    atoms = ", ".join(f"({x}, {nre_text(regex)}, {y})" for x, regex, y in query.atoms)
+    return f"Ans({', '.join(query.head)}) <- {atoms}"
 
 
 def rand_labeled_digraph(

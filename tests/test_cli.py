@@ -13,13 +13,21 @@ from hypothesis import strategies as st
 
 import gpc
 from gpc import (
+    C2rpq,
     EvalConfig,
+    Inverse,
+    Label,
+    NreConcat,
+    NrePlus,
+    NreStar,
+    NreUnion,
     Restrictor,
     default_length_bound,
     eval_pattern,
     eval_query,
     eval_ruleset,
     load_graph,
+    parse_nre,
     parse_pattern,
     parse_query,
     parse_ruleset,
@@ -34,6 +42,8 @@ from gpc.values import (
     serialize_value,
     tuple_records,
 )
+
+import gen
 
 
 @pytest.fixture
@@ -643,6 +653,41 @@ def test_translate_output_with_keyword_labels_reads_back(capsys, tmp_path, head)
     assert parse_ruleset(out) == rules
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_a_path_variable_may_start_with_ans(capsys, graph_file, tmp_path, command):
+    source = tmp_path / "q.gpc"
+    source.write_text("answer = SHORTEST (x) -> (y)")
+    args = [str(source)] if command == "check" else [graph_file, str(source)]
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 0, err
+    if command == "check":
+        assert json.loads(out) == {"answer": "Path", "x": "Node", "y": "Node"}
+    else:
+        assert len(out.splitlines()) == json.loads(err)["answer_count"] == 3
+
+
+@pytest.mark.parametrize(
+    ("body", "name"),
+    [
+        ("Ans(and) <- (and, a, y)", "and"),
+        ("Ans(x) <- (x, a, Trail)", "Trail"),
+        ("Ans(_v0) <- (_v0, a, y)", "_v0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["translate", "run", "check"])
+def test_c2rpq_variables_follow_the_query_syntax(
+    capsys, graph_file, tmp_path, body, name, command
+):
+    source = tmp_path / "q.txt"
+    source.write_text(f"#c2rpq\n{body}\n")
+    args = [graph_file, str(source)] if command == "run" else [str(source)]
+    code, out, err = run_cli(capsys, command, *args)
+    assert (code, out) == (2, "")
+    diag = json.loads(err)
+    assert diag["error"] == "input"
+    assert repr(name) in diag["message"]
+
+
 # Pieces of CLI input text: the grammar's characters, words and keywords,
 # and non-ASCII letters, decimal digits, other numeric characters and spaces.
 FUZZ_PIECES = list('()[]{}<>-+,;=:."\\ \n_|*xyab017') + [
@@ -691,3 +736,59 @@ def test_no_input_text_is_an_internal_error(fuzz_dir, text):
     for code, diag in outcomes:
         assert code in (0, 1, 2), (code, diag)
         assert code != 1 or diag["error"] == "resource-limit", diag
+
+
+# Variables and labels of random '#c2rpq' and '#nre' sources. Labels may be
+# any word; variables that are keywords or start with '_v' are refused.
+TRANSLATOR_VARIABLES = ["x", "y", "z", "and", "Trail", "ans", "_v0"]
+REFUSED_VARIABLES = {"and", "Trail", "ans", "_v0"}
+TRANSLATOR_LABELS = ["a", "b", "and", "Trail", "SHORTEST", "ans", "not", "true", "_v0"]
+regexes = st.recursive(
+    st.builds(Label, st.sampled_from(TRANSLATOR_LABELS))
+    | st.builds(Inverse, st.sampled_from(TRANSLATOR_LABELS)),
+    lambda inner: st.builds(NreConcat, inner, inner)
+    | st.builds(NreUnion, inner, inner)
+    | st.builds(NrePlus, inner)
+    | st.builds(NreStar, inner),
+    max_leaves=5,
+)
+
+
+@st.composite
+def c2rpqs(draw):
+    variable = st.sampled_from(TRANSLATOR_VARIABLES)
+    atoms = draw(st.lists(st.tuples(variable, regexes, variable), min_size=1, max_size=3))
+    used = sorted({v for x, _, y in atoms for v in (x, y)})
+    head = draw(st.lists(st.sampled_from(used), max_size=2, unique=True))
+    return C2rpq(tuple(head), tuple(atoms))
+
+
+def _translate(fuzz_dir, source: str):
+    path = fuzz_dir / "source.txt"
+    path.write_text(source, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["translate", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=c2rpqs())
+def test_translated_c2rpq_reads_back_unless_a_variable_is_refused(fuzz_dir, query):
+    source = f"#c2rpq\n{gen.c2rpq_text(query)}\n"
+    code, out, err = _translate(fuzz_dir, source)
+    if any({x, y} & REFUSED_VARIABLES for x, _, y in query.atoms):
+        assert (code, json.loads(err)["error"]) == (2, "input")
+    else:
+        assert code == 0, err
+        assert parse_ruleset(out) == translate_source(source)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regex=regexes)
+def test_translated_nest_free_nre_reads_back(fuzz_dir, regex):
+    assert parse_nre(gen.nre_text(regex)) == regex
+    source = f"#nre\n{gen.nre_text(regex)}\n"
+    code, out, err = _translate(fuzz_dir, source)
+    assert code == 0, err
+    assert parse_ruleset(out) == translate_source(source)

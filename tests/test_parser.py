@@ -19,6 +19,7 @@ from gpc import (
     Restricted,
     Restrictor,
     Union_,
+    parse,
     parse_pattern,
     parse_query,
     parse_ruleset,
@@ -249,6 +250,52 @@ def test_roundtrip_string_escapes():
     got = parse_pattern('[(x)] <x.k = "a\\"b\\\\c">')
     assert got == Cond(node("x"), PropEqConst("x", "k", 'a"b\\c'))
     assert parse_pattern(render(got)) == got
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text())
+def test_roundtrip_any_string_constant(text):
+    got = Cond(node("x"), PropEqConst("x", "k", text))
+    assert parse_pattern(render(got)) == got
+
+
+@pytest.mark.parametrize(
+    ("text", "want"),
+    [
+        ("Ans(x) <- SIMPLE (x)", parse_ruleset("Ans(x) <- SIMPLE (x)")),
+        ("\n  (x) -> (y)", Concat(Concat(node("x"), edge(Direction.FORWARD)), node("y"))),
+        ("[(x)]", node("x")),
+        ("TRAIL (x)", Restricted(Restrictor.TRAIL, node("x"))),
+        ("answer = SHORTEST (x)", Restricted(Restrictor.SHORTEST, node("x"), "answer")),
+        ("ans_1 = SIMPLE (x)", Restricted(Restrictor.SIMPLE, node("x"), "ans_1")),
+    ],
+)
+def test_parse_picks_the_grammar_by_the_first_token(text, want):
+    assert parse(text) == want
+
+
+def test_parse_reads_every_rendered_expression():
+    rng = random.Random(34)
+    for _ in range(100):
+        for expr in (gen.rand_pattern(rng, 3), gen.rand_query(rng, 3)):
+            assert parse(render(expr)) == expr, render(expr)
+    ruleset = parse_ruleset("Ans(x) <- SIMPLE (x) -> (y); Ans(y) <- TRAIL (y)")
+    assert parse(render(ruleset)) == ruleset
+
+
+@pytest.mark.parametrize(
+    ("text", "where"),
+    [
+        ("Ans(x) <- (x)", (1, 11)),  # the rule set grammar: no restrictor
+        ("(x) -> (", (1, 9)),  # the pattern grammar: the atom is cut short
+        ("x", (1, 1)),  # the query grammar: no restrictor
+        ("", (1, 1)),
+    ],
+)
+def test_parse_reports_the_error_of_the_grammar_it_picked(text, where):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == where
 
 
 @st.composite
