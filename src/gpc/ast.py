@@ -192,6 +192,9 @@ class RuleSet:
     def __post_init__(self) -> None:
         if not self.rules:
             raise ValueError("a rule set needs at least one rule")
+        arities = {len(rule.head) for rule in self.rules}
+        if len(arities) > 1:
+            raise ValueError(f"rule heads differ in arity: {sorted(arities)}")
 
 
 Expr = Union[Pattern, Query, RuleSet]

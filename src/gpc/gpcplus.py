@@ -11,7 +11,8 @@ calculus: regex letters become labeled edge patterns (inverse letters go
 backward), closures become repetitions, conjunctive atoms become joined
 shortest path queries, and a nested test walks out through the nested
 expression and back to its anchor node, which a repeated variable pins
-down.
+down. The way back is always the mirror image of the way out:
+directions flipped, order reversed, labels kept.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _translate(e: Nre, fresh: Optional[Iterator[str]]) -> Pattern:
             raise TranslateError("nested tests are not part of 2RPQ expressions")
         anchor = next(fresh)
         outward = _translate(e.operand, fresh)
-        way_back = _nest_return(e.operand, outward)
+        way_back = _invert_anonymous(outward)
         return Concat(
             Concat(Concat(NodePat(Descriptor(var=anchor)), outward), way_back),
             NodePat(Descriptor(var=anchor)),
@@ -158,27 +159,15 @@ def translate_nre(expr: Nre) -> RuleSet:
     """A nested regular expression as a binary rule over path endpoints.
 
     A nested test [f] anchors a fresh variable z at the current node,
-    walks out through the translation of f, and walks back to (z). For a
-    single-label body the way back is plain unlabeled backward steps with
-    the body's quantifier; for anything richer the way back is the
-    direction-inverted, variable-free copy of the outgoing translation,
-    so the excursion can always retrace its own steps.
+    walks out through the translation of f, and walks back to (z) along
+    the mirror image of the way out: directions flipped, order reversed,
+    labels kept, variables dropped. The mirror can always retrace the
+    way out, so the anchor is reached exactly when f matches from it.
     """
     fresh = (f"{RESERVED_VAR_PREFIX}{n}" for n in itertools.count())
     pattern = _translate(expr, fresh)
     body = _endpoint_query("x", pattern, "y")
     return RuleSet((Rule(("x", "y"), body),))
-
-
-def _nest_return(body: Nre, outward: Pattern) -> Pattern:
-    back = EdgePat(Direction.BACKWARD, Descriptor())
-    if isinstance(body, Label):
-        return back
-    if isinstance(body, NrePlus) and isinstance(body.operand, Label):
-        return Repeat(back, 1, None)
-    if isinstance(body, NreStar) and isinstance(body.operand, Label):
-        return Repeat(back, 0, None)
-    return _invert_anonymous(outward)
 
 
 def _invert_anonymous(pat: Pattern) -> Pattern:

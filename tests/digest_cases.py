@@ -17,7 +17,9 @@ lexer's and the parser's errors show up too. About 2% check a query
 whose path variable starts with the letters `ans`, such as `answer`.
 About 5% run `gpc translate` on a `#nre` or `#c2rpq` source that
 `gen.py` draws and prints; labels include keywords, and some C2RPQs
-take a keyword or a reserved `_v` name as a variable. Each line holds
+take a keyword or a reserved `_v` name as a variable. About 3% `run`
+such a source, at the default length bound and answer ceiling, so that
+the answers of translated queries are compared too. Each line holds
 the case's number, its digest, its flags and its source text, non-ASCII
 and newlines escaped. Pytest does not collect this file.
 """
@@ -95,11 +97,17 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     roll = rng.random()
     if roll < 0.05:
         return graph, "translate", translator_source(rng), []
-    if roll < 0.07:
+    if roll < 0.08:
+        # Default bounds only: an explicit length bound or a small ceiling
+        # may cut two translations of one source differently, since their
+        # ways back may differ in length and in the partial paths they build.
+        mode = COLLECT_MODES[index % len(COLLECT_MODES)]
+        return graph, "run", translator_source(rng), ["--collect-mode", mode]
+    if roll < 0.10:
         name = rng.choice(("answer", "Ans_1", "ansatz"))
         query = Restricted(rng.choice(list(Restrictor)), gen.rand_pattern(rng, 3), name)
         return graph, "check", render(query), []
-    if roll < 0.17:
+    if roll < 0.20:
         return graph, "check", damaged(rng, render(gen.rand_query(rng, 3))), []
     if roll < 0.7:
         command, text = "run", render(gen.well_typed_query(rng, 3))

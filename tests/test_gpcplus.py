@@ -16,6 +16,8 @@ from gpc import (
     NreUnion,
     Repeat,
     ResourceLimitError,
+    Rule,
+    RuleSet,
     eval_query,
     eval_ruleset,
     parse_c2rpq,
@@ -106,7 +108,7 @@ def test_nre_worked_example_shape():
     text = render(rules)
     assert rules.rules[0].head == ("x", "y")
     assert "-[:a]->" in text and "-[:b]->{1..}" in text and "-[:c]->" in text
-    assert "<-{1..}" in text  # unlabeled reverse walk for the single-label nest
+    assert "<-[:b]-{1..}" in text  # the way back mirrors the way out
     assert "_v0" in text  # fresh anchor variable, reserved prefix
     assert expr_vars(body) == {"x", "y", "_v0"}
 
@@ -212,6 +214,56 @@ def test_random_nre_equivalence():
         expected = recursive_nre(g, expr)
         got = _pairs(eval_ruleset(g, translate_nre(expr)))
         assert got == expected
+
+
+def test_nested_nests_answer_within_the_ceiling():
+    # A way back by unlabeled backward steps may cross any edge; on this
+    # graph, such ways back from `[a]` and `[c]` exceed the answer ceiling.
+    edges = [
+        ("d0", "n0", "n0", "a"), ("d1", "n1", "n0", "a"), ("d2", "n1", "n0", "a"),
+        ("d3", "n1", "n1", "b"), ("d6", "n0", "n0", "b"),
+        ("d4", "n0", "n0", "c"), ("d5", "n0", "n1", "c"), ("d7", "n1", "n1", "c"),
+    ]
+    g = validate_graph(
+        {
+            "nodes": [{"id": "n0"}, {"id": "n1"}],
+            "directed_edges": [
+                {"id": i, "src": s, "tgt": t, "labels": [label]} for i, s, t, label in edges
+            ],
+        }
+    )
+    expr = parse_nre("[[[a] b] [c]] [[a]]")
+    assert recursive_nre(g, expr) == {("n0", "n0"), ("n1", "n1")}
+    for mode in ("grouping", "dynamic"):
+        config = EvalConfig(collect_mode=mode)
+        assert _pairs(eval_ruleset(g, translate_nre(expr), config)) == recursive_nre(g, expr)
+
+
+# Nest bodies of every shape the translation builds: a label, an inverse
+# label, closures of each, concatenation, union, and a nest inside a nest;
+# then nests inside closures.
+NEST_SHAPES = [
+    "[b]", "[b-]", "[b+]", "[b*]", "[(b-)+]", "[b c]", "[b | c]", "[(b | c)+]",
+    "[(b c)*]", "[b [c]]", "a [b] c", "[b*] a+", "(a [b | c])+", "(a [b+])+",
+    "(a [b-] c)*", "([b c] a)+ | [c-]",
+]
+
+
+def test_every_nest_shape_matches_recursive_nre():
+    rng = random.Random(1919)
+    exprs = [parse_nre(text) for text in NEST_SHAPES]
+    for _ in range(40):
+        g = gen.rand_labeled_digraph(rng, max_nodes=5, max_edges=8)
+        for expr in exprs:
+            got = _pairs(eval_ruleset(g, translate_nre(expr)))
+            assert got == recursive_nre(g, expr), (gen.nre_text(expr), g)
+    assert "[<-[:b]-] + [<-[:c]-]" in render(translate_nre(parse_nre("[b | c]")))
+
+
+def test_ruleset_heads_must_share_one_arity():
+    q = parse_query("SHORTEST (x) -> (y)")
+    with pytest.raises(ValueError, match="arity"):
+        RuleSet((Rule(("x",), q), Rule(("x", "y"), q)))
 
 
 def test_ruleset_shares_one_evaluator(monkeypatch, g_intro):
