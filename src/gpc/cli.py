@@ -27,10 +27,10 @@ from .engine import (
     EvalConfig,
     ResourceLimitError,
     default_length_bound,
-    eval_pattern,
-    eval_query,
-    eval_ruleset,
     length_bound,
+    pattern_rows,
+    query_rows,
+    ruleset_rows,
 )
 from .gpcplus import TranslateError, translate_source
 from .graph import GraphValidationError, load_graph
@@ -38,7 +38,7 @@ from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse, parse_pattern
 from .render import render
 from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
-from .values import answer_records, match_records, tuple_records
+from .values import answer_records, match_records, tuple_encoder, wrap_answers, wrapper
 
 
 # Program faults surface as these built-in errors. Other exceptions, such
@@ -151,8 +151,19 @@ def cmd_run(args) -> int:
     cfg = _config_from(args)
     started = time.monotonic()
     if isinstance(expr, RuleSet):
-        tuples = eval_ruleset(graph, expr, cfg)
+        # A rule's lines are encoded by its head's types; the union of the
+        # lines is the union of the tuples, since the encoding is injective.
+        convert = encode = tuple_encoder()
         if args.oracle:
+            _, wrap = wrapper()
+
+            def convert(types):
+                line, values = encode(types), wrap(types)
+                return lambda row: (line(row), values(row))
+
+        lines = ruleset_rows(graph, expr, cfg, convert)
+        if args.oracle:
+            tuples = {values for _, values in lines}
             budget = _oracle_budget(cfg, graph, expr)
             expected = {
                 tuple(ans.bindings[v] for v in rule.head)
@@ -161,17 +172,19 @@ def cmd_run(args) -> int:
             }
             if expected != tuples:
                 return _oracle_mismatch("tuples", len(tuples), len(expected))
-        records = tuple_records(tuples)
-        count = len(tuples)
+            lines = {line for line, _ in lines}
+        records = sorted(lines)
+        count = len(lines)
     elif isinstance(expr, (Restricted, Join)):
-        answers = eval_query(graph, expr, cfg)
+        names, schema, rows = query_rows(graph, expr, cfg)
         if args.oracle:
+            answers = wrap_answers(names, schema, rows)
             budget = _oracle_budget(cfg, graph, expr)
             expected = brute_force_query(graph, expr, cfg, budget)
             if expected != answers:
                 return _oracle_mismatch("answers", len(answers), len(expected))
-        records = answer_records(answers)
-        count = len(answers)
+        records = answer_records(names, schema, rows)
+        count = len(rows)
     else:
         raise ParseError("run expects a query or rule set, not a bare pattern", 1, 1, set())
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -220,7 +233,7 @@ def cmd_match(args) -> int:
     cfg = _config_from(args)
     if cfg.max_len is None:
         cfg.max_len = len(graph.nodes) + graph.edge_count
-    for line in match_records(eval_pattern(graph, pattern, cfg)):
+    for line in match_records(*pattern_rows(graph, pattern, cfg)):
         sys.stdout.write(line + "\n")
     return 0
 

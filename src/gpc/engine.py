@@ -4,18 +4,24 @@ One evaluator serves a whole query or rule set. It computes a pattern's
 answers by exact path length, memoized per (subpattern, length), so the
 `shortest` strata of a leg share the shorter lengths, and all legs and
 rules share one work budget, which also pays for the pair analysis, and
-one answer ceiling. Inside the evaluator an answer's binding is a tuple
-of values in the order of the subpattern's sorted variables. The typing
-rules fix each subpattern's schema, so every operator gets a plan once
-per node: the positions a concatenation or a join shares and the order
-it gathers its output in, a union's padding with Nothing, the positions
-a condition reads. Shared variables are node or edge singletons, so two
-bindings agree exactly when their shared positions hold equal values.
-`Assignment`s are built only for the answers that `eval_query` and
-`eval_pattern` return. Concatenation at length k joins left answers of
-length i with right answers of length k - i, for the splits that both
-operands' static match-length windows (`match_lengths`) admit. A node
-atom beside a path matches one node, at length 0, so it is no operand
+one answer ceiling. Inside the evaluator values are raw: a path is its
+element tuple, a node or edge is its id, a group is a tuple of (element
+tuple, raw value) pairs, and Nothing is `NOTHING`. An answer's binding is
+a tuple of raw values in the order of the subpattern's sorted variables.
+The typing rules fix each subpattern's schema, so every operator gets a
+plan once per node: the positions a concatenation or a join shares and
+the order it gathers its output in, a union's padding with Nothing, the
+positions a condition reads. Shared variables are node or edge
+singletons, so two bindings agree exactly when their shared positions
+hold equal ids. `query_rows`, `pattern_rows` and `ruleset_rows` return
+raw rows with the schema that types them. Value objects (`Path`,
+`NodeVal`, `Assignment`, ...) exist only at the boundary: `eval_query`,
+`eval_pattern` and `eval_ruleset` wrap the rows they return once, by
+schema (`values.wrapper`), and `gpc run` encodes raw rows without
+building any. Concatenation at length k joins left answers of length i
+with right answers of length k - i, for the splits that both operands'
+static match-length windows (`match_lengths`) admit. A node atom beside
+a path matches one node, at length 0, so it is no operand
 there but a filter (`_endpoint_filter`): the concatenation keeps the
 path's answers whose endpoint on the atom's side has the atom's label,
 and binds the atom's variable to that node, or keeps only the answers
@@ -50,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, ClassVar, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .ast import (
     And,
@@ -81,6 +87,7 @@ from .ast import (
 from .graph import Path, PropertyGraph, const_eq
 from .typecheck import (
     Schema,
+    TypeExpr,
     check_ruleset,
     infer_schema,
     validate_for_mode,
@@ -90,13 +97,15 @@ from .values import (
     Answer,
     Assignment,
     EdgeVal,
-    GroupVal,
     NodeVal,
-    PathVal,
     Value,
+    wrap_answers,
+    wrapper,
 )
 
 COLLECT_MODES = ("syntactic", "dynamic", "grouping")
+
+Elements = tuple[str, ...]  # a path inside the evaluator: node, edge, ..., node
 
 
 class ResourceLimitError(RuntimeError):
@@ -122,25 +131,28 @@ class EvalConfig:
 
 
 def satisfies(graph: PropertyGraph, mu: Assignment, theta: Condition) -> bool:
-    """Boolean condition semantics; undefined properties make atoms false.
+    """Boolean condition semantics; undefined properties make atoms false."""
+    ids = {var: val.id for var, val in mu.items() if isinstance(val, (NodeVal, EdgeVal))}
+    return _holds(graph, ids, theta)
 
-    `mu[var]` is each variable's value, so the evaluator passes a
-    positional binding with a condition whose variables `_by_position`
-    renamed to positions.
-    """
+
+def _holds(graph: PropertyGraph, ids, theta: Condition) -> bool:
+    """`satisfies` where `ids[var]` is each variable's node or edge id. The
+    evaluator passes a positional binding with a condition whose variables
+    `_by_position` renamed to positions."""
     if isinstance(theta, PropEqConst):
-        value = graph.prop(mu[theta.var].id, theta.key)  # type: ignore[union-attr]
+        value = graph.prop(ids[theta.var], theta.key)
         return value is not None and const_eq(value, theta.const)
     if isinstance(theta, PropEqProp):
-        left = graph.prop(mu[theta.var].id, theta.key)  # type: ignore[union-attr]
-        right = graph.prop(mu[theta.other_var].id, theta.other_key)  # type: ignore[union-attr]
+        left = graph.prop(ids[theta.var], theta.key)
+        right = graph.prop(ids[theta.other_var], theta.other_key)
         return left is not None and right is not None and const_eq(left, right)
     if isinstance(theta, And):
-        return satisfies(graph, mu, theta.left) and satisfies(graph, mu, theta.right)
+        return _holds(graph, ids, theta.left) and _holds(graph, ids, theta.right)
     if isinstance(theta, Or):
-        return satisfies(graph, mu, theta.left) or satisfies(graph, mu, theta.right)
+        return _holds(graph, ids, theta.left) or _holds(graph, ids, theta.right)
     if isinstance(theta, Not):
-        return not satisfies(graph, mu, theta.operand)
+        return not _holds(graph, ids, theta.operand)
     raise TypeError(f"not a condition: {theta!r}")
 
 
@@ -234,7 +246,7 @@ def _merge(left: tuple[str, ...], right: tuple[str, ...], out: tuple[str, ...]) 
 
 def _by_position(theta: Condition, names: tuple[str, ...]) -> Condition:
     """The condition with each variable renamed to its position in `names`,
-    so that `satisfies` reads a binding laid out over `names`."""
+    so that `_holds` reads a binding laid out over `names`."""
     if isinstance(theta, PropEqConst):
         return replace(theta, var=names.index(theta.var))
     if isinstance(theta, PropEqProp):
@@ -274,7 +286,7 @@ def _atom_matches(
 ) -> Iterator[tuple[tuple[str, ...], tuple]]:
     """The matches of a node or edge pattern, as (path elements, binding).
 
-    The binding is `(NodeVal(n),)` or `(EdgeVal(e),)`, or `()` for an atom
+    The binding is `(n,)` or `(e,)`, the node's or edge's id, or `()` for an atom
     without a variable. A node pattern matches one-node paths. A forward
     or backward pattern traverses each directed edge one way; an
     undirected pattern traverses each undirected edge both ways, and a
@@ -284,7 +296,7 @@ def _atom_matches(
     if isinstance(pat, NodePat):
         for n in graph.nodes:
             if label is None or label in graph.label_set(n):
-                yield (n,), (NodeVal(n),) if var else ()
+                yield (n,), (n,) if var else ()
         return
     edges = (
         graph.undirected_edges
@@ -294,7 +306,7 @@ def _atom_matches(
     for e, ends in edges.items():
         if label is not None and label not in graph.label_set(e):
             continue
-        mu = (EdgeVal(e),) if var else ()
+        mu = (e,) if var else ()
         if pat.direction is Direction.FORWARD:
             yield (ends[0], e, ends[1]), mu
         elif pat.direction is Direction.BACKWARD:
@@ -335,18 +347,14 @@ def _endpoint_filter(
     at = names.index(var) if var in names else None
     insert = var is not None and at is None
     gather = _gather(names + (var,) if insert else names, out)
-    own: dict[str, tuple] = {}  # the atom's binding per node
 
     def bind(end: str, mu: tuple) -> Optional[tuple]:
         if label is not None and label not in label_set(end):
             return None
-        if at is not None and mu[at].id != end:
+        if at is not None and mu[at] != end:
             return None
         if insert:
-            value = own.get(end)
-            if value is None:
-                value = own[end] = (NodeVal(end),)
-            mu += value
+            mu += (end,)
         return gather(mu)
 
     return bind
@@ -430,8 +438,8 @@ def satisfiable_pairs(
 class _Evaluator:
     """One bottom-up evaluation per query or rule set, by exact path length.
 
-    `answers(pat, k)` holds the answers of length exactly k, as (path,
-    binding) with the binding laid out over `names(pat)`. Its memo keys use
+    `answers(pat, k)` holds the answers of length exactly k, as (path
+    elements, binding) with the binding laid out over `names(pat)`. Its memo keys use
     node identity, since the AST dataclasses hash recursively. `witnesses`
     is the pair analysis, charged to the same work budget.
     """
@@ -525,7 +533,7 @@ class _Evaluator:
         if index is None:
             index = {}
             for answer in self.answers(pat, k):
-                index.setdefault(answer[0].src, []).append(answer)
+                index.setdefault(answer[0][0], []).append(answer)
             self.index[key] = index
         return index
 
@@ -549,14 +557,14 @@ class _Evaluator:
         self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
         self.first = {} if restrictor is Restrictor.SHORTEST else None
 
-    def _compute(self, pat: Pattern, k: int) -> set[tuple[Path, tuple]]:
+    def _compute(self, pat: Pattern, k: int) -> set[tuple[Elements, tuple]]:
         if isinstance(pat, (NodePat, EdgePat)):
             if match_lengths(pat, self.windows) != (k, k):
                 return set()
             matches = _atom_matches(self.graph, pat)
             if k and self.fresh_from == 2:  # a self-loop is not simple
                 matches = ((el, mu) for el, mu in matches if el[0] != el[2])
-            return {(Path(elements), mu) for elements, mu in matches}
+            return set(matches)
         if isinstance(pat, Concat):
             plan = self.plan(pat)
             if not isinstance(plan, _Merge):
@@ -568,7 +576,7 @@ class _Evaluator:
                 out = {
                     (p, merged)
                     for p, mu in self.answers(other, k)
-                    if (merged := bind(p.src if at_src else p.tgt, mu)) is not None
+                    if (merged := bind(p[0] if at_src else p[-1], mu)) is not None
                 }
                 self.charge(len(out))
                 return out
@@ -588,13 +596,13 @@ class _Evaluator:
                 check = start and i and i < k
                 for p1, mu1 in left:
                     key = left_key(mu1)
-                    for p2, mu2 in right.get(p1.tgt, ()):
+                    for p2, mu2 in right.get(p1[-1], ()):
                         self.charge()
-                        if check and any(map(p1.elements.__contains__, p2.elements[start::2])):
+                        if check and any(map(p1.__contains__, p2[start::2])):
                             continue
                         if shared and right_key(mu2) != key:
                             continue
-                        out.add((p1.concat(p2), gather(mu1 + mu2)))
+                        out.add((p1 + p2[1:], gather(mu1 + mu2)))
             return out
         if isinstance(pat, Union_):
             pad_left, pad_right = self.plan(pat)
@@ -606,7 +614,7 @@ class _Evaluator:
             return {
                 (p, mu)
                 for p, mu in self.answers(pat.pattern, k)
-                if satisfies(self.graph, mu, theta)
+                if _holds(self.graph, mu, theta)
             }
         if isinstance(pat, Repeat):
             return self._repeat(pat, k)
@@ -636,7 +644,7 @@ class _Evaluator:
             return frozenset(
                 (s, t, gather(mu), z)
                 for s, t, mu, z in self.witnesses(pat.pattern, inner)
-                if satisfies(self.graph, mu, theta)
+                if _holds(self.graph, mu, theta)
             )
         if isinstance(pat, Repeat):
             # Its variables are groups, which no operator compares.
@@ -688,17 +696,18 @@ class _Evaluator:
 
     # -- repetition -----------------------------------------------------------
 
-    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Path, tuple]]:
+    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Elements, tuple]]:
         """Collect over segment splits, as one worklist for every mode.
 
         A state is (path so far, groups, open edgeless run, count, pumped);
         its groups end with the open run, if any. The body's layout is the
-        repetition's, so each answer's group value at a position pairs every
-        group's path with that group's value there. Edgeless segments are
-        undefined in dynamic mode and, after validation, cannot occur in
-        syntactic mode, so both drop them. A variable-free body records no
-        groups, and its open run is (). A state that holds an edgeless
-        run could merge that run's segment again, raising its count by any
+        repetition's, so each answer's group value at a position is the
+        tuple that pairs every group's path with that group's value there.
+        Edgeless segments are undefined in dynamic mode and, after
+        validation, cannot occur in syntactic mode, so both drop them. A
+        variable-free body records no groups, and its open run is (). A
+        state that holds an edgeless run could merge that run's segment
+        again, raising its count by any
         amount with the same bindings: it is pumped and matches even below
         `lo`. So a merge that leaves the open run unchanged is skipped, and
         every count stays finite. With an open upper bound only "reached lo"
@@ -742,7 +751,7 @@ class _Evaluator:
 
         def push(state) -> bool:
             if first is not None:
-                elements = state[0].elements
+                elements = state[0]
                 key = (elements[0], elements[-1], state[3], state[4], zero)
                 if first.setdefault(key, k) != k:
                     return False
@@ -756,7 +765,7 @@ class _Evaluator:
 
         if k == 0:
             for n in self.graph.nodes:
-                push((Path((n,)), (), None, 0, False))
+                push(((n,), (), None, 0, False))
         for j in range(0 if longest is None else max(k - longest, 0), k):
             segments = self.by_src(body, k - j)
             if not segments:
@@ -765,13 +774,11 @@ class _Evaluator:
                 if count == hi:
                     continue
                 nk = count + 1 if hi is not None or count < lo else count
-                for segment in segments.get(path_so_far.tgt, ()):
-                    if start and any(
-                        map(path_so_far.elements.__contains__, segment[0].elements[start::2])
-                    ):
+                for segment in segments.get(path_so_far[-1], ()):
+                    if start and any(map(path_so_far.__contains__, segment[0][start::2])):
                         continue
                     ngroups = groups + (segment,) if width else ()
-                    push((path_so_far.concat(segment[0]), ngroups, None, nk, pumped))
+                    push((path_so_far + segment[0][1:], ngroups, None, nk, pumped))
         edgeless = self.by_src(body, 0)
         lenient = self.cfg.lenient_unify
         queue = list(states) if grouping and edgeless else []
@@ -781,11 +788,11 @@ class _Evaluator:
                 continue
             nk = count + 1 if hi is not None or count < lo else count
             closed = groups if open_mu is None else groups[:-1]
-            for _, mu in edgeless.get(path_so_far.tgt, ()):
+            for _, mu in edgeless.get(path_so_far[-1], ()):
                 merged = mu if open_mu is None else _merge_run(open_mu, mu, lenient)
                 if merged is None or merged == open_mu:
                     continue
-                ngroups = closed + ((Path((path_so_far.tgt,)), merged),) if width else ()
+                ngroups = closed + (((path_so_far[-1],), merged),) if width else ()
                 state = (path_so_far, ngroups, merged, nk, True)
                 if push(state):
                     queue.append(state)
@@ -793,29 +800,35 @@ class _Evaluator:
         if longest is not None and k >= longest:
             levels[k - longest] = None  # no later length extends these
         return {
-            (path_so_far, tuple(
-                GroupVal(tuple([(p, mu[i]) for p, mu in groups])) for i in range(width)
-            ))
+            (path_so_far, tuple(tuple([(p, mu[i]) for p, mu in groups]) for i in range(width)))
             for path_so_far, groups, _, count, pumped in states
             if count >= lo or pumped
         }
+
+
+def pattern_rows(
+    graph: PropertyGraph, pattern: Pattern, cfg: EvalConfig
+) -> tuple[tuple[str, ...], Schema, list[tuple[Elements, tuple]]]:
+    """The pattern's sorted variables, its schema, and its answers with
+    path length <= cfg.max_len as raw rows (path elements, binding), each
+    binding laid out over those variables."""
+    if cfg.max_len is None:
+        raise ValueError("pattern evaluation needs an explicit max_len")
+    evaluator = _Evaluator(graph, cfg)
+    schema = infer_schema(pattern, evaluator.schemas)
+    validate_for_mode(pattern, cfg.collect_mode)
+    rows = [row for k in range(cfg.max_len + 1) for row in evaluator.answers(pattern, k)]
+    return evaluator.names(pattern), schema, rows
 
 
 def eval_pattern(
     graph: PropertyGraph, pattern: Pattern, cfg: EvalConfig
 ) -> set[tuple[Path, Assignment]]:
     """All (path, assignment) answers with path length <= cfg.max_len."""
-    if cfg.max_len is None:
-        raise ValueError("pattern evaluation needs an explicit max_len")
-    evaluator = _Evaluator(graph, cfg)
-    infer_schema(pattern, evaluator.schemas)
-    validate_for_mode(pattern, cfg.collect_mode)
-    names = evaluator.names(pattern)
-    return {
-        (p, Assignment(zip(names, mu)))
-        for k in range(cfg.max_len + 1)
-        for p, mu in evaluator.answers(pattern, k)
-    }
+    names, schema, rows = pattern_rows(graph, pattern, cfg)
+    path, row = wrapper()
+    values = row([schema[var] for var in names])
+    return {(path(p), Assignment(zip(names, values(mu)))) for p, mu in rows}
 
 
 def power(
@@ -855,7 +868,7 @@ def length_bound(
 
 def _eval_restricted(
     evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
-) -> list[tuple[Path, tuple]]:
+) -> list[tuple[Elements, tuple]]:
     """The answers of a restricted leg, one length stratum at a time, with
     bindings laid out over `evaluator.names(pattern)`.
 
@@ -877,11 +890,11 @@ def _eval_restricted(
     if shortest and (lo < bound or cut):
         sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
     best: dict[tuple[str, str], int] = {}
-    kept: list[tuple[Path, tuple]] = []  # distinct: strata hold distinct lengths
+    kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
     evaluator.reset(restrictor)
     for level in range(lo, bound + 1):
         for p, mu in evaluator.answers(pattern, level):
-            if shortest and best.setdefault((p.src, p.tgt), level) != level:
+            if shortest and best.setdefault((p[0], p[-1]), level) != level:
                 continue
             kept.append((p, mu))
         if sat is not None and sat <= best.keys():
@@ -895,43 +908,69 @@ def _eval_restricted(
     return kept
 
 
+def query_rows(
+    graph: PropertyGraph, query: Query, cfg: Optional[EvalConfig] = None
+) -> tuple[tuple[str, ...], Schema, list[tuple[tuple[Elements, ...], tuple]]]:
+    """The query's sorted variables, its schema, and its answers as
+    distinct raw rows (paths, binding): each path is its element tuple,
+    and each binding is laid out over those variables."""
+    cfg = cfg or EvalConfig()
+    evaluator = _Evaluator(graph, cfg)
+    schema = infer_schema(query, evaluator.schemas)
+    validate_for_mode(query, cfg.collect_mode)
+    # Each leg's pattern and each join check the answer ceiling themselves.
+    names, rows = _eval_query(evaluator, query)
+    return names, schema, rows
+
+
 def eval_query(
     graph: PropertyGraph, query: Query, cfg: Optional[EvalConfig] = None
 ) -> set[Answer]:
     """The answer set of a query: tuples of witness paths with bindings."""
+    names, schema, rows = query_rows(graph, query, cfg)
+    # Popped, each raw row is freed as soon as it is wrapped.
+    return wrap_answers(names, schema, (rows.pop() for _ in range(len(rows))))
+
+
+def ruleset_rows(
+    graph: PropertyGraph,
+    rules: RuleSet,
+    cfg: Optional[EvalConfig],
+    convert: Callable[[list[TypeExpr]], Callable[[tuple], Hashable]],
+) -> set:
+    """Union over rules of the head projections of each body's answers.
+
+    `convert(types)` maps a raw head tuple of a rule whose head has those
+    types to what the union holds, such as its value tuple or its output
+    line; it must be injective on the values. Every rule runs on one
+    evaluator, under its work budget, and the union meets the same answer
+    ceiling as a join's output.
+    """
     cfg = cfg or EvalConfig()
+    schemas = check_ruleset(rules)
+    validate_for_mode(rules, cfg.collect_mode)
     evaluator = _Evaluator(graph, cfg)
-    infer_schema(query, evaluator.schemas)
-    validate_for_mode(query, cfg.collect_mode)
-    # Each leg's pattern and each join check the answer ceiling themselves.
-    names, rows = _eval_query(evaluator, query)
-    return {Answer(paths, Assignment(zip(names, mu))) for paths, mu in rows}
+    out: set = set()
+    for rule, schema in zip(rules.rules, schemas):
+        names, rows = _eval_query(evaluator, rule.body)
+        head = _picker([names.index(var) for var in rule.head])
+        as_row = convert([schema[var] for var in rule.head])
+        out.update(map(as_row, {head(mu) for _, mu in rows}))
+        evaluator.check_ceiling(len(out))
+    return out
 
 
 def eval_ruleset(
     graph: PropertyGraph, rules: RuleSet, cfg: Optional[EvalConfig] = None
 ) -> set[tuple[Value, ...]]:
-    """Union over rules of the head projections of each body's answers.
-
-    Every rule runs on one evaluator, under its work budget, and the
-    tuples meet the same answer ceiling as a join's output.
-    """
-    cfg = cfg or EvalConfig()
-    check_ruleset(rules)
-    validate_for_mode(rules, cfg.collect_mode)
-    evaluator = _Evaluator(graph, cfg)
-    out: set[tuple[Value, ...]] = set()
-    for rule in rules.rules:
-        names, rows = _eval_query(evaluator, rule.body)
-        head = _picker([names.index(var) for var in rule.head])
-        out.update(head(mu) for _, mu in rows)
-        evaluator.check_ceiling(len(out))
-    return out
+    """Union over rules of the head projections of each body's answers, as
+    value tuples (see `ruleset_rows`)."""
+    return ruleset_rows(graph, rules, cfg, wrapper()[1])
 
 
 def _eval_query(
     evaluator: _Evaluator, query: Query
-) -> tuple[tuple[str, ...], list[tuple[tuple[Path, ...], tuple]]]:
+) -> tuple[tuple[str, ...], list[tuple[tuple[Elements, ...], tuple]]]:
     """The query's sorted variables, and its answers as (paths, binding)
     with each binding laid out over those variables. The answers are
     distinct: a leg's are, and a join's output determines its inputs."""
@@ -942,7 +981,7 @@ def _eval_query(
             return names, [((p,), mu) for p, mu in pairs]
         out = tuple(sorted(names + (query.var,)))
         gather = _gather(names + (query.var,), out)
-        return out, [((p,), gather(mu + (PathVal(p),))) for p, mu in pairs]
+        return out, [((p,), gather(mu + (p,))) for p, mu in pairs]
     if isinstance(query, Join):
         names1, left = _eval_query(evaluator, query.left)
         names2, right = _eval_query(evaluator, query.right)

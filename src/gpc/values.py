@@ -8,13 +8,22 @@ structurally. Values are slotted dataclasses; paths, group values and
 assignments compute their hash once, when they are built, because an
 answer set hashes the same value many times.
 
-Every NDJSON record format that gpc prints is defined here: the answer
-lines of `gpc run` (`answer_records`), its rule-set tuple lines
-(`tuple_records`) and the lines of `gpc match` (`match_records`). One
-encoder (`_encoder`) writes each line directly as JSON text, encoding
-each id and each path once per call. The `serialize_*` functions and
-`answer_sort_key` are its reference: every line equals
-``json.dumps(..., sort_keys=True)`` of their dicts, in the same order.
+The engine's evaluator holds raw values instead: ids, element tuples,
+`NOTHING` and tuples of (element tuple, raw value) group items; the
+schema fixes the type of each position. `wrapper` turns raw rows into
+value objects, compiling each type once and sharing one `Path` per
+element tuple in a call.
+
+Every NDJSON record format that gpc prints is defined here, over raw
+rows: the answer lines of `gpc run` (`answer_records`), its rule-set
+tuple lines (`tuple_encoder`) and the lines of `gpc match`
+(`match_records`). One encoder (`_encoder`) is compiled per schema type
+(node, edge, path, Maybe, Group) and writes each line directly as JSON
+text, encoding each id and each path once per call; it builds no value
+object. The `serialize_*` functions and `answer_sort_key`, over the value
+objects that `wrapper` makes of the same rows, are its reference: every
+line equals ``json.dumps(..., sort_keys=True)`` of their dicts, in the
+same order.
 """
 
 from __future__ import annotations
@@ -22,7 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Union
+from operator import add
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .graph import Path
 from .typecheck import EdgeT, Group, Maybe, NodeT, PathT, TypeExpr
@@ -183,90 +193,165 @@ def answer_sort_key(answer: Answer) -> tuple[str, str]:
     )
 
 
-class _Quoted(dict):
-    """The JSON string literal of each id or variable name, made once."""
+class _Made(dict):
+    """`make(key)` for each key, made once: the cache of one call."""
 
-    __slots__ = ()
+    __slots__ = ("make",)
 
-    def __missing__(self, text: str) -> str:
-        quoted = self[text] = encode_basestring_ascii(text)
-        return quoted
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _wrap(t: TypeExpr, path: Callable, node: Callable, edge: Callable) -> Callable:
+    """The function from a raw value of type `t` to its value object."""
+    if isinstance(t, NodeT):
+        return node
+    if isinstance(t, EdgeT):
+        return edge
+    if isinstance(t, PathT):
+        return lambda raw: PathVal(path(raw))
+    if isinstance(t, Maybe):
+        inner = _wrap(t.inner, path, node, edge)
+        return lambda raw: NOTHING if raw is NOTHING else inner(raw)
+    if isinstance(t, Group):
+        inner = _wrap(t.inner, path, node, edge)
+        return lambda raw: GroupVal(tuple([(path(p), inner(v)) for p, v in raw]))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def wrapper():
+    """The wrapping functions of one call, from raw values to value objects:
+    `path` and `row`.
+
+    A raw value is what the engine's evaluator holds: a node's or edge's
+    id, a path's element tuple, `NOTHING`, or a group's tuple of (element
+    tuple, raw value) pairs. `path(elements)` is the call's one `Path` for
+    that tuple, and the call shares one `NodeVal` or `EdgeVal` per id the
+    same way. `row(types)` compiles the types of a row's positions once
+    into a function from a raw tuple to its tuple of values; a group is
+    wrapped by its `Group` type's inner type, recursively.
+    """
+    path, node, edge = (_Made(cls).__getitem__ for cls in (Path, NodeVal, EdgeVal))
+
+    def row(types: Sequence[TypeExpr]) -> Callable[[tuple], tuple[Value, ...]]:
+        parts = [_wrap(t, path, node, edge) for t in types]
+        return lambda raw: tuple([f(v) for f, v in zip(parts, raw, strict=True)])
+
+    return path, row
+
+
+def wrap_answers(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> set[Answer]:
+    """The answers of raw query rows (paths, binding), with each binding
+    laid out over `names`, as `engine.query_rows` returns them."""
+    path, row = wrapper()
+    values = row([schema[var] for var in names])
+    return {
+        Answer(tuple(map(path, paths)), Assignment(zip(names, values(mu))))
+        for paths, mu in rows
+    }
+
+
+def _encode(t: TypeExpr, quote: Callable[[str], str], path: Callable[[tuple], str]) -> Callable:
+    """The function from a raw value of type `t` to its JSON text."""
+    if isinstance(t, NodeT):
+        return lambda raw: '{"id": %s, "kind": "node"}' % quote(raw)
+    if isinstance(t, EdgeT):
+        return lambda raw: '{"id": %s, "kind": "edge"}' % quote(raw)
+    if isinstance(t, PathT):
+        return lambda raw: path(raw)[:-1] + ', "kind": "path"}'
+    if isinstance(t, Maybe):
+        inner = _encode(t.inner, quote, path)
+        return lambda raw: '{"kind": "nothing"}' if raw is NOTHING else inner(raw)
+    if isinstance(t, Group):
+        inner = _encode(t.inner, quote, path)
+        return lambda raw: '{"items": [%s], "kind": "group"}' % ", ".join(
+            [f"[{path(p)}, {inner(v)}]" for p, v in raw]
+        )
+    raise TypeError(f"not a type: {t!r}")
 
 
 def _encoder():
-    """The encoding functions of one call: `path`, `value` and `bindings`.
+    """The encoding functions of one call over raw values: `path`, `row`
+    and `bindings`.
 
-    Each returns the JSON text that ``json.dumps(..., sort_keys=True)``
-    prints for `serialize_path`, `serialize_value`, or a serialized
-    binding map, without building their dicts. The functions cache each
-    id's literal and each path's ``{"elements": [...]}`` text for the
-    call, since answers and group items repeat ids and subpaths. The
-    cache is keyed by the element tuple, whose hash is computed in C.
+    `path(elements)` is the text that ``json.dumps(..., sort_keys=True)``
+    prints for `serialize_path` of that path. `row(types)` compiles the
+    types of a row's positions once into a function from a raw tuple to
+    the texts of `serialize_value` of its values, and `bindings(names,
+    types)` into one from a raw binding over the sorted `names` to the
+    text of its serialized binding map. No dict is built, and no value is
+    dispatched on by its class. The functions cache each id's literal and
+    each path's ``{"elements": [...]}`` text for the call, since answers
+    and group items repeat ids and subpaths; a path passes `Path`'s shape
+    check when it is first cached. A raw value that does not fit its type
+    raises TypeError.
     """
-    quote = _Quoted().__getitem__
-    objects: dict[tuple[str, ...], str] = {}
+    quote = _Made(encode_basestring_ascii).__getitem__
 
-    def path(p: Path) -> str:
-        text = objects.get(p.elements)
-        if text is None:
-            text = objects[p.elements] = '{"elements": [%s]}' % ", ".join(
-                map(quote, p.elements)
-            )
-        return text
+    def path_text(elements: tuple[str, ...]) -> str:
+        if type(elements) is not tuple:
+            raise TypeError(f"not a path: {elements!r}")
+        Path(elements)  # the shape check
+        return '{"elements": [%s]}' % ", ".join(map(quote, elements))
 
-    def value(val: Value) -> str:
-        kind = type(val)
-        if kind is NodeVal:
-            return f'{{"id": {quote(val.id)}, "kind": "node"}}'
-        if kind is EdgeVal:
-            return f'{{"id": {quote(val.id)}, "kind": "edge"}}'
-        if kind is PathVal:
-            return path(val.path)[:-1] + ', "kind": "path"}'
-        if val is NOTHING:
-            return '{"kind": "nothing"}'
-        if kind is GroupVal:
-            items = ", ".join([f"[{path(p)}, {value(v)}]" for p, v in val.items])
-            return f'{{"items": [{items}], "kind": "group"}}'
-        raise TypeError(f"not a value: {val!r}")
+    path = _Made(path_text).__getitem__
 
-    def bindings(mu: Assignment) -> str:
-        return "{%s}" % ", ".join(
-            [f"{quote(var)}: {value(val)}" for var, val in mu.items_sorted()]
-        )
+    def row(types: Sequence[TypeExpr]) -> Callable[[tuple], list[str]]:
+        parts = [_encode(t, quote, path) for t in types]
+        return lambda raw: [f(v) for f, v in zip(parts, raw, strict=True)]
 
-    return path, value, bindings
+    def bindings(names: Sequence[str], types: Sequence[TypeExpr]) -> Callable[[tuple], str]:
+        keys = [quote(var) + ": " for var in names]
+        texts = row(types)
+        return lambda mu: "{%s}" % ", ".join(map(add, keys, texts(mu)))
+
+    return path, row, bindings
 
 
-def answer_records(answers: Iterable[Answer]) -> list[str]:
-    """The NDJSON lines of `gpc run`'s answers, in `answer_sort_key` order.
+def answer_records(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> list[str]:
+    """The NDJSON lines of `gpc run`'s answers, from the raw rows (paths,
+    binding) of `engine.query_rows`, in `answer_sort_key` order.
 
-    Each line equals ``json.dumps(serialize_answer(a), sort_keys=True)``.
-    The sort is on the (paths, bindings) text pairs that `answer_sort_key`
-    returns, and "bindings" comes before "paths" in the line.
+    Each line equals ``json.dumps(serialize_answer(a), sort_keys=True)``
+    for the answer `a` that `wrap_answers` makes of its row. The sort is on
+    the (paths, bindings) text pairs that `answer_sort_key` returns, and
+    "bindings" comes before "paths" in the line.
     """
     path, _, bindings = _encoder()
-    keys = sorted(
-        [("[%s]" % ", ".join(map(path, a.paths)), bindings(a.bindings)) for a in answers]
-    )
+    text = bindings(names, [schema[var] for var in names])
+    keys = sorted([("[%s]" % ", ".join(map(path, paths)), text(mu)) for paths, mu in rows])
     return [f'{{"bindings": {b}, "paths": {p}}}' for p, b in keys]
 
 
-def tuple_records(rows: Iterable[tuple[Value, ...]]) -> list[str]:
-    """The NDJSON lines of a rule set's tuples, sorted.
-
-    Each line equals
-    ``json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)``.
+def tuple_encoder() -> Callable[[Sequence[TypeExpr]], Callable[[tuple], str]]:
+    """A function that compiles the types of a rule's head into one from a
+    raw head tuple to its NDJSON line. The line equals
+    ``json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)``
+    for the row of values that `wrapper` makes of it. All rules of one call
+    share the encoder's caches.
     """
-    _, value, _ = _encoder()
-    return sorted(['{"tuple": [%s]}' % ", ".join(map(value, row)) for row in rows])
+    _, row, _ = _encoder()
+
+    def compile_types(types: Sequence[TypeExpr]) -> Callable[[tuple], str]:
+        texts = row(types)
+        return lambda raw: '{"tuple": [%s]}' % ", ".join(texts(raw))
+
+    return compile_types
 
 
-def match_records(results: Iterable[tuple[Path, Assignment]]) -> list[str]:
-    """The NDJSON lines of `gpc match`'s (path, assignment) results, sorted.
+def match_records(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> list[str]:
+    """The NDJSON lines of `gpc match`, from the raw rows (path elements,
+    binding) of `engine.pattern_rows`, sorted.
 
     Each line equals ``json.dumps({"path": serialize_path(p), "bindings":
     {var: serialize_value(v) for var, v in mu.items_sorted()}},
-    sort_keys=True)``.
+    sort_keys=True)`` for the (path, assignment) `(p, mu)` of its row.
     """
     path, _, bindings = _encoder()
-    return sorted([f'{{"bindings": {bindings(mu)}, "path": {path(p)}}}' for p, mu in results])
+    text = bindings(names, [schema[var] for var in names])
+    return sorted([f'{{"bindings": {text(mu)}, "path": {path(p)}}}' for p, mu in rows])

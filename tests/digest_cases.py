@@ -19,9 +19,12 @@ About 5% run `gpc translate` on a `#nre` or `#c2rpq` source that
 `gen.py` draws and prints; labels include keywords, and some C2RPQs
 take a keyword or a reserved `_v` name as a variable. About 3% `run`
 such a source, at the default length bound and answer ceiling, so that
-the answers of translated queries are compared too. Each line holds
-the case's number, its digest, its flags and its source text, non-ASCII
-and newlines escaped. Pytest does not collect this file.
+the answers of translated queries are compared too. Of the other `run`
+cases, those whose number is a multiple of 20 (about 5%) add
+`--format table`, whose renderer re-reads each record, so that it is
+compared too; this draws nothing, so every case is drawn as without it.
+Each line holds the case's number, its digest, its flags and its source
+text, non-ASCII and newlines escaped. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
         flags.append("--lenient-unify")
     if not oracle and rng.random() < 0.2:
         flags += ["--max-answers", "5"]
+    if command == "run" and index % 20 == 0:
+        flags += ["--format", "table"]
     return graph, command, text, flags
 
 

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,19 +14,35 @@ from hypothesis import strategies as st
 
 import gpc
 from gpc import (
+    Answer,
+    Assignment,
     C2rpq,
+    EdgeVal,
     EvalConfig,
+    Group,
+    GroupVal,
     Inverse,
+    Join,
     Label,
+    Maybe,
+    NodeVal,
     NreConcat,
     NrePlus,
     NreStar,
     NreUnion,
+    PathVal,
+    ResourceLimitError,
+    Restricted,
     Restrictor,
+    Rule,
+    RuleSet,
+    TypeCheckError,
+    Union_,
     default_length_bound,
     eval_pattern,
     eval_query,
     eval_ruleset,
+    infer_schema,
     load_graph,
     parse_nre,
     parse_pattern,
@@ -34,13 +51,17 @@ from gpc import (
     translate_source,
 )
 from gpc.cli import _as_table_row, main
+from gpc.engine import COLLECT_MODES, pattern_rows, query_rows, ruleset_rows
+from gpc.render import render
+from gpc.typecheck import EDGE, PATH
 from gpc.values import (
     answer_records,
     answer_sort_key,
     match_records,
     serialize_answer,
+    serialize_path,
     serialize_value,
-    tuple_records,
+    tuple_encoder,
 )
 
 import gen
@@ -413,7 +434,7 @@ def test_run_internal_error_exit_1(capsys, graph_file, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("path must alternate node,edge,...,node (odd length >= 1)")
 
-    monkeypatch.setattr("gpc.cli.eval_query", broken)
+    monkeypatch.setattr("gpc.cli.query_rows", broken)
     query = tmp_path / "q.gpc"
     query.write_text("SHORTEST ()")
     code, out, err = run_cli(capsys, "run", graph_file, str(query))
@@ -491,8 +512,9 @@ def odd_run(tmp_path):
 
 
 def test_run_records_are_serialized_answers_in_sort_key_order(capsys, odd_run):
-    graph, query, answers, expected = odd_run
-    assert answer_records(answers) == expected
+    graph, query, _, expected = odd_run
+    rows = query_rows(load_graph(graph), parse_query(ODD_QUERY), EvalConfig())
+    assert answer_records(*rows) == expected
     code, out, _ = run_cli(capsys, "run", graph, query)
     assert code == 0
     assert out == "".join(line + "\n" for line in expected)
@@ -535,13 +557,14 @@ def odd_graph(tmp_path):
 def test_run_ruleset_lines_are_the_json_dumps_of_their_tuples(capsys, tmp_path, odd_graph):
     query = tmp_path / "rules.gpc"
     query.write_text(ODD_RULES)
-    rows = eval_ruleset(load_graph(odd_graph), parse_ruleset(ODD_RULES), EvalConfig())
+    graph, rules = load_graph(odd_graph), parse_ruleset(ODD_RULES)
+    rows = eval_ruleset(graph, rules, EvalConfig())
     # The record format as first defined: one json.dumps per tuple.
     expected = sorted(
         json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
         for row in rows
     )
-    assert tuple_records(rows) == expected
+    assert sorted(ruleset_rows(graph, rules, EvalConfig(), tuple_encoder())) == expected
     code, out, _ = run_cli(capsys, "run", odd_graph, str(query))
     assert code == 0
     assert out == "".join(line + "\n" for line in expected)
@@ -564,12 +587,116 @@ def test_match_lines_are_the_json_dumps_of_their_results(capsys, odd_graph):
         )
         for p, mu in results
     )
-    assert match_records(results) == expected
+    assert match_records(*pattern_rows(loaded, parse_pattern(ODD_PATTERN), cfg)) == expected
     code, out, _ = run_cli(capsys, "match", odd_graph, ODD_PATTERN)
     assert code == 0
     assert out == "".join(line + "\n" for line in expected)
     for needle in ODD_ESCAPES + ODD_KINDS:
         assert needle in out
+
+
+def test_run_and_match_build_no_value_objects(capsys, monkeypatch, odd_graph, tmp_path):
+    # `gpc run` and `gpc match` encode the engine's raw rows directly.
+    built = []
+    for cls in (Answer, Assignment, GroupVal, NodeVal, EdgeVal, PathVal):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _cls=cls: built.append(_cls))
+    outputs = []
+    for text in (ODD_QUERY, ODD_RULES):
+        query = tmp_path / "q.gpc"
+        query.write_text(text)
+        code, out, _ = run_cli(capsys, "run", odd_graph, str(query))
+        assert code == 0
+        outputs.append(out)
+    code, out, _ = run_cli(capsys, "match", odd_graph, ODD_PATTERN)
+    assert code == 0
+    outputs.append(out)
+    assert built == []
+    for out in outputs:
+        assert out.count("\n") > 1
+        assert '"kind": "group"' in out and '"kind": "nothing"' in out
+
+
+# Beside a random pattern, a union that binds a group and an edge, so each
+# answer of the random side leaves them Nothing.
+FRAME = parse_pattern("[-[g]->]{0..2} [[-[m]->] + [<-]]")
+
+
+def _reference_case(rng):
+    """A graph document, a query with a path variable, a rule set over its
+    body whose two heads type one position differently, and a pattern."""
+    while True:
+        pattern = Union_(gen.rand_pattern(rng, 3), FRAME)
+        leg = Restricted(rng.choice(list(Restrictor)), pattern, "w")
+        query = Join(gen.well_typed_query(rng, 2), leg) if rng.random() < 0.3 else leg
+        try:
+            schema = infer_schema(query)
+        except TypeCheckError:
+            continue
+        rules = RuleSet((Rule(("w", "m", "g"), query), Rule(("w", "g", "m"), query)))
+        return gen.rand_graph_data(rng), query, rules, pattern, schema
+
+
+def _answer_lines(answers):
+    return [
+        json.dumps(serialize_answer(a), sort_keys=True)
+        for a in sorted(answers, key=answer_sort_key)
+    ]
+
+
+def _tuple_lines(rows):
+    return sorted(
+        json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True) for row in rows
+    )
+
+
+def _match_lines(results):
+    return sorted(
+        json.dumps(
+            {
+                "path": serialize_path(p),
+                "bindings": {var: serialize_value(v) for var, v in mu.items_sorted()},
+            },
+            sort_keys=True,
+        )
+        for p, mu in results
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), mode=st.sampled_from(COLLECT_MODES))
+def test_run_and_match_print_the_reference_records(reference_dir, seed, mode):
+    # `gpc run` and `gpc match` encode raw rows; the reference serializes
+    # the value objects that the library returns for the same input.
+    doc, query, rules, pattern, schema = _reference_case(random.Random(seed))
+    assert (schema["w"], schema["g"], schema["m"]) == (PATH, Maybe(Group(EDGE)), Maybe(EDGE))
+    graph_file = reference_dir / "graph.json"
+    graph_file.write_text(json.dumps(doc))
+    source = reference_dir / "source.gpc"
+    graph = load_graph(str(graph_file))
+    cfg = EvalConfig(collect_mode=mode, max_len=3)
+    cases = [
+        ("run", query, lambda: _answer_lines(eval_query(graph, query, cfg))),
+        ("run", rules, lambda: _tuple_lines(eval_ruleset(graph, rules, cfg))),
+        ("match", pattern, lambda: _match_lines(eval_pattern(graph, pattern, cfg))),
+    ]
+    for command, expr, reference in cases:
+        try:
+            code, lines = 0, reference()
+        except TypeCheckError:
+            code, lines = 2, []
+        except ResourceLimitError:
+            code, lines = 1, []
+        source.write_text(render(expr))
+        argv = [command, str(graph_file), str(source), "--collect-mode", mode, "--max-len", "3"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            got = main(argv)
+        assert (got, out.getvalue()) == (code, "".join(line + "\n" for line in lines)), argv
 
 
 @pytest.mark.parametrize("restrictor, cap", [("TRAIL", 24), ("SIMPLE", 16)])

@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 import time
@@ -12,6 +13,8 @@ from gpc import (
     Join,
     NodeVal,
     NOTHING,
+    Path,
+    PathVal,
     ResourceLimitError,
     Restrictor,
     TypeCheckError,
@@ -785,6 +788,49 @@ def test_assignments_are_built_only_for_the_answers_returned(monkeypatch):
     answers = eval_query(gen.g_random(40, 1), parse_query("SHORTEST (x:A) -[e:a]-> (y)"))
     assert len(answers) > 5
     assert len(built) == len(answers)
+
+
+def _walk(value, paths: set, ids: set, kinds: collections.Counter) -> None:
+    """Count a value's classes, and gather its node and edge values and
+    the element tuples of its paths."""
+    kinds[type(value).__name__] += 1
+    if isinstance(value, (NodeVal, EdgeVal)):
+        ids.add(value)
+    elif isinstance(value, PathVal):
+        paths.add(value.path.elements)
+    elif isinstance(value, GroupVal):
+        for p, item in value.items:
+            paths.add(p.elements)
+            _walk(item, paths, ids, kinds)
+
+
+def test_values_are_built_only_for_the_answers_returned(monkeypatch):
+    # Inside the evaluator paths are element tuples and nodes and edges
+    # ids; `eval_query` wraps only the values it returns. It shares one
+    # `Path` per element tuple among answer paths, path values and group
+    # items, and one `NodeVal` or `EdgeVal` per id.
+    built = collections.Counter()
+    for cls in (Path, NodeVal, EdgeVal, PathVal, GroupVal):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    query = parse_query("p = SHORTEST (x:A) [-[e]->]{1..2} (y) [[-[f:a]-> (z)] + [<-]] ()")
+    answers = eval_query(gen.g_random(12, 1), query)
+    paths: set = set()
+    ids: set = set()
+    kinds: collections.Counter = collections.Counter()
+    for answer in answers:
+        paths.update(p.elements for p in answer.paths)
+        for value in answer.bindings.values():
+            _walk(value, paths, ids, kinds)
+    assert len(answers) > 20
+    assert kinds["GroupVal"] and kinds["NothingVal"] and kinds["EdgeVal"] > len(ids)
+    assert built["Path"] == len(paths)
+    assert built["NodeVal"] == sum(isinstance(v, NodeVal) for v in ids)
+    assert built["EdgeVal"] == sum(isinstance(v, EdgeVal) for v in ids)
+    assert (built["PathVal"], built["GroupVal"]) == (kinds["PathVal"], kinds["GroupVal"])
 
 
 def test_one_evaluator_per_query(monkeypatch, g_intro):

@@ -24,7 +24,7 @@ from gpc import (
     serialize_answer,
     unify,
 )
-from gpc.engine import COLLECT_MODES
+from gpc.engine import COLLECT_MODES, query_rows
 from gpc.graph import Path
 from gpc.typecheck import EDGE, NODE, PATH
 from gpc.values import (
@@ -34,7 +34,9 @@ from gpc.values import (
     match_records,
     serialize_path,
     serialize_value,
-    tuple_records,
+    tuple_encoder,
+    wrap_answers,
+    wrapper,
 )
 
 import gen
@@ -170,18 +172,13 @@ ODD_CHARS = '"\\\x00\x1f\n\x7f\u2028\u00fc\U0001F600a'
 odd_ids = st.text(alphabet=ODD_CHARS, min_size=1, max_size=4)
 
 
-def _renamed(value, names):
-    if isinstance(value, Path):
-        return Path(tuple(names[e] for e in value.elements))
-    if isinstance(value, NodeVal):
-        return NodeVal(names[value.id])
-    if isinstance(value, EdgeVal):
-        return EdgeVal(names[value.id])
-    if isinstance(value, PathVal):
-        return PathVal(_renamed(value.path, names))
-    if isinstance(value, GroupVal):
-        return GroupVal(tuple((_renamed(p, names), _renamed(v, names)) for p, v in value.items))
-    return value
+def _renamed(raw, names):
+    """A raw value with each id renamed; raw values nest tuples of ids."""
+    if isinstance(raw, str):
+        return names[raw]
+    if isinstance(raw, tuple):
+        return tuple(_renamed(part, names) for part in raw)
+    return raw
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,37 +188,44 @@ def _renamed(value, names):
     st.lists(odd_ids, min_size=10, max_size=10, unique=True),
 )
 def test_records_equal_their_json_dumps_reference(seed, mode, names):
+    # The encoder reads raw rows; the reference serializes the value
+    # objects that the wrapper makes of the same rows.
     rng = random.Random(seed)
     graph = gen.rand_graph(rng, max_nodes=4, max_edges=6)
     query = gen.well_typed_query(rng, depth=3)
     try:
-        answers = eval_query(graph, query, EvalConfig(collect_mode=mode, max_len=3))
+        variables, schema, rows = query_rows(
+            graph, query, EvalConfig(collect_mode=mode, max_len=3)
+        )
     except (TypeCheckError, ResourceLimitError):
         return
     elements = [*graph.nodes, *graph.directed_edges, *graph.undirected_edges]
     ids = dict(zip(sorted(elements), names))
-    answers = {
-        Answer(
-            tuple(_renamed(p, ids) for p in a.paths),
-            Assignment({var: _renamed(v, ids) for var, v in a.bindings.items()}),
-        )
-        for a in answers
-    }
-    assert answer_records(answers) == [
+    rows = [_renamed(row, ids) for row in rows]
+    answers = wrap_answers(variables, schema, rows)
+    assert answer_records(variables, schema, rows) == [
         json.dumps(serialize_answer(a), sort_keys=True)
         for a in sorted(answers, key=answer_sort_key)
     ]
-    rows = {tuple(map(PathVal, a.paths)) + tuple(a.bindings.values()) for a in answers}
-    assert tuple_records(rows) == sorted(
-        json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
-        for row in rows
+    width = len(rows[0][0]) if rows else 0
+    types = [PATH] * width + [schema[var] for var in variables]
+    tuples = {paths + mu for paths, mu in rows}
+    line = tuple_encoder()(types)
+    as_values = wrapper()[1](types)
+    assert sorted({line(row) for row in tuples}) == sorted(
+        json.dumps({"tuple": [serialize_value(v) for v in as_values(row)]}, sort_keys=True)
+        for row in tuples
     )
-    results = {(p, a.bindings) for a in answers for p in a.paths}
-    assert match_records(results) == sorted(
+    results = {(p, mu) for paths, mu in rows for p in paths}
+    path_of, values = wrapper()
+    as_values = values([schema[var] for var in variables])
+    assert match_records(variables, schema, results) == sorted(
         json.dumps(
             {
-                "path": serialize_path(p),
-                "bindings": {var: serialize_value(v) for var, v in mu.items_sorted()},
+                "path": serialize_path(path_of(p)),
+                "bindings": {
+                    var: serialize_value(v) for var, v in zip(variables, as_values(mu))
+                },
             },
             sort_keys=True,
         )
@@ -230,15 +234,27 @@ def test_records_equal_their_json_dumps_reference(seed, mode, names):
 
 
 def test_records_of_no_answers_and_empty_bindings():
-    answer = Answer((path("n1"),), Assignment())
-    assert answer_records([]) == tuple_records([]) == match_records([]) == []
-    assert answer_records([answer]) == ['{"bindings": {}, "paths": [{"elements": ["n1"]}]}']
-    assert tuple_records([()]) == ['{"tuple": []}']
-    assert match_records([(path("n1"), Assignment())]) == [
+    assert answer_records((), {}, []) == match_records((), {}, []) == []
+    assert answer_records((), {}, [((("n1",),), ())]) == [
+        '{"bindings": {}, "paths": [{"elements": ["n1"]}]}'
+    ]
+    assert tuple_encoder()([])(()) == '{"tuple": []}'
+    assert match_records((), {}, [(("n1",), ())]) == [
         '{"bindings": {}, "path": {"elements": ["n1"]}}'
     ]
 
 
 def test_records_reject_garbage():
-    with pytest.raises(TypeError):
-        tuple_records([("n1",)])
+    garbage = [
+        (NODE, NodeVal("n1")),  # a value object, not a raw id
+        (NODE, NOTHING),
+        (EDGE, ("e1",)),
+        (PATH, "n1"),
+        (PATH, ("n1", 2, "n2")),
+        (Maybe(NODE), 5),
+        (Group(NODE), 5),
+        (Group(NODE), ((("n1",), NodeVal("n1")),)),
+    ]
+    for t, raw in garbage:
+        with pytest.raises(TypeError):
+            tuple_encoder()([t])((raw,))
