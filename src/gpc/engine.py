@@ -45,7 +45,12 @@ an exact pair analysis (`satisfiable_pairs`) names those pairs. It
 carries only the bindings that an operator above compares.
 `eval_pattern` and the pair analysis prune nothing.
 Joins hash-partition the right operand's answers on the values of the
-shared variables.
+shared variables. A rule set's head keeps no paths, so `ruleset_rows`
+projects each leg onto the variables that the head names or another leg
+shares before the join. A plain SHORTEST leg that runs the pair analysis
+anyway, under no explicit length bound, and of which only endpoint
+variables are needed, is answered by the analysis alone: its pairs are
+those variables' values, and it lists no path.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -375,10 +380,16 @@ def _endpoint_filter(
 # power.
 
 
-def _z_compose(r1: frozenset, r2: frozenset) -> frozenset:
+def _z_index(rel: frozenset) -> dict:
+    """A relation's (tgt, edgeless?) entries by source."""
     by_src: dict = {}
-    for s, t, z in r2:
+    for s, t, z in rel:
         by_src.setdefault(s, []).append((t, z))
+    return by_src
+
+
+def _z_compose(r1: frozenset, by_src: dict) -> frozenset:
+    """r1 composed with the relation that `by_src` indexes."""
     return frozenset(
         (s, u, z1 and z2) for s, t, z1 in r1 for u, z2 in by_src.get(t, ())
     )
@@ -388,11 +399,12 @@ def _z_power(rel: frozenset, n: int, domain: Iterable) -> frozenset:
     result = frozenset((x, x, True) for x in domain)
     base = rel
     while n:
+        index = _z_index(base)
         if n & 1:
-            result = _z_compose(result, base)
+            result = _z_compose(result, index)
         n >>= 1
         if n:
-            base = _z_compose(base, base)
+            base = _z_compose(base, index)
     return result
 
 
@@ -404,11 +416,13 @@ def _z_power_range(
     After rel^lo, each step composes only the witnesses the previous step
     found first: a witness reached again at a later step reaches nothing
     new from there. So the search ends after hi - lo steps, or sooner once
-    a step finds nothing new.
+    a step finds nothing new. rel^1 is rel, since every source is a node
+    of `domain`.
     """
-    reached = frontier = _z_power(rel, lo, domain)
+    steps = _z_index(rel)
+    reached = frontier = rel if lo == 1 else _z_power(rel, lo, domain)
     for _ in itertools.count() if hi is None else range(hi - lo):
-        frontier = _z_compose(frontier, rel) - reached
+        frontier = _z_compose(frontier, steps) - reached
         if not frontier:
             break
         reached |= frontier
@@ -866,6 +880,21 @@ def length_bound(
     return bound if hi is None else min(bound, hi)
 
 
+def _strata(
+    evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
+) -> tuple[int, int, bool, bool]:
+    """A restricted leg's first and last strata, whether its default bound
+    was cut at the ceiling short of the longest match, and whether it runs
+    the pair analysis (see `_eval_restricted`)."""
+    cfg = evaluator.cfg
+    bound = length_bound(restrictor, evaluator.graph, pattern, cfg)
+    shortest = restrictor.has_shortest
+    lo, hi = match_lengths(pattern)
+    # The bound never exceeds the longest match, so `hi != bound` is "short of it".
+    cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
+    return lo, bound, cut, shortest and (lo < bound or cut)
+
+
 def _eval_restricted(
     evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
 ) -> list[tuple[Elements, tuple]]:
@@ -881,13 +910,10 @@ def _eval_restricted(
     far more walks than the answers, as length 3 does on a complete graph.
     """
     graph, cfg = evaluator.graph, evaluator.cfg
-    bound = length_bound(restrictor, graph, pattern, cfg)
     shortest = restrictor.has_shortest
-    lo, hi = match_lengths(pattern)
-    # The bound never exceeds the longest match, so `hi != bound` is "short of it".
-    cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
+    lo, bound, cut, analyse = _strata(evaluator, restrictor, pattern)
     sat: Optional[set[tuple[str, str]]] = None
-    if shortest and (lo < bound or cut):
+    if analyse:
         sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
     best: dict[tuple[str, str], int] = {}
     kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
@@ -945,6 +971,16 @@ def ruleset_rows(
     line; it must be injective on the values. Every rule runs on one
     evaluator, under its work budget, and the union meets the same answer
     ceiling as a join's output.
+
+    A head keeps no paths, so a leg needs only the variables that the head
+    names or another leg shares. Where those are endpoint variables of a
+    plain SHORTEST leg (`_endpoint_vars`) that runs the pair analysis
+    anyway, with no explicit length bound, the analysis answers the leg:
+    every pair it finds has a shortest path, and the leg's answers bind
+    those variables to the pair's source and target. Such a leg lists no
+    stratum, so it needs no bound and never meets the bound ceiling. A
+    rule that holds one is evaluated projected (`_projected_rows`); a rule
+    with none runs as a query.
     """
     cfg = cfg or EvalConfig()
     schemas = check_ruleset(rules)
@@ -952,12 +988,100 @@ def ruleset_rows(
     evaluator = _Evaluator(graph, cfg)
     out: set = set()
     for rule, schema in zip(rules.rules, schemas):
-        names, rows = _eval_query(evaluator, rule.body)
+        keep = frozenset(rule.head)
+        answered = {
+            id(leg)
+            for leg, need in _legs(evaluator, rule.body, keep)
+            if _pair_answered(evaluator, leg, need)
+        }
+        if answered:
+            names, bindings = _projected_rows(evaluator, rule.body, keep, answered)
+        else:
+            names, rows = _eval_query(evaluator, rule.body)
+            bindings = map(itemgetter(1), rows)
         head = _picker([names.index(var) for var in rule.head])
         as_row = convert([schema[var] for var in rule.head])
-        out.update(map(as_row, {head(mu) for _, mu in rows}))
+        out.update(map(as_row, set(map(head, bindings))))
         evaluator.check_ceiling(len(out))
     return out
+
+
+def _endpoint_vars(pattern: Pattern) -> tuple[Optional[str], Optional[str]]:
+    """The variables of the leftmost and the rightmost node atoms of the
+    pattern's concatenation spine, each None where that end is no node atom
+    or binds no variable. Every answer binds them to its path's source and
+    target."""
+    ends = []
+    for side in ("left", "right"):
+        end = pattern
+        while isinstance(end, Concat):
+            end = getattr(end, side)
+        ends.append(end.descriptor.var if isinstance(end, NodePat) else None)
+    return ends[0], ends[1]
+
+
+def _legs(
+    evaluator: _Evaluator, query: Query, keep: frozenset[str]
+) -> Iterator[tuple[Restricted, frozenset[str]]]:
+    """Each leg of the query, with those of its variables that `keep` or
+    another leg names."""
+    if isinstance(query, Restricted):
+        yield query, keep.intersection(evaluator.schema(query))
+        return
+    yield from _legs(evaluator, query.left, keep.union(evaluator.schema(query.right)))
+    yield from _legs(evaluator, query.right, keep.union(evaluator.schema(query.left)))
+
+
+def _pair_answered(evaluator: _Evaluator, leg: Restricted, need: frozenset[str]) -> bool:
+    """Whether the pair analysis answers the leg projected onto `need`: the
+    leg is plain SHORTEST, no explicit length bound cuts its strata, it
+    runs the analysis anyway, and `need` holds only endpoint variables."""
+    if leg.restrictor is not Restrictor.SHORTEST or evaluator.cfg.max_len is not None:
+        return False
+    # A path variable is never an endpoint variable.
+    if not need <= set(_endpoint_vars(leg.pattern)):
+        return False
+    return _strata(evaluator, leg.restrictor, leg.pattern)[3]
+
+
+def _projected_rows(
+    evaluator: _Evaluator, query: Query, keep: frozenset[str], answered: set[int]
+) -> tuple[tuple[str, ...], set[tuple]]:
+    """The query's bindings projected onto `keep`, laid out over its sorted
+    variables in `keep`, without paths.
+
+    The legs whose ids are in `answered` are answered by the pair analysis,
+    the others by `_eval_restricted`. Below a join, each side keeps what
+    the other side names too, so the join compares every variable that it
+    would compare unprojected, and projecting first loses no head tuple.
+    """
+    if isinstance(query, Restricted):
+        names = tuple(sorted(keep.intersection(evaluator.schema(query))))
+        if id(query) not in answered:
+            full, rows = _eval_query(evaluator, query)
+            pick = _picker([full.index(var) for var in names])
+            return names, {pick(mu) for _, mu in rows}
+        src, tgt = _endpoint_vars(query.pattern)
+        pairs = satisfiable_pairs(
+            evaluator.graph, query.pattern, evaluator.cfg.collect_mode, evaluator
+        )
+        pick = _picker([0 if var == src else 1 for var in names])
+        loop = src is not None and src == tgt
+        return names, {pick(pair) for pair in pairs if not loop or pair[0] == pair[1]}
+    schema1, schema2 = evaluator.schema(query.left), evaluator.schema(query.right)
+    names1, left = _projected_rows(evaluator, query.left, keep.union(schema2), answered)
+    names2, right = _projected_rows(evaluator, query.right, keep.union(schema1), answered)
+    names = tuple(sorted(keep.intersection(names1 + names2)))
+    _, left_key, right_key, gather = _merge(names1, names2, names)
+    buckets: dict[tuple, list] = {}
+    for mu in right:
+        buckets.setdefault(right_key(mu), []).append(mu)
+    out: set[tuple] = set()
+    for mu1 in left:
+        for mu2 in buckets.get(left_key(mu1), ()):
+            out.add(gather(mu1 + mu2))
+            evaluator.check_ceiling(len(out))
+    return names, out
 
 
 def eval_ruleset(

@@ -23,6 +23,9 @@ the answers of translated queries are compared too. Of the other `run`
 cases, those whose number is a multiple of 20 (about 5%) add
 `--format table`, whose renderer re-reads each record, so that it is
 compared too; this draws nothing, so every case is drawn as without it.
+About a third of the rule sets have arity 2 and run SHORTEST legs between
+endpoint atoms, so that a rule the pair analysis answers and one that
+lists its paths are both compared.
 Each line holds the case's number, its digest, its flags and its source
 text, non-ASCII and newlines escaped. Pytest does not collect this file.
 """
@@ -73,10 +76,19 @@ def damaged(rng: random.Random, text: str) -> str:
 
 
 def rand_ruleset(rng: random.Random) -> str:
-    """One to three rules of arity 1 over random well-typed bodies."""
+    """One to three rules over random well-typed bodies: about a third of
+    the rule sets hold rules of arity 2 from `gen.rand_endpoint_rule`,
+    whose heads mostly name endpoint atoms of SHORTEST legs, and the
+    others rules of arity 1."""
     rules: list[str] = []
     count = rng.randint(1, 3)
+    pairs = rng.random() < 0.33
     while len(rules) < count:
+        if pairs:
+            rule = gen.rand_endpoint_rule(rng)
+            if rule is not None:
+                rules.append(f"Ans({', '.join(rule.head)}) <- {render(rule.body)}")
+            continue
         body = gen.well_typed_query(rng, 3)
         variables = sorted(infer_schema(body))
         if variables:

@@ -24,6 +24,7 @@ from gpc import (
     Repeat,
     Restricted,
     Restrictor,
+    Rule,
     TypeCheckError,
     Union_,
     infer_schema,
@@ -189,6 +190,35 @@ def well_typed_query(rng: random.Random, depth: int = 3, require_positive_repeat
             continue
         return query
     return Restricted(Restrictor.SIMPLE, NodePat(Descriptor(var="x")))
+
+
+def rand_endpoint_rule(rng: random.Random):
+    """An arity-2 rule over a leg `(s) π (t)`, sometimes joined with a leg
+    `(t) π' (u)`, for random patterns π and π' over `VAR_POOL`; most legs
+    are SHORTEST. Most heads name the two outer endpoints; some name an
+    inner variable, and some the first leg's path variable `p` in place of
+    an endpoint. None if the body does not type-check."""
+    ends = [("s", "t")] if rng.random() < 0.6 else [("s", "t"), ("t", "u")]
+    roll = rng.random()
+    body = None
+    for src, tgt in ends:
+        restrictor = Restrictor.SHORTEST if rng.random() < 0.8 else rng.choice(list(Restrictor))
+        pattern = Concat(Concat(NodePat(Descriptor(src)), rand_pattern(rng, 3)), NodePat(Descriptor(tgt)))
+        if body is None:
+            body = Restricted(restrictor, pattern, "p" if roll < 0.1 else None)
+        else:
+            body = Join(body, Restricted(restrictor, pattern))
+    try:
+        schema = infer_schema(body)
+    except TypeCheckError:
+        return None
+    head = [ends[0][0], ends[-1][1]]
+    inner = sorted(set(schema) & set(VAR_POOL))
+    if roll < 0.1:
+        head[rng.randrange(2)] = "p"
+    elif inner and roll < 0.35:
+        head[rng.randrange(2)] = rng.choice(inner)
+    return Rule(tuple(head), body)
 
 
 def _has_edgeless_repeat(query) -> bool:

@@ -24,14 +24,18 @@ from gpc import (
     enumerate_paths,
     eval_pattern,
     eval_query,
+    eval_ruleset,
     infer_schema,
     naive_match,
+    parse_c2rpq,
     parse_pattern,
     parse_query,
+    parse_ruleset,
     path,
     power,
     refactor,
     satisfies,
+    translate_c2rpq,
     unify,
     validate_for_mode,
     validate_graph,
@@ -772,6 +776,60 @@ def test_pair_analysis_runs_once_for_a_bound_cut_at_the_ceiling(monkeypatch):
     with pytest.raises(ResourceLimitError, match="bound ceiling"):
         eval_query(g, parse_query("SHORTEST (x) ->{1000001} (y)"))
     assert len(calls) == 1
+
+
+def _count_listed_legs(monkeypatch) -> list:
+    calls: list = []
+    original = engine._eval_restricted
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_eval_restricted", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text, analysed, listed",
+    [
+        # Both legs run the analysis anyway and join on endpoints.
+        ("Ans(x, z) <- (x, a+, y), (y, b+, z)", 2, 0),
+        # The second leg is one hop, one stratum, and lists its paths.
+        ("Ans(x, z) <- (x, a+, y), (y, b, z)", 1, 1),
+        # No leg qualifies, so the rule runs as a query.
+        ("Ans(x, z) <- (x, a, y), (y, b, z)", 0, 2),
+    ],
+)
+def test_the_pair_analysis_answers_endpoint_legs(monkeypatch, text, analysed, listed):
+    g = gen.g_random(12, 3)
+    rules = translate_c2rpq(parse_c2rpq(text))
+    analyses = _count_pair_analyses(monkeypatch)
+    legs = _count_listed_legs(monkeypatch)
+    tuples = eval_ruleset(g, rules)
+    assert tuples
+    assert (len(analyses), len(legs)) == (analysed, listed)
+    # The query form runs the same analyses, then lists both legs.
+    answers = eval_query(g, rules.rules[0].body)
+    assert {tuple(a.bindings[v] for v in ("x", "z")) for a in answers} == tuples
+    assert (len(analyses), len(legs)) == (2 * analysed, listed + 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Ans(x, e) <- SHORTEST (x) -[e]->{1..} (y)",  # an inner variable
+        "Ans(x, p) <- p = SHORTEST (x) ->{1..} (y)",  # a path variable
+        "Ans(x, y) <- SHORTEST TRAIL (x) ->{1..} (y)",  # not plain SHORTEST
+        "Ans(x, y) <- SHORTEST [(x) ->{1..} (y)] <x.k = 1>",  # no endpoint atom
+    ],
+)
+def test_other_legs_list_their_paths(monkeypatch, g_intro, text):
+    legs = _count_listed_legs(monkeypatch)
+    eval_ruleset(g_intro, parse_ruleset(text))
+    assert len(legs) == 1
+    eval_ruleset(g_intro, parse_ruleset("Ans(x, y) <- SHORTEST (x) ->{1..} (y)"), EvalConfig(max_len=4))
+    assert len(legs) == 2
 
 
 def test_assignments_are_built_only_for_the_answers_returned(monkeypatch):

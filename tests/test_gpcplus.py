@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from gpc import (
     ResourceLimitError,
     Rule,
     RuleSet,
+    TypeCheckError,
     eval_query,
     eval_ruleset,
     parse_c2rpq,
@@ -33,7 +35,9 @@ from gpc import (
     translate_source,
     validate_graph,
 )
+from gpc import engine
 from gpc.ast import Direction, EdgePat, expr_vars
+from gpc.engine import COLLECT_MODES
 
 import gen
 
@@ -290,3 +294,109 @@ def test_ruleset_tuples_meet_the_answer_ceiling(g_intro):
     assert len(eval_ruleset(g_intro, rules, EvalConfig(max_answers=6))) == 6
     with pytest.raises(ResourceLimitError):
         eval_ruleset(g_intro, rules, EvalConfig(max_answers=4))
+
+
+def _body_projection(graph, rules, cfg) -> set:
+    """The union over rules of the head projections of `eval_query` of
+    each rule's body."""
+    return {
+        tuple(answer.bindings[var] for var in rule.head)
+        for rule in rules.rules
+        for answer in eval_query(graph, rule.body, cfg)
+    }
+
+
+def test_ruleset_equals_the_head_projection_of_its_bodies(monkeypatch):
+    # Translated NREs and C2RPQs, and random rules over SHORTEST legs
+    # between endpoint atoms, in every collect mode. The pair analysis
+    # answers some legs; a head with an inner or a path variable, a leg
+    # that is not plain SHORTEST, and an explicit length bound keep others
+    # listing their paths. Both plans must give the bodies' projections.
+    plans = []
+    pair_answered = engine._pair_answered
+
+    def recording(*args):
+        plans.append(pair_answered(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(engine, "_pair_answered", recording)
+    rng = random.Random(2121)
+    compared = 0
+    for i in range(400):
+        kind = i % 4
+        if kind < 2:
+            g = gen.rand_labeled_digraph(rng, max_nodes=4, max_edges=6)
+            if kind == 0:
+                rules = translate_nre(gen.rand_nre(rng, rng.randint(1, 3)))
+            else:
+                rules = translate_c2rpq(gen.rand_c2rpq(rng))
+        else:
+            g = gen.rand_graph(rng)
+            drawn = [gen.rand_endpoint_rule(rng) for _ in range(rng.randint(1, 2))]
+            if None in drawn:
+                continue
+            rules = RuleSet(tuple(drawn))
+        cfg = EvalConfig(
+            collect_mode=COLLECT_MODES[i % 3],
+            max_len=rng.choice((1, 3)) if rng.random() < 0.2 else None,
+        )
+        try:
+            expected = _body_projection(g, rules, cfg)
+        except ResourceLimitError:
+            continue  # where no body answers, the rule set may
+        except TypeCheckError:
+            with pytest.raises(TypeCheckError):
+                eval_ruleset(g, rules, cfg)
+            continue
+        assert eval_ruleset(g, rules, cfg) == expected, (render(rules), cfg)
+        compared += 1
+    assert compared > 300
+    assert plans.count(True) > 100 and plans.count(False) > 100
+
+
+def _two_cycle():
+    return validate_graph(
+        {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b"},
+                {"id": "e2", "src": "b", "tgt": "a"},
+            ],
+        }
+    )
+
+
+def test_ruleset_answers_past_the_bound_ceiling():
+    # The leg's one stratum lies past the 10^6 ceiling of the default bound.
+    # Its query form refuses; the rule needs only its endpoint pairs.
+    g = _two_cycle()
+    rules = parse_ruleset("Ans(x, y) <- SHORTEST (x) ->{1000001} (y)")
+    assert _pairs(eval_ruleset(g, rules)) == {("a", "b"), ("b", "a")}
+    with pytest.raises(ResourceLimitError, match="bound ceiling"):
+        eval_query(g, rules.rules[0].body)
+
+
+def test_nested_nests_answer_from_the_pair_analysis():
+    # Listing every path of each nest's excursion exceeds the answer
+    # ceiling here; the pair analysis needs none of them.
+    edges = [
+        ("n0", "n1", "b"), ("n0", "n1", "b"), ("n0", "n1", "b"), ("n1", "n1", "a"),
+        ("n1", "n1", "c"), ("n1", "n0", "a"), ("n0", "n0", "b"),
+    ]
+    g = validate_graph(
+        {
+            "nodes": [{"id": "n0"}, {"id": "n1"}],
+            "directed_edges": [
+                {"id": f"d{i}", "src": s, "tgt": t, "labels": [label]}
+                for i, (s, t, label) in enumerate(edges)
+            ],
+        }
+    )
+    expr = parse_nre("([([(c | b)] ([b] b))] ([a-])+)")
+    rules = translate_nre(expr)
+    start = time.perf_counter()
+    got = _pairs(eval_ruleset(g, rules))
+    assert time.perf_counter() - start < 0.1
+    assert got == recursive_nre(g, expr) == {("n0", "n0")}
+    with pytest.raises(ResourceLimitError, match="ceiling"):
+        eval_query(g, rules.rules[0].body)
