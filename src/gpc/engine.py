@@ -972,15 +972,14 @@ def ruleset_rows(
     evaluator, under its work budget, and the union meets the same answer
     ceiling as a join's output.
 
-    A head keeps no paths, so a leg needs only the variables that the head
+    A head keeps no paths, so each body is evaluated projected
+    (`_projected_rows`): a leg needs only the variables that the head
     names or another leg shares. Where those are endpoint variables of a
-    plain SHORTEST leg (`_endpoint_vars`) that runs the pair analysis
-    anyway, with no explicit length bound, the analysis answers the leg:
-    every pair it finds has a shortest path, and the leg's answers bind
-    those variables to the pair's source and target. Such a leg lists no
-    stratum, so it needs no bound and never meets the bound ceiling. A
-    rule that holds one is evaluated projected (`_projected_rows`); a rule
-    with none runs as a query.
+    plain SHORTEST leg that runs the pair analysis anyway, with no
+    explicit length bound (`_pair_answered`), the analysis answers the
+    leg: every pair it finds has a shortest path, and the leg's answers
+    bind those variables to the pair's source and target. Such a leg lists
+    no stratum, so it needs no bound and never meets the bound ceiling.
     """
     cfg = cfg or EvalConfig()
     schemas = check_ruleset(rules)
@@ -988,17 +987,7 @@ def ruleset_rows(
     evaluator = _Evaluator(graph, cfg)
     out: set = set()
     for rule, schema in zip(rules.rules, schemas):
-        keep = frozenset(rule.head)
-        answered = {
-            id(leg)
-            for leg, need in _legs(evaluator, rule.body, keep)
-            if _pair_answered(evaluator, leg, need)
-        }
-        if answered:
-            names, bindings = _projected_rows(evaluator, rule.body, keep, answered)
-        else:
-            names, rows = _eval_query(evaluator, rule.body)
-            bindings = map(itemgetter(1), rows)
+        names, bindings = _projected_rows(evaluator, rule.body, frozenset(rule.head))
         head = _picker([names.index(var) for var in rule.head])
         as_row = convert([schema[var] for var in rule.head])
         out.update(map(as_row, set(map(head, bindings))))
@@ -1020,18 +1009,6 @@ def _endpoint_vars(pattern: Pattern) -> tuple[Optional[str], Optional[str]]:
     return ends[0], ends[1]
 
 
-def _legs(
-    evaluator: _Evaluator, query: Query, keep: frozenset[str]
-) -> Iterator[tuple[Restricted, frozenset[str]]]:
-    """Each leg of the query, with those of its variables that `keep` or
-    another leg names."""
-    if isinstance(query, Restricted):
-        yield query, keep.intersection(evaluator.schema(query))
-        return
-    yield from _legs(evaluator, query.left, keep.union(evaluator.schema(query.right)))
-    yield from _legs(evaluator, query.right, keep.union(evaluator.schema(query.left)))
-
-
 def _pair_answered(evaluator: _Evaluator, leg: Restricted, need: frozenset[str]) -> bool:
     """Whether the pair analysis answers the leg projected onto `need`: the
     leg is plain SHORTEST, no explicit length bound cuts its strata, it
@@ -1045,19 +1022,20 @@ def _pair_answered(evaluator: _Evaluator, leg: Restricted, need: frozenset[str])
 
 
 def _projected_rows(
-    evaluator: _Evaluator, query: Query, keep: frozenset[str], answered: set[int]
+    evaluator: _Evaluator, query: Query, keep: frozenset[str]
 ) -> tuple[tuple[str, ...], set[tuple]]:
     """The query's bindings projected onto `keep`, laid out over its sorted
     variables in `keep`, without paths.
 
-    The legs whose ids are in `answered` are answered by the pair analysis,
-    the others by `_eval_restricted`. Below a join, each side keeps what
+    A leg that `_pair_answered` admits is answered by the pair analysis,
+    any other by `_eval_restricted`. Below a join, each side keeps what
     the other side names too, so the join compares every variable that it
     would compare unprojected, and projecting first loses no head tuple.
     """
     if isinstance(query, Restricted):
-        names = tuple(sorted(keep.intersection(evaluator.schema(query))))
-        if id(query) not in answered:
+        need = keep.intersection(evaluator.schema(query))
+        names = tuple(sorted(need))
+        if not _pair_answered(evaluator, query, need):
             full, rows = _eval_query(evaluator, query)
             pick = _picker([full.index(var) for var in names])
             return names, {pick(mu) for _, mu in rows}
@@ -1069,19 +1047,14 @@ def _projected_rows(
         loop = src is not None and src == tgt
         return names, {pick(pair) for pair in pairs if not loop or pair[0] == pair[1]}
     schema1, schema2 = evaluator.schema(query.left), evaluator.schema(query.right)
-    names1, left = _projected_rows(evaluator, query.left, keep.union(schema2), answered)
-    names2, right = _projected_rows(evaluator, query.right, keep.union(schema1), answered)
+    names1, left = _projected_rows(evaluator, query.left, keep.union(schema2))
+    names2, right = _projected_rows(evaluator, query.right, keep.union(schema1))
     names = tuple(sorted(keep.intersection(names1 + names2)))
     _, left_key, right_key, gather = _merge(names1, names2, names)
-    buckets: dict[tuple, list] = {}
-    for mu in right:
-        buckets.setdefault(right_key(mu), []).append(mu)
-    out: set[tuple] = set()
-    for mu1 in left:
-        for mu2 in buckets.get(left_key(mu1), ()):
-            out.add(gather(mu1 + mu2))
-            evaluator.check_ceiling(len(out))
-    return names, out
+    joined = _hash_join(
+        evaluator, left, right, left_key, right_key, lambda mu1, mu2: gather(mu1 + mu2)
+    )
+    return names, set(joined)
 
 
 def eval_ruleset(
@@ -1113,13 +1086,34 @@ def _eval_query(
         # strict, so two answers unify exactly when their keys are equal.
         names = tuple(sorted(set(names1) | set(names2)))
         _, left_key, right_key, gather = _merge(names1, names2, names)
-        buckets: dict[tuple, list] = {}
-        for paths, mu in right:
-            buckets.setdefault(right_key(mu), []).append((paths, mu))
-        out = []
-        for paths1, mu1 in left:
-            for paths2, mu2 in buckets.get(left_key(mu1), ()):
-                out.append((paths1 + paths2, gather(mu1 + mu2)))
-                evaluator.check_ceiling(len(out))
-        return names, out
+        return names, _hash_join(
+            evaluator,
+            left,
+            right,
+            lambda row: left_key(row[1]),
+            lambda row: right_key(row[1]),
+            lambda row1, row2: (row1[0] + row2[0], gather(row1[1] + row2[1])),
+        )
     raise TypeError(f"not a query: {query!r}")
+
+
+def _hash_join(
+    evaluator: _Evaluator,
+    left: Iterable,
+    right: Iterable,
+    left_key: Callable,
+    right_key: Callable,
+    combine: Callable,
+) -> list:
+    """`combine(row1, row2)` for each left row and right row whose keys are
+    equal: the right rows are bucketed by key, and each left row probes its
+    bucket. The output meets the answer ceiling as it grows."""
+    buckets: dict[tuple, list] = {}
+    for row in right:
+        buckets.setdefault(right_key(row), []).append(row)
+    out = []
+    for row1 in left:
+        for row2 in buckets.get(left_key(row1), ()):
+            out.append(combine(row1, row2))
+            evaluator.check_ceiling(len(out))
+    return out

@@ -797,7 +797,7 @@ def _count_listed_legs(monkeypatch) -> list:
         ("Ans(x, z) <- (x, a+, y), (y, b+, z)", 2, 0),
         # The second leg is one hop, one stratum, and lists its paths.
         ("Ans(x, z) <- (x, a+, y), (y, b, z)", 1, 1),
-        # No leg qualifies, so the rule runs as a query.
+        # Neither leg qualifies, so both list their paths.
         ("Ans(x, z) <- (x, a, y), (y, b, z)", 0, 2),
     ],
 )

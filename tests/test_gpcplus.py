@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 
@@ -376,9 +375,9 @@ def test_ruleset_answers_past_the_bound_ceiling():
         eval_query(g, rules.rules[0].body)
 
 
-def test_nested_nests_answer_from_the_pair_analysis():
+def test_nested_nests_answer_from_the_pair_analysis(monkeypatch):
     # Listing every path of each nest's excursion exceeds the answer
-    # ceiling here; the pair analysis needs none of them.
+    # ceiling here; the pair analysis answers the one leg, listing none.
     edges = [
         ("n0", "n1", "b"), ("n0", "n1", "b"), ("n0", "n1", "b"), ("n1", "n1", "a"),
         ("n1", "n1", "c"), ("n1", "n0", "a"), ("n0", "n0", "b"),
@@ -394,9 +393,13 @@ def test_nested_nests_answer_from_the_pair_analysis():
     )
     expr = parse_nre("([([(c | b)] ([b] b))] ([a-])+)")
     rules = translate_nre(expr)
-    start = time.perf_counter()
+    listed = []
+    eval_restricted = engine._eval_restricted
+    monkeypatch.setattr(
+        engine, "_eval_restricted", lambda *args: listed.append(args) or eval_restricted(*args)
+    )
     got = _pairs(eval_ruleset(g, rules))
-    assert time.perf_counter() - start < 0.1
     assert got == recursive_nre(g, expr) == {("n0", "n0")}
+    assert listed == []
     with pytest.raises(ResourceLimitError, match="ceiling"):
         eval_query(g, rules.rules[0].body)
