@@ -244,43 +244,60 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def _eval_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--collect-mode", choices=COLLECT_MODES, default="grouping")
+    p.add_argument("--max-len", type=_non_negative, default=None)
+    p.add_argument("--max-answers", type=_non_negative, default=100_000)
+    p.add_argument("--lenient-unify", action="store_true")
+
+
+def _check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("query", help="query/pattern text, file path, or -")
+    p.add_argument("--graph", help="optional graph file to validate")
+
+
+def _run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("query", help="query file or - for stdin")
+    _eval_flags(p)
+    p.add_argument("--oracle", action="store_true", help="cross-check results")
+    p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
+
+
+def _match_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph")
+    p.add_argument("pattern")
+    _eval_flags(p)
+
+
+# Each command's help text, argument adder and handler, in `gpc -h` order.
+COMMANDS = {
+    "check": ("type-check and print the schema", _check_args, cmd_check),
+    "run": ("evaluate a query or rule set", _run_args, cmd_run),
+    "match": ("raw pattern evaluation (debug)", _match_args, cmd_match),
+    "translate": ("translate #nre/#c2rpq input", lambda p: p.add_argument("input"), cmd_translate),
+}
+
+
+def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone, or of every command when it is None.
+    A narrowed parser pins the metavar so that its usage line lists every
+    command; the full one leaves it, so that its errors name `command`."""
     top = argparse.ArgumentParser(prog="gpc", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="type-check and print the schema")
-    check.add_argument("query", help="query/pattern text, file path, or -")
-    check.add_argument("--graph", help="optional graph file to validate")
-    check.set_defaults(func=cmd_check)
-
-    def eval_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--collect-mode", choices=COLLECT_MODES, default="grouping")
-        p.add_argument("--max-len", type=_non_negative, default=None)
-        p.add_argument("--max-answers", type=_non_negative, default=100_000)
-        p.add_argument("--lenient-unify", action="store_true")
-
-    run = sub.add_parser("run", help="evaluate a query or rule set")
-    run.add_argument("graph")
-    run.add_argument("query", help="query file or - for stdin")
-    eval_flags(run)
-    run.add_argument("--oracle", action="store_true", help="cross-check results")
-    run.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
-    run.set_defaults(func=cmd_run)
-
-    match = sub.add_parser("match", help="raw pattern evaluation (debug)")
-    match.add_argument("graph")
-    match.add_argument("pattern")
-    eval_flags(match)
-    match.set_defaults(func=cmd_match)
-
-    translate = sub.add_parser("translate", help="translate #nre/#c2rpq input")
-    translate.add_argument("input")
-    translate.set_defaults(func=cmd_translate)
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = COMMANDS[name]
+        parser = sub.add_parser(name, help=help_text)
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
     return top
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_arg_parser(named).parse_args(argv)
     # The engine builds no reference cycles, so reference counting frees
     # what a command makes, and cyclic-GC passes would only re-scan large
     # answer sets. The collector's state is restored on every exit; library

@@ -23,6 +23,12 @@ the answers of translated queries are compared too. Of the other `run`
 cases, those whose number is a multiple of 20 (about 5%) add
 `--format table`, whose renderer re-reads each record, so that it is
 compared too; this draws nothing, so every case is drawn as without it.
+Cases whose number is 12 more than a multiple of 25 (4%) damage one
+argument of the command line, in turn with an unknown flag,
+`--max-len -1`, a bad `--collect-mode` and a dropped first positional,
+so that the argument parser's errors are compared too; its exit code
+enters the digest like any other. This draws nothing either, and the
+flags column names the damage.
 About a third of the rule sets have arity 2 and run SHORTEST legs between
 endpoint atoms, so that a rule the pair analysis answers and one that
 lists its paths are both compared.
@@ -147,7 +153,24 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     return graph, command, text, flags
 
 
-def run_case(workdir: str, graph: dict, command: str, text: str, flags: list[str]) -> str:
+# Case 12 of every 25 damages its command line with these in turn.
+DAMAGES = {
+    "unknown flag": lambda argv: argv + ["--no-such-flag"],
+    "--max-len -1": lambda argv: argv + ["--max-len", "-1"],
+    "bad --collect-mode": lambda argv: argv + ["--collect-mode", "eager"],
+    "dropped positional": lambda argv: argv[:1] + argv[2:],
+}
+
+
+def damage_of(index: int) -> str | None:
+    """The name of the damage that case `index` takes, if any."""
+    return list(DAMAGES)[index // 25 % len(DAMAGES)] if index % 25 == 12 else None
+
+
+def run_case(
+    workdir: str, graph: dict, command: str, text: str, flags: list[str],
+    damage: str | None = None,
+) -> str:
     graph_path = os.path.join(workdir, "graph.json")
     with open(graph_path, "w", encoding="utf-8") as handle:
         json.dump(graph, handle)
@@ -158,9 +181,14 @@ def run_case(workdir: str, graph: dict, command: str, text: str, flags: list[str
         argv = [command, source]
     else:
         argv = [command, graph_path, source, *flags]
+    if damage is not None:
+        argv = DAMAGES[damage](argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     record = json.dumps([code, out.getvalue(), ELAPSED.sub("", err.getvalue())])
     return hashlib.sha256(record.encode()).hexdigest()[:16]
 
@@ -174,7 +202,10 @@ def main_digests(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for index in range(args.cases):
             graph, command, text, flags = rand_case(rng, index)
-            digest = run_case(workdir, graph, command, text, flags)
+            damage = damage_of(index)
+            digest = run_case(workdir, graph, command, text, flags, damage)
+            if damage is not None:
+                flags = [*flags, f"[{damage}]"]
             shown = text.encode("ascii", "backslashreplace").decode().replace("\n", "\\n")
             print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{shown}")
     return 0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -50,7 +51,7 @@ from gpc import (
     parse_ruleset,
     translate_source,
 )
-from gpc.cli import _as_table_row, main
+from gpc.cli import _as_table_row, build_arg_parser, main
 from gpc.engine import COLLECT_MODES, pattern_rows, query_rows, ruleset_rows
 from gpc.render import render
 from gpc.typecheck import EDGE, PATH
@@ -239,6 +240,84 @@ def test_run_rejects_bad_limits(capsys, graph_file, tmp_path, flag, value):
     err = capsys.readouterr().err
     assert "usage:" in err and "must be a non-negative integer" in err
     assert "Traceback" not in err
+
+
+# Argument lists that parse, and that fail in each way argparse reports:
+# the parser of the named command alone must treat each one, messages
+# included, as the parser of every command does.
+ARGV_FORMS = [
+    ["run", "g.json", "q.gpc", "--collect-mode", "dynamic", "--max-len", "3",
+     "--max-answers", "7", "--lenient-unify", "--oracle", "--format", "ndjson"],
+    ["run", "g.json", "q.gpc", "--max-a", "3", "--format=table"],
+    ["run", "g.json"],
+    ["run", "g.json", "q.gpc", "extra"],
+    ["run", "g.json", "q.gpc", "--bogus"],
+    ["run", "g.json", "q.gpc", "--max-len", "-1"],
+    ["run", "g.json", "q.gpc", "--collect-mode", "eager"],
+    ["run", "-h"],
+    ["check", "(x)", "--graph", "g.json"],
+    ["check", "(x)", "--max-len", "2"],
+    ["match", "g.json", "(x)", "--collect-mode", "syntactic", "--max-len", "2"],
+    ["match", "g.json", "(x)", "--oracle"],
+    ["translate", "q.nre"],
+    ["translate"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ARGV_FORMS, ids=" ".join)
+def test_the_named_command_parser_parses_as_the_full_one(capsys, argv):
+    narrowed = _parse(build_arg_parser(argv[0]), argv, capsys)
+    assert narrowed == _parse(build_arg_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["run", "missing.json", "missing.gpc"], ["run"]),
+        ([], ["check", "run", "match", "translate"]),
+        (["-h"], ["check", "run", "match", "translate"]),
+        (["frobnicate"], ["check", "run", "match", "translate"]),
+    ],
+)
+def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert names == built
+
+
+@pytest.mark.parametrize(
+    "argv, code, shown",
+    [
+        (["--help"], 0, ["{check,run,match,translate}", "translate #nre/#c2rpq input"]),
+        (["frobnicate"], 2, ["argument command: invalid choice"]),
+    ],
+)
+def test_the_module_entry_point_reads_its_arguments(argv, code, shown):
+    src = str(Path(gpc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpc.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert all(text in proc.stdout + proc.stderr for text in shown)
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_oracle_agreement(capsys, graph_file, tmp_path):
