@@ -38,7 +38,13 @@ from .oracle import BudgetExceededError, OracleBudget, brute_force_query
 from .parser import ParseError, parse, parse_pattern
 from .render import render
 from .typecheck import TypeCheckError, check_ruleset, infer_schema, schema_json
-from .values import answer_records, match_records, tuple_encoder, wrap_answers, wrapper
+from .values import (
+    answer_records,
+    match_records,
+    serialize_answer,
+    serialize_value,
+    tuple_encoder,
+)
 
 
 # Program faults surface as these built-in errors. Other exceptions, such
@@ -136,7 +142,7 @@ def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
             default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
             for restrictor, pattern in query_patterns(expr)
         )
-    return OracleBudget(max_path_len=max(bound, 1), max_answers=cfg.max_answers)
+    return OracleBudget(max_path_len=max(bound, 1), max_answers=max(cfg.max_answers, 1))
 
 
 def _oracle_mismatch(what: str, engine: int, oracle: int) -> int:
@@ -153,37 +159,32 @@ def cmd_run(args) -> int:
     if isinstance(expr, RuleSet):
         # A rule's lines are encoded by its head's types; the union of the
         # lines is the union of the tuples, since the encoding is injective.
-        convert = encode = tuple_encoder()
+        lines = ruleset_rows(graph, expr, cfg, tuple_encoder())
         if args.oracle:
-            _, wrap = wrapper()
-
-            def convert(types):
-                line, values = encode(types), wrap(types)
-                return lambda row: (line(row), values(row))
-
-        lines = ruleset_rows(graph, expr, cfg, convert)
-        if args.oracle:
-            tuples = {values for _, values in lines}
             budget = _oracle_budget(cfg, graph, expr)
             expected = {
-                tuple(ans.bindings[v] for v in rule.head)
+                json.dumps(
+                    {"tuple": [serialize_value(ans.bindings[v]) for v in rule.head]},
+                    sort_keys=True,
+                )
                 for rule in expr.rules
                 for ans in brute_force_query(graph, rule.body, cfg, budget)
             }
-            if expected != tuples:
-                return _oracle_mismatch("tuples", len(tuples), len(expected))
-            lines = {line for line, _ in lines}
+            if expected != lines:
+                return _oracle_mismatch("tuples", len(lines), len(expected))
         records = sorted(lines)
         count = len(lines)
     elif isinstance(expr, (Restricted, Join)):
         names, schema, rows = query_rows(graph, expr, cfg)
-        if args.oracle:
-            answers = wrap_answers(names, schema, rows)
-            budget = _oracle_budget(cfg, graph, expr)
-            expected = brute_force_query(graph, expr, cfg, budget)
-            if expected != answers:
-                return _oracle_mismatch("answers", len(answers), len(expected))
         records = answer_records(names, schema, rows)
+        if args.oracle:
+            budget = _oracle_budget(cfg, graph, expr)
+            expected = {
+                json.dumps(serialize_answer(ans), sort_keys=True)
+                for ans in brute_force_query(graph, expr, cfg, budget)
+            }
+            if expected != set(records):
+                return _oracle_mismatch("answers", len(records), len(expected))
         count = len(rows)
     else:
         raise ParseError("run expects a query or rule set, not a bare pattern", 1, 1, set())

@@ -44,13 +44,16 @@ stratum and stops once every pair that the pattern can connect has one;
 an exact pair analysis (`satisfiable_pairs`) names those pairs. It
 carries only the bindings that an operator above compares.
 `eval_pattern` and the pair analysis prune nothing.
+One walk over a query's joins (`_rows`) serves queries and rule bodies,
+and one function (`_eval_restricted`) chooses how each leg is answered.
 Joins hash-partition the right operand's answers on the values of the
 shared variables. A rule set's head keeps no paths, so `ruleset_rows`
-projects each leg onto the variables that the head names or another leg
-shares before the join. A plain SHORTEST leg that runs the pair analysis
-anyway, under no explicit length bound, and of which only endpoint
-variables are needed, is answered by the analysis alone: its pairs are
-those variables' values, and it lists no path.
+walks each body projected onto its head: each leg keeps only the
+variables that the head names or another leg shares. A plain SHORTEST
+leg that runs the pair analysis anyway, under no explicit length bound,
+and of which only endpoint variables are kept, is answered by the
+analysis alone: its pairs are those variables' values, and it lists no
+path.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -461,7 +464,7 @@ class _Evaluator:
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
         self.graph = graph
         self.cfg = cfg
-        self.memo: dict[tuple[int, int], frozenset] = {}
+        self.memo: dict[tuple[int, int], set] = {}  # never mutated once stored
         self.index: dict[tuple[int, int], dict] = {}
         self.levels: dict[int, list] = {}  # repetition states by length
         self.sizes: dict[int, int] = {}
@@ -528,12 +531,12 @@ class _Evaluator:
                 f"answer set exceeded the ceiling of {self.cfg.max_answers}"
             )
 
-    def answers(self, pat: Pattern, k: int) -> frozenset:
+    def answers(self, pat: Pattern, k: int) -> set:
         key = (id(pat), k)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        result = frozenset(self._compute(pat, k))
+        result = self._compute(pat, k)
         # The ceiling counts a subpattern's answers over every length so far.
         size = self.sizes[id(pat)] = self.sizes.get(id(pat), 0) + len(result)
         self.check_ceiling(size)
@@ -880,41 +883,68 @@ def length_bound(
     return bound if hi is None else min(bound, hi)
 
 
-def _strata(
-    evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
-) -> tuple[int, int, bool, bool]:
-    """A restricted leg's first and last strata, whether its default bound
-    was cut at the ceiling short of the longest match, and whether it runs
-    the pair analysis (see `_eval_restricted`)."""
-    cfg = evaluator.cfg
-    bound = length_bound(restrictor, evaluator.graph, pattern, cfg)
-    shortest = restrictor.has_shortest
-    lo, hi = match_lengths(pattern)
-    # The bound never exceeds the longest match, so `hi != bound` is "short of it".
-    cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
-    return lo, bound, cut, shortest and (lo < bound or cut)
+def _endpoint_vars(pattern: Pattern) -> tuple[Optional[str], Optional[str]]:
+    """The variables of the leftmost and the rightmost node atoms of the
+    pattern's concatenation spine, each None where that end is no node atom
+    or binds no variable. Every answer binds them to its path's source and
+    target."""
+    ends = []
+    for side in ("left", "right"):
+        end = pattern
+        while isinstance(end, Concat):
+            end = getattr(end, side)
+        ends.append(end.descriptor.var if isinstance(end, NodePat) else None)
+    return ends[0], ends[1]
 
 
 def _eval_restricted(
-    evaluator: _Evaluator, restrictor: Restrictor, pattern: Pattern
-) -> list[tuple[Elements, tuple]]:
-    """The answers of a restricted leg, one length stratum at a time, with
-    bindings laid out over `evaluator.names(pattern)`.
+    evaluator: _Evaluator, leg: Restricted, need: Optional[frozenset[str]] = None
+) -> tuple[tuple[str, ...], Iterable[tuple[tuple[Elements, ...], tuple]]]:
+    """The leg's sorted variables and its rows (paths, binding), each
+    binding laid out over those variables. With `need` None these are all
+    its variables, its path variable too, and its answers, one path each.
+    Else they are the variables in `need`, and the rows are the distinct
+    bindings of those alone, with no path.
 
-    A SHORTEST leg keeps each endpoint pair's first stratum. It runs the
-    pair analysis once, before its first stratum, only if it holds more
-    than one stratum, to stop once every pair the pattern connects has its
-    answers, or if its default bound was cut at the ceiling short of the
-    longest match, which is sound only when every such pair has them.
-    A finite window runs it too: the strata it lets the leg skip can hold
-    far more walks than the answers, as length 3 does on a complete graph.
+    This is where the leg's plan is chosen. A SHORTEST leg keeps each
+    endpoint pair's first stratum. It runs the pair analysis once, before
+    its first stratum, only if it holds more than one stratum, to stop
+    once every pair the pattern connects has its answers, or if its
+    default bound was cut at the ceiling short of the longest match, which
+    is sound only when every such pair has them. A finite window runs it
+    too: the strata it lets the leg skip can hold far more walks than the
+    answers, as length 3 does on a complete graph. Then the leg is
+    - answered by the analysis alone, if it is plain SHORTEST under no
+      explicit length bound and `need` holds only endpoint variables:
+      every pair has a shortest path, and its answers bind those
+      variables to the pair's source and target, so it lists no stratum
+      and never meets the bound ceiling;
+    - else listed stratum by stratum, up to the bound or, once the
+      analysis ran, until every pair it found is covered;
+    - and refused if the bound was cut at the ceiling and a pair is left.
     """
     graph, cfg = evaluator.graph, evaluator.cfg
+    restrictor, pattern = leg.restrictor, leg.pattern
     shortest = restrictor.has_shortest
-    lo, bound, cut, analyse = _strata(evaluator, restrictor, pattern)
+    bound = length_bound(restrictor, graph, pattern, cfg)
+    lo, hi = match_lengths(pattern)
+    # The bound never exceeds the longest match, so `hi != bound` is "short of it".
+    cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
     sat: Optional[set[tuple[str, str]]] = None
-    if analyse:
+    if shortest and (lo < bound or cut):
         sat = satisfiable_pairs(graph, pattern, cfg.collect_mode, evaluator)
+        src, tgt = _endpoint_vars(pattern)
+        # A path variable is never an endpoint variable.
+        if (
+            need is not None
+            and restrictor is Restrictor.SHORTEST
+            and cfg.max_len is None
+            and need <= {src, tgt}
+        ):
+            names = tuple(sorted(need))
+            pick = _picker([0 if var == src else 1 for var in names])
+            loop = src is not None and src == tgt
+            return names, {((), pick(pair)) for pair in sat if not loop or pair[0] == pair[1]}
     best: dict[tuple[str, str], int] = {}
     kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
     evaluator.reset(restrictor)
@@ -931,7 +961,49 @@ def _eval_restricted(
         )
     # No other leg holds this leg's nodes; kept, its answers slow later legs.
     evaluator.reset()
-    return kept
+    names = evaluator.names(pattern)
+    if leg.var is None:
+        rows = [((p,), mu) for p, mu in kept]
+    else:
+        with_path = names + (leg.var,)
+        names = tuple(sorted(with_path))
+        gather = _gather(with_path, names)
+        rows = [((p,), gather(mu + (p,))) for p, mu in kept]
+    if need is None:
+        return names, rows
+    out = tuple(sorted(need))
+    pick = _picker([names.index(var) for var in out])
+    return out, {((), pick(mu)) for _, mu in rows}
+
+
+def _rows(
+    evaluator: _Evaluator, query: Query, keep: Optional[frozenset[str]] = None
+) -> tuple[tuple[str, ...], Iterable[tuple[tuple[Elements, ...], tuple]]]:
+    """The query's sorted variables and its rows (paths, binding), each
+    binding laid out over those variables. With `keep` None these are all
+    its variables and its answers, which are distinct: a leg's are, and a
+    join's output determines its inputs. Else they are its variables in
+    `keep`, and the rows are the distinct bindings of those alone, with no
+    paths. Below a join, each side keeps what the other side names too, so
+    the join compares every variable that it would compare unprojected,
+    and projecting first loses no binding of `keep`.
+    """
+    if isinstance(query, Restricted):
+        need = None if keep is None else keep.intersection(evaluator.schema(query))
+        return _eval_restricted(evaluator, query, need)
+    if isinstance(query, Join):
+        if keep is None:
+            names1, left = _rows(evaluator, query.left)
+            names2, right = _rows(evaluator, query.right)
+            names = tuple(sorted(set(names1 + names2)))
+        else:
+            schema1, schema2 = evaluator.schema(query.left), evaluator.schema(query.right)
+            names1, left = _rows(evaluator, query.left, keep.union(schema2))
+            names2, right = _rows(evaluator, query.right, keep.union(schema1))
+            names = tuple(sorted(keep.intersection(names1 + names2)))
+        joined = _hash_join(evaluator, left, right, _merge(names1, names2, names))
+        return names, joined if keep is None else set(joined)
+    raise TypeError(f"not a query: {query!r}")
 
 
 def query_rows(
@@ -945,7 +1017,7 @@ def query_rows(
     schema = infer_schema(query, evaluator.schemas)
     validate_for_mode(query, cfg.collect_mode)
     # Each leg's pattern and each join check the answer ceiling themselves.
-    names, rows = _eval_query(evaluator, query)
+    names, rows = _rows(evaluator, query)
     return names, schema, rows
 
 
@@ -972,14 +1044,10 @@ def ruleset_rows(
     evaluator, under its work budget, and the union meets the same answer
     ceiling as a join's output.
 
-    A head keeps no paths, so each body is evaluated projected
-    (`_projected_rows`): a leg needs only the variables that the head
-    names or another leg shares. Where those are endpoint variables of a
-    plain SHORTEST leg that runs the pair analysis anyway, with no
-    explicit length bound (`_pair_answered`), the analysis answers the
-    leg: every pair it finds has a shortest path, and the leg's answers
-    bind those variables to the pair's source and target. Such a leg lists
-    no stratum, so it needs no bound and never meets the bound ceiling.
+    A head keeps no paths, so each body is evaluated projected onto it
+    (`_rows` with `keep`): a leg needs only the variables that the head
+    names or another leg shares, and `_eval_restricted` may answer it from
+    the pair analysis alone.
     """
     cfg = cfg or EvalConfig()
     schemas = check_ruleset(rules)
@@ -987,74 +1055,12 @@ def ruleset_rows(
     evaluator = _Evaluator(graph, cfg)
     out: set = set()
     for rule, schema in zip(rules.rules, schemas):
-        names, bindings = _projected_rows(evaluator, rule.body, frozenset(rule.head))
+        names, rows = _rows(evaluator, rule.body, frozenset(rule.head))
         head = _picker([names.index(var) for var in rule.head])
         as_row = convert([schema[var] for var in rule.head])
-        out.update(map(as_row, set(map(head, bindings))))
+        out.update(map(as_row, {head(mu) for _, mu in rows}))
         evaluator.check_ceiling(len(out))
     return out
-
-
-def _endpoint_vars(pattern: Pattern) -> tuple[Optional[str], Optional[str]]:
-    """The variables of the leftmost and the rightmost node atoms of the
-    pattern's concatenation spine, each None where that end is no node atom
-    or binds no variable. Every answer binds them to its path's source and
-    target."""
-    ends = []
-    for side in ("left", "right"):
-        end = pattern
-        while isinstance(end, Concat):
-            end = getattr(end, side)
-        ends.append(end.descriptor.var if isinstance(end, NodePat) else None)
-    return ends[0], ends[1]
-
-
-def _pair_answered(evaluator: _Evaluator, leg: Restricted, need: frozenset[str]) -> bool:
-    """Whether the pair analysis answers the leg projected onto `need`: the
-    leg is plain SHORTEST, no explicit length bound cuts its strata, it
-    runs the analysis anyway, and `need` holds only endpoint variables."""
-    if leg.restrictor is not Restrictor.SHORTEST or evaluator.cfg.max_len is not None:
-        return False
-    # A path variable is never an endpoint variable.
-    if not need <= set(_endpoint_vars(leg.pattern)):
-        return False
-    return _strata(evaluator, leg.restrictor, leg.pattern)[3]
-
-
-def _projected_rows(
-    evaluator: _Evaluator, query: Query, keep: frozenset[str]
-) -> tuple[tuple[str, ...], set[tuple]]:
-    """The query's bindings projected onto `keep`, laid out over its sorted
-    variables in `keep`, without paths.
-
-    A leg that `_pair_answered` admits is answered by the pair analysis,
-    any other by `_eval_restricted`. Below a join, each side keeps what
-    the other side names too, so the join compares every variable that it
-    would compare unprojected, and projecting first loses no head tuple.
-    """
-    if isinstance(query, Restricted):
-        need = keep.intersection(evaluator.schema(query))
-        names = tuple(sorted(need))
-        if not _pair_answered(evaluator, query, need):
-            full, rows = _eval_query(evaluator, query)
-            pick = _picker([full.index(var) for var in names])
-            return names, {pick(mu) for _, mu in rows}
-        src, tgt = _endpoint_vars(query.pattern)
-        pairs = satisfiable_pairs(
-            evaluator.graph, query.pattern, evaluator.cfg.collect_mode, evaluator
-        )
-        pick = _picker([0 if var == src else 1 for var in names])
-        loop = src is not None and src == tgt
-        return names, {pick(pair) for pair in pairs if not loop or pair[0] == pair[1]}
-    schema1, schema2 = evaluator.schema(query.left), evaluator.schema(query.right)
-    names1, left = _projected_rows(evaluator, query.left, keep.union(schema2))
-    names2, right = _projected_rows(evaluator, query.right, keep.union(schema1))
-    names = tuple(sorted(keep.intersection(names1 + names2)))
-    _, left_key, right_key, gather = _merge(names1, names2, names)
-    joined = _hash_join(
-        evaluator, left, right, left_key, right_key, lambda mu1, mu2: gather(mu1 + mu2)
-    )
-    return names, set(joined)
 
 
 def eval_ruleset(
@@ -1065,55 +1071,19 @@ def eval_ruleset(
     return ruleset_rows(graph, rules, cfg, wrapper()[1])
 
 
-def _eval_query(
-    evaluator: _Evaluator, query: Query
-) -> tuple[tuple[str, ...], list[tuple[tuple[Elements, ...], tuple]]]:
-    """The query's sorted variables, and its answers as (paths, binding)
-    with each binding laid out over those variables. The answers are
-    distinct: a leg's are, and a join's output determines its inputs."""
-    if isinstance(query, Restricted):
-        names = evaluator.names(query.pattern)
-        pairs = _eval_restricted(evaluator, query.restrictor, query.pattern)
-        if query.var is None:
-            return names, [((p,), mu) for p, mu in pairs]
-        out = tuple(sorted(names + (query.var,)))
-        gather = _gather(names + (query.var,), out)
-        return out, [((p,), gather(mu + (p,))) for p, mu in pairs]
-    if isinstance(query, Join):
-        names1, left = _eval_query(evaluator, query.left)
-        names2, right = _eval_query(evaluator, query.right)
-        # Shared join variables are node/edge singletons and unification is
-        # strict, so two answers unify exactly when their keys are equal.
-        names = tuple(sorted(set(names1) | set(names2)))
-        _, left_key, right_key, gather = _merge(names1, names2, names)
-        return names, _hash_join(
-            evaluator,
-            left,
-            right,
-            lambda row: left_key(row[1]),
-            lambda row: right_key(row[1]),
-            lambda row1, row2: (row1[0] + row2[0], gather(row1[1] + row2[1])),
-        )
-    raise TypeError(f"not a query: {query!r}")
-
-
-def _hash_join(
-    evaluator: _Evaluator,
-    left: Iterable,
-    right: Iterable,
-    left_key: Callable,
-    right_key: Callable,
-    combine: Callable,
-) -> list:
-    """`combine(row1, row2)` for each left row and right row whose keys are
-    equal: the right rows are bucketed by key, and each left row probes its
-    bucket. The output meets the answer ceiling as it grows."""
+def _hash_join(evaluator: _Evaluator, left: Iterable, right: Iterable, merge: _Merge) -> list:
+    """The rows (paths, binding) of `left` and `right` that agree, merged:
+    the right rows are bucketed by their shared values, and each left row
+    probes its bucket. Shared join variables are node/edge singletons and
+    unification is strict, so two rows agree exactly when their keys are
+    equal. The output meets the answer ceiling as it grows."""
+    _, left_key, right_key, gather = merge
     buckets: dict[tuple, list] = {}
     for row in right:
-        buckets.setdefault(right_key(row), []).append(row)
+        buckets.setdefault(right_key(row[1]), []).append(row)
     out = []
-    for row1 in left:
-        for row2 in buckets.get(left_key(row1), ()):
-            out.append(combine(row1, row2))
+    for paths1, mu1 in left:
+        for paths2, mu2 in buckets.get(left_key(mu1), ()):
+            out.append((paths1 + paths2, gather(mu1 + mu2)))
             evaluator.check_ceiling(len(out))
     return out

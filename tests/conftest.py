@@ -1,6 +1,23 @@
 import pytest
 
-from gpc import validate_graph
+from gpc import engine, validate_graph
+
+
+@pytest.fixture
+def listed_legs(monkeypatch):
+    """The restrictor of each leg that lists its strata, in order: such a
+    leg resets the evaluator for its restrictor once, before its first
+    stratum, and a leg that the pair analysis answers never does."""
+    calls: list = []
+    original = engine._Evaluator.reset
+
+    def counting(self, restrictor=None):
+        if restrictor is not None:
+            calls.append(restrictor)
+        return original(self, restrictor)
+
+    monkeypatch.setattr(engine._Evaluator, "reset", counting)
+    return calls
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ in-process. The cases cycle the collect modes and mix default and
 explicit `--max-len`, `--lenient-unify` and `--max-answers 5`. About 30%
 of the `run` cases add `--oracle` with a `--max-len` of at most 3 and the
 default answer ceiling, so a changed oracle shows up too: a disagreement
-exits 3. About 10% of the cases check a rendered query with one token
+exits 3, whether in the answers or in how the encoder prints them. About 10% of the cases check a rendered query with one token
 deleted, doubled or replaced, some by a non-ASCII character, so that the
 lexer's and the parser's errors show up too. About 2% check a query
 whose path variable starts with the letters `ans`, such as `answer`.

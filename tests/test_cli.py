@@ -330,6 +330,76 @@ def test_run_oracle_agreement(capsys, graph_file, tmp_path):
     assert len(out.strip().splitlines()) == 1
 
 
+ORACLE_QUERY = "SHORTEST (:A) -[x]->{0..} (:B)"  # one answer on graph_file
+ORACLE_RULES = "Ans(x, y) <- SHORTEST (x:A) -> (y)"  # two tuples
+
+
+def _run_oracle(capsys, graph_file, tmp_path, text, *flags):
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    return run_cli(capsys, "run", graph_file, str(query), "--oracle", *flags)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (ORACLE_QUERY, "engine produced 1 answers, oracle 0"),
+        (ORACLE_RULES, "engine produced 2 tuples, oracle 0"),
+    ],
+)
+def test_run_oracle_mismatch_exit_3(capsys, graph_file, tmp_path, monkeypatch, text, message):
+    monkeypatch.setattr("gpc.cli.brute_force_query", lambda *args: set())
+    code, out, err = _run_oracle(capsys, graph_file, tmp_path, text, "--max-len", "3")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "oracle-mismatch", "message": message}
+
+
+def test_run_oracle_checks_the_printed_answer_lines(capsys, graph_file, tmp_path, monkeypatch):
+    # The answers agree with the oracle's; one printed line does not.
+    def corrupted(*args):
+        records = answer_records(*args)
+        records[-1] += " "
+        return records
+
+    monkeypatch.setattr("gpc.cli.answer_records", corrupted)
+    code, out, err = _run_oracle(capsys, graph_file, tmp_path, ORACLE_QUERY, "--max-len", "3")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "oracle-mismatch"
+
+
+def test_run_oracle_checks_the_printed_tuple_lines(capsys, graph_file, tmp_path, monkeypatch):
+    def corrupted():
+        encode = tuple_encoder()
+
+        def compile_types(types):
+            line = encode(types)
+            return lambda row: line(row) + (" " if row[-1] == "nC" else "")
+
+        return compile_types
+
+    monkeypatch.setattr("gpc.cli.tuple_encoder", corrupted)
+    code, out, err = _run_oracle(capsys, graph_file, tmp_path, ORACLE_RULES, "--max-len", "3")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "oracle-mismatch"
+
+
+@pytest.mark.parametrize("text", ["SHORTEST (x:Z)", "Ans(x) <- SHORTEST (x:Z)"])
+@pytest.mark.parametrize("max_len, code, error", [("0", 0, None), ("2", 1, "oracle-budget")])
+def test_run_oracle_under_a_zero_answer_ceiling(
+    capsys, graph_file, tmp_path, text, max_len, code, error
+):
+    # No answer meets the ceiling of 0; the oracle's own budget holds one
+    # path, so it enumerates one-node paths but not longer ones.
+    got, out, err = _run_oracle(
+        capsys, graph_file, tmp_path, text, "--max-answers", "0", "--max-len", max_len
+    )
+    assert (got, out) == (code, "")
+    report = json.loads(err)
+    assert report.get("error") == error
+    assert error or report["answer_count"] == 0
+
+
 @pytest.mark.parametrize(
     "text, category",
     [

@@ -778,18 +778,6 @@ def test_pair_analysis_runs_once_for_a_bound_cut_at_the_ceiling(monkeypatch):
     assert len(calls) == 1
 
 
-def _count_listed_legs(monkeypatch) -> list:
-    calls: list = []
-    original = engine._eval_restricted
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(engine, "_eval_restricted", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "text, analysed, listed",
     [
@@ -801,18 +789,19 @@ def _count_listed_legs(monkeypatch) -> list:
         ("Ans(x, z) <- (x, a, y), (y, b, z)", 0, 2),
     ],
 )
-def test_the_pair_analysis_answers_endpoint_legs(monkeypatch, text, analysed, listed):
+def test_the_pair_analysis_answers_endpoint_legs(
+    monkeypatch, listed_legs, text, analysed, listed
+):
     g = gen.g_random(12, 3)
     rules = translate_c2rpq(parse_c2rpq(text))
     analyses = _count_pair_analyses(monkeypatch)
-    legs = _count_listed_legs(monkeypatch)
     tuples = eval_ruleset(g, rules)
     assert tuples
-    assert (len(analyses), len(legs)) == (analysed, listed)
+    assert (len(analyses), len(listed_legs)) == (analysed, listed)
     # The query form runs the same analyses, then lists both legs.
     answers = eval_query(g, rules.rules[0].body)
     assert {tuple(a.bindings[v] for v in ("x", "z")) for a in answers} == tuples
-    assert (len(analyses), len(legs)) == (2 * analysed, listed + 2)
+    assert (len(analyses), len(listed_legs)) == (2 * analysed, listed + 2)
 
 
 @pytest.mark.parametrize(
@@ -824,12 +813,11 @@ def test_the_pair_analysis_answers_endpoint_legs(monkeypatch, text, analysed, li
         "Ans(x, y) <- SHORTEST [(x) ->{1..} (y)] <x.k = 1>",  # no endpoint atom
     ],
 )
-def test_other_legs_list_their_paths(monkeypatch, g_intro, text):
-    legs = _count_listed_legs(monkeypatch)
+def test_other_legs_list_their_paths(listed_legs, g_intro, text):
     eval_ruleset(g_intro, parse_ruleset(text))
-    assert len(legs) == 1
+    assert len(listed_legs) == 1
     eval_ruleset(g_intro, parse_ruleset("Ans(x, y) <- SHORTEST (x) ->{1..} (y)"), EvalConfig(max_len=4))
-    assert len(legs) == 2
+    assert len(listed_legs) == 2
 
 
 def test_assignments_are_built_only_for_the_answers_returned(monkeypatch):
