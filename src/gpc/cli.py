@@ -19,7 +19,7 @@ import gc
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .ast import Join, Restricted, RuleSet, query_patterns
 from .engine import (
@@ -245,60 +245,128 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--collect-mode", choices=COLLECT_MODES, default="grouping")
-    p.add_argument("--max-len", type=_non_negative, default=None)
-    p.add_argument("--max-answers", type=_non_negative, default=100_000)
-    p.add_argument("--lenient-unify", action="store_true")
+class Option(NamedTuple):
+    """One option of a command. `kind` is "flag" (store_true), "choice"
+    (one of `choices`), "count" (a non-negative integer) or "text"."""
+
+    flag: str
+    dest: str
+    kind: str
+    default: object = None
+    help: Optional[str] = None
+    choices: tuple = ()
 
 
-def _check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("query", help="query/pattern text, file path, or -")
-    p.add_argument("--graph", help="optional graph file to validate")
+class Command(NamedTuple):
+    help: str
+    positionals: tuple  # (name, help) pairs
+    options: tuple
+    handler: Callable
 
 
-def _run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("query", help="query file or - for stdin")
-    _eval_flags(p)
-    p.add_argument("--oracle", action="store_true", help="cross-check results")
-    p.add_argument("--format", choices=("ndjson", "table"), default="ndjson")
+_EVAL_OPTIONS = (
+    Option("--collect-mode", "collect_mode", "choice", "grouping", choices=COLLECT_MODES),
+    Option("--max-len", "max_len", "count"),
+    Option("--max-answers", "max_answers", "count", 100_000),
+    Option("--lenient-unify", "lenient_unify", "flag", False),
+)
 
-
-def _match_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph")
-    p.add_argument("pattern")
-    _eval_flags(p)
-
-
-# Each command's help text, argument adder and handler, in `gpc -h` order.
+# One row per command, in `gpc -h` order. `build_arg_parser` and `_scan`
+# both read it.
 COMMANDS = {
-    "check": ("type-check and print the schema", _check_args, cmd_check),
-    "run": ("evaluate a query or rule set", _run_args, cmd_run),
-    "match": ("raw pattern evaluation (debug)", _match_args, cmd_match),
-    "translate": ("translate #nre/#c2rpq input", lambda p: p.add_argument("input"), cmd_translate),
+    "check": Command(
+        "type-check and print the schema",
+        (("query", "query/pattern text, file path, or -"),),
+        (Option("--graph", "graph", "text", help="optional graph file to validate"),),
+        cmd_check,
+    ),
+    "run": Command(
+        "evaluate a query or rule set",
+        (("graph", None), ("query", "query file or - for stdin")),
+        _EVAL_OPTIONS + (
+            Option("--oracle", "oracle", "flag", False, "cross-check results"),
+            Option("--format", "format", "choice", "ndjson", choices=("ndjson", "table")),
+        ),
+        cmd_run,
+    ),
+    "match": Command(
+        "raw pattern evaluation (debug)",
+        (("graph", None), ("pattern", None)),
+        _EVAL_OPTIONS,
+        cmd_match,
+    ),
+    "translate": Command("translate #nre/#c2rpq input", (("input", None),), (), cmd_translate),
 }
 
 
-def build_arg_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of `command` alone, or of every command when it is None.
-    A narrowed parser pins the metavar so that its usage line lists every
-    command; the full one leaves it, so that its errors name `command`."""
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command; `main` builds it only for
+    help, errors and the spellings that `_scan` leaves to it."""
     top = argparse.ArgumentParser(prog="gpc", description=__doc__)
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_text, add_arguments, handler = COMMANDS[name]
-        parser = sub.add_parser(name, help=help_text)
-        add_arguments(parser)
-        parser.set_defaults(func=handler)
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        parser = sub.add_parser(name, help=command.help)
+        for positional, help_text in command.positionals:
+            parser.add_argument(positional, help=help_text)
+        for option in command.options:
+            kind = {
+                "flag": {"action": "store_true"},
+                "choice": {"choices": option.choices},
+                "count": {"type": _non_negative},
+                "text": {},
+            }[option.kind]
+            parser.add_argument(
+                option.flag, dest=option.dest, default=option.default,
+                help=option.help, **kind,
+            )
+        parser.set_defaults(func=command.handler)
     return top
+
+
+def _scan(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse makes of a canonical `argv`, or None.
+
+    Canonical: a command first, each option by its exact name at most
+    once, each value not starting with '-' and valid for its option, and
+    exactly the command's positionals. Everything else, help and errors
+    included, is left to argparse."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    values = {option.dest: option.default for option in command.options}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            positionals.append(token)
+            continue
+        option = options.pop(token, None)
+        if option is None:
+            return None  # unknown, abbreviated, '--opt=value' or repeated
+        if option.kind == "flag":
+            values[option.dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if option.kind == "count":
+            try:
+                value = _non_negative(value)
+            except (argparse.ArgumentTypeError, ValueError):
+                return None  # ValueError: more digits than int() reads
+        elif option.kind == "choice" and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    values.update(zip((name for name, _ in command.positionals), positionals))
+    return argparse.Namespace(command=argv[0], func=command.handler, **values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_arg_parser(named).parse_args(argv)
+    args = _scan(argv) or build_arg_parser().parse_args(argv)
     # The engine builds no reference cycles, so reference counting frees
     # what a command makes, and cyclic-GC passes would only re-scan large
     # answer sets. The collector's state is restored on every exit; library

@@ -27,8 +27,12 @@ Cases whose number is 12 more than a multiple of 25 (4%) damage one
 argument of the command line, in turn with an unknown flag,
 `--max-len -1`, a bad `--collect-mode` and a dropped first positional,
 so that the argument parser's errors are compared too; its exit code
-enters the digest like any other. This draws nothing either, and the
-flags column names the damage.
+enters the digest like any other. Cases whose number is 7 more than a
+multiple of 25 (4%) respell the `--collect-mode` option of a `run` or
+`match` line, in turn as `--collect-mode=MODE`, as the abbreviation
+`--collect`, and given twice, first with another mode, so that the
+spellings that only argparse reads are compared too. Neither rotation
+draws anything, and the flags column names the damage or respelling.
 About a third of the rule sets have arity 2 and run SHORTEST legs between
 endpoint atoms, so that a rule the pair analysis answers and one that
 lists its paths are both compared.
@@ -162,14 +166,34 @@ DAMAGES = {
 }
 
 
-def damage_of(index: int) -> str | None:
-    """The name of the damage that case `index` takes, if any."""
-    return list(DAMAGES)[index // 25 % len(DAMAGES)] if index % 25 == 12 else None
+# Case 7 of every 25 that runs or matches respells its `--collect-mode`,
+# which follows the two positionals, with these in turn.
+RESPELLINGS = {
+    "--collect-mode=MODE": lambda argv: argv[:3] + [f"{argv[3]}={argv[4]}"] + argv[5:],
+    "--collect MODE": lambda argv: argv[:3] + ["--collect"] + argv[4:],
+    "--collect-mode twice": lambda argv: argv[:3] + [argv[3], other_mode(argv[4])] + argv[3:],
+}
+
+
+def other_mode(mode: str) -> str:
+    return COLLECT_MODES[(COLLECT_MODES.index(mode) + 1) % len(COLLECT_MODES)]
+
+
+EDITS = {**DAMAGES, **RESPELLINGS}
+
+
+def edit_of(index: int, command: str) -> str | None:
+    """The name of the damage or respelling that case `index` takes, if any."""
+    if index % 25 == 12:
+        return list(DAMAGES)[index // 25 % len(DAMAGES)]
+    if index % 25 == 7 and command in ("run", "match"):
+        return list(RESPELLINGS)[index // 25 % len(RESPELLINGS)]
+    return None
 
 
 def run_case(
     workdir: str, graph: dict, command: str, text: str, flags: list[str],
-    damage: str | None = None,
+    edit: str | None = None,
 ) -> str:
     graph_path = os.path.join(workdir, "graph.json")
     with open(graph_path, "w", encoding="utf-8") as handle:
@@ -181,8 +205,8 @@ def run_case(
         argv = [command, source]
     else:
         argv = [command, graph_path, source, *flags]
-    if damage is not None:
-        argv = DAMAGES[damage](argv)
+    if edit is not None:
+        argv = EDITS[edit](argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -202,10 +226,10 @@ def main_digests(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for index in range(args.cases):
             graph, command, text, flags = rand_case(rng, index)
-            damage = damage_of(index)
-            digest = run_case(workdir, graph, command, text, flags, damage)
-            if damage is not None:
-                flags = [*flags, f"[{damage}]"]
+            edit = edit_of(index, command)
+            digest = run_case(workdir, graph, command, text, flags, edit)
+            if edit is not None:
+                flags = [*flags, f"[{edit}]"]
             shown = text.encode("ascii", "backslashreplace").decode().replace("\n", "\\n")
             print(f"{index}\t{digest}\t{command} {' '.join(flags)}\t{shown}")
     return 0

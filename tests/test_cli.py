@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpc
@@ -51,7 +51,7 @@ from gpc import (
     parse_ruleset,
     translate_source,
 )
-from gpc.cli import _as_table_row, build_arg_parser, main
+from gpc.cli import COMMANDS, _as_table_row, _scan, build_arg_parser, main
 from gpc.engine import COLLECT_MODES, pattern_rows, query_rows, ruleset_rows
 from gpc.render import render
 from gpc.typecheck import EDGE, PATH
@@ -243,8 +243,7 @@ def test_run_rejects_bad_limits(capsys, graph_file, tmp_path, flag, value):
 
 
 # Argument lists that parse, and that fail in each way argparse reports:
-# the parser of the named command alone must treat each one, messages
-# included, as the parser of every command does.
+# `_scan` must read each one as argparse does, or leave it to argparse.
 ARGV_FORMS = [
     ["run", "g.json", "q.gpc", "--collect-mode", "dynamic", "--max-len", "3",
      "--max-answers", "7", "--lenient-unify", "--oracle", "--format", "ndjson"],
@@ -253,53 +252,138 @@ ARGV_FORMS = [
     ["run", "g.json", "q.gpc", "extra"],
     ["run", "g.json", "q.gpc", "--bogus"],
     ["run", "g.json", "q.gpc", "--max-len", "-1"],
+    ["run", "g.json", "q.gpc", "--max-len", "9" * 5000],
     ["run", "g.json", "q.gpc", "--collect-mode", "eager"],
     ["run", "-h"],
     ["check", "(x)", "--graph", "g.json"],
+    ["check", "(x)", "--graph", "-h"],
+    ["check", "(x)", "--graph"],
     ["check", "(x)", "--max-len", "2"],
     ["match", "g.json", "(x)", "--collect-mode", "syntactic", "--max-len", "2"],
     ["match", "g.json", "(x)", "--oracle"],
     ["translate", "q.nre"],
+    ["translate", "-h"],
     ["translate"],
 ]
 
+ARGV_FILES = ["g.json", "q.gpc", "(x)"]
+ARGV_VALUES = [
+    *ARGV_FILES,
+    *sorted({choice for command in COMMANDS.values() for option in command.options
+             for choice in option.choices}),
+    "-1", "3", "\u0663", "two", "", "9" * 5000,
+]
+ARGV_TOKENS = [
+    *COMMANDS,
+    *sorted({option.flag for command in COMMANDS.values() for option in command.options}),
+    "--max-a", "--max-len=3", "-h", "--help", "--", "-",
+    *ARGV_VALUES,
+]
 
-def _parse(parser, argv, capsys):
-    try:
-        outcome = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        outcome = exc.code
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+
+def _argparse_outcome(argv):
+    """argparse's namespace of `argv` as a dict, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_arg_parser().parse_args(argv))
+        except SystemExit:
+            return None
 
 
-@pytest.mark.parametrize("argv", ARGV_FORMS, ids=" ".join)
-def test_the_named_command_parser_parses_as_the_full_one(capsys, argv):
-    narrowed = _parse(build_arg_parser(argv[0]), argv, capsys)
-    assert narrowed == _parse(build_arg_parser(), argv, capsys)
+@st.composite
+def _argvs(draw):
+    """A canonical argument list, that is a command and then, in any order,
+    its positionals and some of its options with valid values; then up to
+    two edits, each inserting, replacing or deleting one token."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    command = COMMANDS[name]
+    pieces = [[draw(st.sampled_from(ARGV_FILES))] for _ in command.positionals]
+    options = st.lists(st.sampled_from(command.options), unique=True) if command.options else st.just([])
+    for option in draw(options):
+        valid = st.sampled_from(option.choices or ("3", "\u0663"))
+        pieces.append([option.flag] + ([] if option.kind == "flag" else [draw(valid)]))
+    argv = [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        width = draw(st.integers(0, 1))  # 0 inserts, 1 replaces or deletes
+        argv[at:at + width] = draw(st.lists(st.sampled_from(ARGV_TOKENS), max_size=1))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_scan_reads_argv_as_argparse_does_or_leaves_it(argv):
+    scanned = _scan(argv)
+    assert scanned is None or vars(scanned) == _argparse_outcome(argv)
+
+
+for _argv in [*ARGV_FORMS, []]:
+    test_scan_reads_argv_as_argparse_does_or_leaves_it = example(_argv)(
+        test_scan_reads_argv_as_argparse_does_or_leaves_it
+    )
+
+
+# The forms above that `_scan` reads itself; it leaves every other to argparse.
+SCANNED_FORMS = [
+    ARGV_FORMS[0],
+    ["check", "(x)", "--graph", "g.json"],
+    ["match", "g.json", "(x)", "--collect-mode", "syntactic", "--max-len", "2"],
+    ["translate", "q.nre"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [*ARGV_FORMS, []],
+    ids=lambda argv: " ".join(token[:12] for token in argv) or "(empty)",
+)
+def test_scan_reads_the_canonical_forms_and_leaves_the_rest(argv):
+    scanned = _scan(argv)
+    assert (scanned is not None) == (argv in SCANNED_FORMS)
+    if scanned is not None:
+        assert vars(scanned) == _argparse_outcome(argv)
+
+
+FULL_PARSER = list(COMMANDS)
 
 
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (["run", "missing.json", "missing.gpc"], ["run"]),
-        ([], ["check", "run", "match", "translate"]),
-        (["-h"], ["check", "run", "match", "translate"]),
-        (["frobnicate"], ["check", "run", "match", "translate"]),
+        (["check", "(x)", "--graph", "missing.json"], []),
+        (["run", "missing.json", "missing.gpc", "--max-len", "3", "--oracle",
+          "--format", "table"], []),
+        (["match", "missing.json", "(x)", "--collect-mode", "dynamic",
+          "--lenient-unify", "--max-answers", "\u0663"], []),
+        (["translate", "missing.nre"], []),
+        ([], FULL_PARSER),
+        (["-h"], FULL_PARSER),
+        (["frobnicate"], FULL_PARSER),
+        (["run", "missing.json", "missing.gpc", "--max-len=3"], FULL_PARSER),
+        (["run", "missing.json", "missing.gpc", "--max-a", "3"], FULL_PARSER),
+        (["run", "missing.json", "missing.gpc", "--max-len", "two"], FULL_PARSER),
     ],
 )
-def test_main_builds_only_the_named_commands_parser(capsys, monkeypatch, argv, built):
-    names = []
+def test_main_builds_argparse_only_for_help_errors_and_other_spellings(
+    capsys, monkeypatch, argv, built
+):
+    made, names = [], []
+    init = argparse.ArgumentParser.__init__
     add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
 
     def counting(self, name, **kwargs):
         names.append(name)
         return add_parser(self, name, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     with contextlib.suppress(SystemExit):
         main(argv)
     assert names == built
+    assert bool(made) == bool(built)
 
 
 @pytest.mark.parametrize(
