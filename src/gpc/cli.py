@@ -134,7 +134,9 @@ def _bound_used(cfg: EvalConfig, graph, expr) -> int:
 
 def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
     # The oracle's path budget ignores the engine's match-length window, so
-    # that the two stay independent.
+    # that the two stay independent. Its answer budget is its own default,
+    # raised to the engine's ceiling: the oracle enumerates every path up to
+    # the bound, however few answers the engine may return.
     if cfg.max_len is not None:
         bound = cfg.max_len
     else:
@@ -142,7 +144,10 @@ def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
             default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
             for restrictor, pattern in query_patterns(expr)
         )
-    return OracleBudget(max_path_len=max(bound, 1), max_answers=max(cfg.max_answers, 1))
+    return OracleBudget(
+        max_path_len=max(bound, 1),
+        max_answers=max(cfg.max_answers, OracleBudget.max_answers),
+    )
 
 
 def _oracle_mismatch(what: str, engine: int, oracle: int) -> int:

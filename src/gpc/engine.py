@@ -26,7 +26,16 @@ there but a filter (`_endpoint_filter`): the concatenation keeps the
 path's answers whose endpoint on the atom's side has the atom's label,
 and binds the atom's variable to that node, or keeps only the answers
 that already bind it there. The pair analysis filters its witnesses
-with the same filter, and the atom's matches are built in neither.
+with the same filter, and the atom's matches are built in neither. A
+labelled atom on the source side also names where the repetitions on
+the path's left spine start (`_start_sets`): their length-0 states, and
+the pair analysis's powers, start only at nodes with the label. The
+filter still runs, so this only drops answers it would drop.
+Every memo entry holds distinct rows. The atom, endpoint-filter and
+condition branches return lists, since an atom matches each path once,
+the filter maps distinct rows to distinct rows, and a condition only
+drops rows; a union, a merging concatenation and a repetition keep
+sets, since different sides, splits or counts can build one row twice.
 One repetition worklist serves all three collect modes: the states of
 length k extend shorter ones by a positive segment, and in grouping mode
 then merge edgeless segments into an open run. A state that holds an
@@ -64,7 +73,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, ClassVar, Hashable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, ClassVar, Collection, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .ast import (
     And,
@@ -368,6 +377,53 @@ def _endpoint_filter(
     return bind
 
 
+def _start_sets(graph: PropertyGraph, pattern: Pattern) -> dict[int, frozenset]:
+    """The nodes each repetition of `pattern` needs to start at, by the
+    repetition's id; a repetition that is not named may start anywhere.
+
+    A labelled node atom on the source side of an endpoint filter keeps
+    only the answers whose source has its label, so the repetitions whose
+    states start where the filtered operand's answers start need start
+    nowhere else. Those are the repetitions on the operand's left spine:
+    a concatenation's left operand (or the path beside a source atom),
+    both sides of a union, and a condition's pattern. Nested source atoms
+    intersect their sets. A repetition reached in two places keeps the
+    union of their sets, or none if one place has none, since its answers
+    are memoized by its identity. The filter still runs, so answers are
+    unchanged.
+    """
+    sets: dict[int, Optional[frozenset]] = {}
+    seen: set = set()
+    todo: list[tuple[Pattern, Optional[frozenset]]] = [(pattern, None)]  # None: anywhere
+    while todo:
+        pat, within = todo.pop()
+        if (id(pat), within) in seen:
+            continue
+        seen.add((id(pat), within))
+        if isinstance(pat, Repeat):
+            if id(pat) in sets and within is not None:
+                old = sets[id(pat)]
+                within = None if old is None else old | within
+            sets[id(pat)] = within
+            todo.append((pat.pattern, None))
+        elif isinstance(pat, Concat):
+            beside = _endpoint_atom(pat)
+            if beside is None:
+                todo += [(pat.left, within), (pat.right, None)]
+                continue
+            atom, other, at_src = beside
+            label = atom.descriptor.label
+            if at_src and label is not None:
+                nodes = frozenset(n for n in graph.nodes if label in graph.label_set(n))
+                within = nodes if within is None else within & nodes
+            todo.append((other, within))
+        elif isinstance(pat, Union_):
+            todo += [(pat.left, within), (pat.right, within)]
+        elif isinstance(pat, Cond):
+            todo.append((pat.pattern, within))
+    return {key: nodes for key, nodes in sets.items() if nodes is not None}
+
+
 # -- satisfiable endpoint pairs ----------------------------------------------
 #
 # For `shortest` we need to know when further strata cannot satisfy any new
@@ -412,9 +468,14 @@ def _z_power(rel: frozenset, n: int, domain: Iterable) -> frozenset:
 
 
 def _z_power_range(
-    rel: frozenset, lo: int, hi: Optional[int], domain: Iterable
+    rel: frozenset,
+    lo: int,
+    hi: Optional[int],
+    domain: Iterable,
+    start: Optional[frozenset] = None,
 ) -> frozenset:
-    """The union of rel^c over lo <= c <= hi (no upper end if hi is None).
+    """The union of rel^c over lo <= c <= hi (no upper end if hi is None),
+    from the sources in `start` only, if it is given.
 
     After rel^lo, each step composes only the witnesses the previous step
     found first: a witness reached again at a later step reaches nothing
@@ -423,7 +484,13 @@ def _z_power_range(
     of `domain`.
     """
     steps = _z_index(rel)
-    reached = frontier = rel if lo == 1 else _z_power(rel, lo, domain)
+    if lo != 1:
+        reached = _z_power(rel, lo, domain if start is None else start)
+    elif start is None:
+        reached = rel
+    else:
+        reached = frozenset(w for w in rel if w[0] in start)
+    frontier = reached
     for _ in itertools.count() if hi is None else range(hi - lo):
         frontier = _z_compose(frontier, steps) - reached
         if not frontier:
@@ -455,16 +522,18 @@ def satisfiable_pairs(
 class _Evaluator:
     """One bottom-up evaluation per query or rule set, by exact path length.
 
-    `answers(pat, k)` holds the answers of length exactly k, as (path
-    elements, binding) with the binding laid out over `names(pat)`. Its memo keys use
-    node identity, since the AST dataclasses hash recursively. `witnesses`
-    is the pair analysis, charged to the same work budget.
+    `answers(pat, k)` holds the answers of length exactly k, as distinct
+    rows (path elements, binding) with the binding laid out over
+    `names(pat)`, in a list or a set. Its memo keys use node identity,
+    since the AST dataclasses hash recursively. `witnesses` is the pair
+    analysis, charged to the same work budget. `starts` holds the start
+    sets of the leg or pattern being evaluated (`_start_sets`).
     """
 
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
         self.graph = graph
         self.cfg = cfg
-        self.memo: dict[tuple[int, int], set] = {}  # never mutated once stored
+        self.memo: dict[tuple[int, int], Collection] = {}  # never mutated once stored
         self.index: dict[tuple[int, int], dict] = {}
         self.levels: dict[int, list] = {}  # repetition states by length
         self.sizes: dict[int, int] = {}
@@ -472,6 +541,7 @@ class _Evaluator:
         self.layouts: dict[int, tuple[str, ...]] = {}
         self.plans: dict[int, object] = {}
         self.windows: dict = {}
+        self.starts: dict[int, frozenset] = {}  # per pattern, see `_start_sets`
         # Per leg (see `reset`): where the elements start that a joined
         # path must not repeat, and under plain SHORTEST the first length of
         # each repetition state key. `eval_pattern` prunes nothing.
@@ -531,7 +601,7 @@ class _Evaluator:
                 f"answer set exceeded the ceiling of {self.cfg.max_answers}"
             )
 
-    def answers(self, pat: Pattern, k: int) -> set:
+    def answers(self, pat: Pattern, k: int) -> Collection:
         key = (id(pat), k)
         cached = self.memo.get(key)
         if cached is not None:
@@ -574,14 +644,14 @@ class _Evaluator:
         self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
         self.first = {} if restrictor is Restrictor.SHORTEST else None
 
-    def _compute(self, pat: Pattern, k: int) -> set[tuple[Elements, tuple]]:
+    def _compute(self, pat: Pattern, k: int) -> Collection[tuple[Elements, tuple]]:
         if isinstance(pat, (NodePat, EdgePat)):
             if match_lengths(pat, self.windows) != (k, k):
-                return set()
+                return []
             matches = _atom_matches(self.graph, pat)
             if k and self.fresh_from == 2:  # a self-loop is not simple
-                matches = ((el, mu) for el, mu in matches if el[0] != el[2])
-            return set(matches)
+                return [(el, mu) for el, mu in matches if el[0] != el[2]]
+            return list(matches)
         if isinstance(pat, Concat):
             plan = self.plan(pat)
             if not isinstance(plan, _Merge):
@@ -589,12 +659,12 @@ class _Evaluator:
                 # The one split the loop below would admit, if any.
                 lo, hi = match_lengths(other, self.windows)
                 if k < lo or (hi is not None and k > hi):
-                    return set()
-                out = {
+                    return []
+                out = [
                     (p, merged)
                     for p, mu in self.answers(other, k)
                     if (merged := bind(p[0] if at_src else p[-1], mu)) is not None
-                }
+                ]
                 self.charge(len(out))
                 return out
             shared, left_key, right_key, gather = plan
@@ -628,11 +698,11 @@ class _Evaluator:
             return out
         if isinstance(pat, Cond):
             theta = self.plan(pat)
-            return {
+            return [
                 (p, mu)
                 for p, mu in self.answers(pat.pattern, k)
                 if _holds(self.graph, mu, theta)
-            }
+            ]
         if isinstance(pat, Repeat):
             return self._repeat(pat, k)
         raise TypeError(f"not a pattern: {pat!r}")
@@ -671,7 +741,8 @@ class _Evaluator:
                 for s, t, _, z in self.witnesses(pat.pattern)
                 if grouping or not z
             )
-            pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes)
+            start = self.starts.get(id(pat))
+            pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes, start)
             out = frozenset((s, t, (), z) for s, t, z in pairs)
         elif isinstance(pat, Union_):
             out = frozenset()
@@ -781,7 +852,7 @@ class _Evaluator:
             return True
 
         if k == 0:
-            for n in self.graph.nodes:
+            for n in self.starts.get(id(pat), self.graph.nodes):
                 push(((n,), (), None, 0, False))
         for j in range(0 if longest is None else max(k - longest, 0), k):
             segments = self.by_src(body, k - j)
@@ -834,6 +905,7 @@ def pattern_rows(
     evaluator = _Evaluator(graph, cfg)
     schema = infer_schema(pattern, evaluator.schemas)
     validate_for_mode(pattern, cfg.collect_mode)
+    evaluator.starts = _start_sets(graph, pattern)
     rows = [row for k in range(cfg.max_len + 1) for row in evaluator.answers(pattern, k)]
     return evaluator.names(pattern), schema, rows
 
@@ -925,6 +997,7 @@ def _eval_restricted(
     """
     graph, cfg = evaluator.graph, evaluator.cfg
     restrictor, pattern = leg.restrictor, leg.pattern
+    evaluator.starts = _start_sets(graph, pattern)
     shortest = restrictor.has_shortest
     bound = length_bound(restrictor, graph, pattern, cfg)
     lo, hi = match_lengths(pattern)

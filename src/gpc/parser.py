@@ -32,8 +32,7 @@ ParseError rather than a recursion overflow.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NoReturn, Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 from .ast import (
     And,
@@ -95,8 +94,7 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # punctuation literal, keyword name, 'IDENT', 'INT', 'STRING', 'BOOL', 'EOF'
     value: Union[str, int, bool, None]
     line: int

@@ -19,11 +19,11 @@ rows: the answer lines of `gpc run` (`answer_records`), its rule-set
 tuple lines (`tuple_encoder`) and the lines of `gpc match`
 (`match_records`). One encoder (`_encoder`) is compiled per schema type
 (node, edge, path, Maybe, Group) and writes each line directly as JSON
-text, encoding each id and each path once per call; it builds no value
-object. The `serialize_*` functions and `answer_sort_key`, over the value
-objects that `wrapper` makes of the same rows, are its reference: every
-line equals ``json.dumps(..., sort_keys=True)`` of their dicts, in the
-same order.
+text, encoding each id, node, edge, path and group item once per call;
+it builds no value object. The `serialize_*` functions and
+`answer_sort_key`, over the value objects that `wrapper` makes of the
+same rows, are its reference: every line equals
+``json.dumps(..., sort_keys=True)`` of their dicts, in the same order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import add
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .graph import Path
@@ -256,61 +255,79 @@ def wrap_answers(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> 
     }
 
 
-def _encode(t: TypeExpr, quote: Callable[[str], str], path: Callable[[tuple], str]) -> Callable:
+def _encode(t: TypeExpr, path: Callable, node: Callable, edge: Callable) -> Callable:
     """The function from a raw value of type `t` to its JSON text."""
     if isinstance(t, NodeT):
-        return lambda raw: '{"id": %s, "kind": "node"}' % quote(raw)
+        return node
     if isinstance(t, EdgeT):
-        return lambda raw: '{"id": %s, "kind": "edge"}' % quote(raw)
+        return edge
     if isinstance(t, PathT):
         return lambda raw: path(raw)[:-1] + ', "kind": "path"}'
     if isinstance(t, Maybe):
-        inner = _encode(t.inner, quote, path)
+        inner = _encode(t.inner, path, node, edge)
         return lambda raw: '{"kind": "nothing"}' if raw is NOTHING else inner(raw)
     if isinstance(t, Group):
-        inner = _encode(t.inner, quote, path)
-        return lambda raw: '{"items": [%s], "kind": "group"}' % ", ".join(
-            [f"[{path(p)}, {inner(v)}]" for p, v in raw]
-        )
+        inner = _encode(t.inner, path, node, edge)
+
+        def item_text(item) -> str:
+            if type(item) is not tuple or len(item) != 2:
+                raise TypeError(f"not a group item: {item!r}")
+            p, v = item
+            return f"[{path(p)}, {inner(v)}]"
+
+        item = _Made(item_text).__getitem__
+        return lambda raw: '{"items": [%s], "kind": "group"}' % ", ".join(map(item, raw))
     raise TypeError(f"not a type: {t!r}")
 
 
 def _encoder():
-    """The encoding functions of one call over raw values: `path`, `row`
+    """The encoding functions of one call over raw values: `path`, `fill`
     and `bindings`.
 
     `path(elements)` is the text that ``json.dumps(..., sort_keys=True)``
-    prints for `serialize_path` of that path. `row(types)` compiles the
-    types of a row's positions once into a function from a raw tuple to
-    the texts of `serialize_value` of its values, and `bindings(names,
-    types)` into one from a raw binding over the sorted `names` to the
-    text of its serialized binding map. No dict is built, and no value is
-    dispatched on by its class. The functions cache each id's literal and
-    each path's ``{"elements": [...]}`` text for the call, since answers
-    and group items repeat ids and subpaths; a path passes `Path`'s shape
-    check when it is first cached. A raw value that does not fit its type
-    raises TypeError.
+    prints for `serialize_path` of that path. `fill(template, types)`
+    compiles the types of a row's positions once into a function from a
+    raw tuple to `template` with the text of `serialize_value` of each
+    value in its ``%s``, and `bindings(names, types)` into one from a raw
+    binding over the sorted `names` to the text of its serialized binding
+    map, through one such template. No dict is built, and no value is
+    dispatched on by its class. The functions cache for the call each
+    id's quoted text, each node's and edge's literal, each path's
+    ``{"elements": [...]}`` text and each group item's text, since answers
+    and group items repeat ids, subpaths and segments; a path passes
+    `Path`'s shape check when it is first cached. A raw value that does
+    not fit its type raises TypeError, and a row of the wrong width
+    ValueError.
     """
     quote = _Made(encode_basestring_ascii).__getitem__
 
     def path_text(elements: tuple[str, ...]) -> str:
         if type(elements) is not tuple:
             raise TypeError(f"not a path: {elements!r}")
-        Path(elements)  # the shape check
+        if not len(elements) & 1:  # `Path`'s shape check
+            raise ValueError("path must alternate node,edge,...,node (odd length >= 1)")
         return '{"elements": [%s]}' % ", ".join(map(quote, elements))
 
     path = _Made(path_text).__getitem__
+    node = _Made(lambda raw: '{"id": %s, "kind": "node"}' % quote(raw)).__getitem__
+    edge = _Made(lambda raw: '{"id": %s, "kind": "edge"}' % quote(raw)).__getitem__
 
-    def row(types: Sequence[TypeExpr]) -> Callable[[tuple], list[str]]:
-        parts = [_encode(t, quote, path) for t in types]
-        return lambda raw: [f(v) for f, v in zip(parts, raw, strict=True)]
+    def fill(template: str, types: Sequence[TypeExpr]) -> Callable[[tuple], str]:
+        parts = [_encode(t, path, node, edge) for t in types]
+        width = len(parts)
+
+        def text(raw: tuple) -> str:
+            if len(raw) != width:
+                raise ValueError(f"expected {width} values, not {len(raw)}")
+            return template % tuple([f(v) for f, v in zip(parts, raw)])
+
+        return text
 
     def bindings(names: Sequence[str], types: Sequence[TypeExpr]) -> Callable[[tuple], str]:
-        keys = [quote(var) + ": " for var in names]
-        texts = row(types)
-        return lambda mu: "{%s}" % ", ".join(map(add, keys, texts(mu)))
+        keys = [quote(var).replace("%", "%%") + ": %s" for var in names]
+        return fill("{%s}" % ", ".join(keys), types)
 
-    return path, row, bindings
+    return path, fill, bindings
 
 
 def answer_records(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> list[str]:
@@ -335,13 +352,8 @@ def tuple_encoder() -> Callable[[Sequence[TypeExpr]], Callable[[tuple], str]]:
     for the row of values that `wrapper` makes of it. All rules of one call
     share the encoder's caches.
     """
-    _, row, _ = _encoder()
-
-    def compile_types(types: Sequence[TypeExpr]) -> Callable[[tuple], str]:
-        texts = row(types)
-        return lambda raw: '{"tuple": [%s]}' % ", ".join(texts(raw))
-
-    return compile_types
+    _, fill, _ = _encoder()
+    return lambda types: fill('{"tuple": [%s]}' % ", ".join(["%s"] * len(types)), types)
 
 
 def match_records(names: Sequence[str], schema: Mapping[str, TypeExpr], rows) -> list[str]:

@@ -33,6 +33,11 @@ multiple of 25 (4%) respell the `--collect-mode` option of a `run` or
 `--collect`, and given twice, first with another mode, so that the
 spellings that only argparse reads are compared too. Neither rotation
 draws anything, and the flags column names the damage or respelling.
+Cases whose number is 17 more than a multiple of 25 and that run a
+query put a labelled node atom, in turn `(:A)`, `(x:A)`, `(:B)` and
+`(y:B)`, in front of the query's first leg, so that the repetitions that
+such an atom lets start at fewer nodes are compared too. This rotation
+draws nothing either, and the source text shows the atom.
 About a third of the rule sets have arity 2 and run SHORTEST legs between
 endpoint atoms, so that a rule the pair analysis answers and one that
 lists its paths are both compared.
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+from dataclasses import replace
 import hashlib
 import io
 import json
@@ -53,7 +59,7 @@ import re
 import sys
 import tempfile
 
-from gpc import Restricted, Restrictor, infer_schema
+from gpc import Concat, Descriptor, Join, NodePat, Restricted, Restrictor, infer_schema
 from gpc.cli import main
 from gpc.engine import COLLECT_MODES
 from gpc.render import render
@@ -116,6 +122,23 @@ def translator_source(rng: random.Random) -> str:
     return f"#c2rpq\n{gen.c2rpq_text(gen.rand_c2rpq(rng, labels, variables))}\n"
 
 
+# Case 17 of every 25 that runs a query puts these in turn in front of
+# its first leg; the last two may bind a variable that the leg binds too.
+SOURCE_ATOMS = (
+    Descriptor(label="A"),
+    Descriptor("x", "A"),
+    Descriptor(label="B"),
+    Descriptor("y", "B"),
+)
+
+
+def with_source_atom(query, atom: Descriptor):
+    """`query` with the node atom `atom` in front of its first leg's pattern."""
+    if isinstance(query, Join):
+        return Join(with_source_atom(query.left, atom), query.right)
+    return replace(query, pattern=Concat(NodePat(atom), query.pattern))
+
+
 def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]]:
     """(graph document, command, source text, flags) of case `index`."""
     graph = gen.rand_graph_data(rng)
@@ -135,7 +158,10 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     if roll < 0.20:
         return graph, "check", damaged(rng, render(gen.rand_query(rng, 3))), []
     if roll < 0.7:
-        command, text = "run", render(gen.well_typed_query(rng, 3))
+        query = gen.well_typed_query(rng, 3)
+        if index % 25 == 17:
+            query = with_source_atom(query, SOURCE_ATOMS[index // 25 % len(SOURCE_ATOMS)])
+        command, text = "run", render(query)
     elif roll < 0.87:
         command, text = "run", rand_ruleset(rng)
     else:

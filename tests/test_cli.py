@@ -469,19 +469,16 @@ def test_run_oracle_checks_the_printed_tuple_lines(capsys, graph_file, tmp_path,
 
 
 @pytest.mark.parametrize("text", ["SHORTEST (x:Z)", "Ans(x) <- SHORTEST (x:Z)"])
-@pytest.mark.parametrize("max_len, code, error", [("0", 0, None), ("2", 1, "oracle-budget")])
-def test_run_oracle_under_a_zero_answer_ceiling(
-    capsys, graph_file, tmp_path, text, max_len, code, error
-):
-    # No answer meets the ceiling of 0; the oracle's own budget holds one
-    # path, so it enumerates one-node paths but not longer ones.
+@pytest.mark.parametrize("max_len", ["0", "2"])
+def test_run_oracle_under_a_zero_answer_ceiling(capsys, graph_file, tmp_path, text, max_len):
+    # No node has label Z, so the engine's answer set is empty and within
+    # the ceiling of 0. The oracle's path budget is its own default, not
+    # the ceiling, so it enumerates the paths up to the bound and agrees.
     got, out, err = _run_oracle(
         capsys, graph_file, tmp_path, text, "--max-answers", "0", "--max-len", max_len
     )
-    assert (got, out) == (code, "")
-    report = json.loads(err)
-    assert report.get("error") == error
-    assert error or report["answer_count"] == 0
+    assert (got, out) == (0, "")
+    assert json.loads(err)["answer_count"] == 0
 
 
 @pytest.mark.parametrize(

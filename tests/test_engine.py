@@ -4,9 +4,20 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpc import (
     Assignment,
+    Concat,
+    Cond,
+    Descriptor,
+    Direction,
+    EdgePat,
+    NodePat,
+    Repeat,
+    Restricted,
+    Union_,
     EdgeVal,
     EvalConfig,
     GroupVal,
@@ -41,6 +52,7 @@ from gpc import (
     validate_graph,
 )
 from gpc import engine, typecheck
+from gpc.ast import expr_vars
 from gpc.engine import COLLECT_MODES, match_lengths, satisfiable_pairs
 from gpc.values import EMPTY
 
@@ -1137,3 +1149,181 @@ def test_node_filter_beside_edgeless_repetition(text, mode, lenient):
     assert expected
     assert eval_pattern(g, pattern, cfg) == expected
     assert eval_query(g, query, cfg) == brute_force_query(g, query, cfg)
+
+
+# -- start sets: a source atom's label starts the repetition --------------------
+
+
+def _one_a_graph():
+    """A four-node cycle with a chord and a self-loop; only n1 has label A."""
+    return validate_graph(
+        {
+            "nodes": [{"id": "n0"}, {"id": "n1", "labels": ["A"]}, {"id": "n2"}, {"id": "n3"}],
+            "directed_edges": [
+                {"id": "e0", "src": "n0", "tgt": "n1"},
+                {"id": "e1", "src": "n1", "tgt": "n2"},
+                {"id": "e2", "src": "n2", "tgt": "n3"},
+                {"id": "e3", "src": "n3", "tgt": "n0"},
+                {"id": "e4", "src": "n2", "tgt": "n0"},
+                {"id": "e5", "src": "n3", "tgt": "n3"},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "SHORTEST (x:A) -[e]->{1..} (y)",
+        "SHORTEST TRAIL (x:A) -[e]->{1..} (y)",
+        "SHORTEST (x:A) [-[e]->{1..} ->] (y)",
+    ],
+)
+def test_source_label_starts_the_repetition(monkeypatch, text):
+    # The repetition builds its length-0 states, and the pair analysis
+    # starts its powers, only at the one node that the atom admits.
+    starts, sources = [], []
+
+    class Recording(engine._Evaluator):
+        def _repeat(self, pat, k):
+            rows = super()._repeat(pat, k)
+            if k == 0:
+                starts.extend(state[0] for state in self.levels[id(pat)][0])
+            return rows
+
+    power_range = engine._z_power_range
+
+    def recording_range(rel, lo, hi, domain, start=None):
+        sources.append(start)
+        return power_range(rel, lo, hi, domain, start)
+
+    monkeypatch.setattr(engine, "_Evaluator", Recording)
+    monkeypatch.setattr(engine, "_z_power_range", recording_range)
+    g, query = _one_a_graph(), parse_query(text)
+    answers = eval_query(g, query)
+    assert answers
+    assert set(starts) == {("n1",)}
+    assert sources == [frozenset({"n1"})]
+    monkeypatch.setattr(engine, "_start_sets", lambda graph, pattern: {})
+    assert eval_query(g, query) == answers
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x:A) [-[e]->{1..} -[f]->{0..}] (y)",
+        "(x:A) [-[e]->{1..}]{2} (y)",
+        "(x:A) [[-[e]->{0..}] + [<-[f]-{1..2} (:A)]] -[g]->{0..} (y)",
+    ],
+)
+def test_start_sets_stay_on_the_left_spine(text):
+    # The repetitions right of the first one, and inside a repetition's
+    # body, start wherever the path before them ends.
+    g = _one_a_graph()
+    for restrictor in ("SHORTEST", "TRAIL"):
+        query = parse_query(f"{restrictor} {text}")
+        cfg = EvalConfig(max_len=4)
+        answers = eval_query(g, query, cfg)
+        assert answers
+        assert answers == brute_force_query(g, query, cfg)
+
+
+def test_a_repetition_in_two_places_starts_where_either_needs():
+    # One Repeat object sits beside a source atom and, in the other
+    # union branch, alone: it keeps every start node.
+    g = _one_a_graph()
+    shared = Repeat(EdgePat(Direction.FORWARD, Descriptor("e")), 1, None)
+    atom = NodePat(Descriptor(label="A"))
+    copy = Repeat(EdgePat(Direction.FORWARD, Descriptor("e")), 1, None)
+    cfg = EvalConfig(max_len=3)
+    for restrictor in (Restrictor.SHORTEST, Restrictor.TRAIL):
+        got = eval_query(g, Restricted(restrictor, Union_(Concat(atom, shared), shared)), cfg)
+        want = eval_query(g, Restricted(restrictor, Union_(Concat(atom, copy), shared)), cfg)
+        assert got == want
+        assert {a.paths[0].elements[0] for a in got} == set(g.nodes)
+
+
+def _spine(rng: random.Random, depth: int):
+    """A random pattern with a repetition on its left spine, and more
+    repetitions where a start set must not reach: on the right of a
+    concatenation and at the start of a repetition's body."""
+    if depth == 0:
+        lo = rng.randint(0, 1)
+        if rng.random() < 0.3:
+            body = gen.rand_pattern(rng, 2)
+        else:
+            label = rng.choice((None, *gen.EDGE_LABELS))
+            body = EdgePat(rng.choice(list(Direction)), Descriptor(label=label))
+        return Repeat(body, lo, rng.choice((None, lo + 1, lo + 2)))
+    sub = _spine(rng, depth - 1)
+    roll = rng.random()
+    if roll < 0.15:
+        return Union_(sub, gen.rand_pattern(rng, 2))
+    if roll < 0.3:
+        return Union_(gen.rand_pattern(rng, 2), sub)
+    if roll < 0.55:
+        right = _spine(rng, depth - 1) if rng.random() < 0.6 else gen.rand_pattern(rng, 2)
+        return Concat(sub, right)
+    if roll < 0.7:
+        variables = sorted(expr_vars(sub))
+        return Cond(sub, gen.rand_condition(rng, variables)) if variables else sub
+    if roll < 0.85:
+        return Repeat(sub, rng.randint(0, 1), rng.choice((None, 2)))
+    # A nested source atom; its variable may be bound by the operand too.
+    var = rng.choice((None, *gen.VAR_POOL))
+    return Concat(NodePat(Descriptor(var, rng.choice(gen.NODE_LABELS))), sub)
+
+
+def _start_leg(rng: random.Random) -> Restricted:
+    """A random leg whose pattern starts with a labelled node atom in
+    front of an operand with a repetition on its left spine."""
+    var = rng.choice((None, *gen.VAR_POOL))
+    pattern = Concat(NodePat(Descriptor(var, rng.choice(gen.NODE_LABELS))), _spine(rng, 2))
+    if rng.random() < 0.3:
+        pattern = Concat(pattern, NodePat(Descriptor(label=rng.choice(gen.NODE_LABELS))))
+    return Restricted(rng.choice(list(Restrictor)), pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(COLLECT_MODES),
+    st.booleans(),
+)
+def test_start_sets_match_oracle(seed, mode, lenient):
+    rng = random.Random(seed)
+    g = gen.rand_graph(rng, max_nodes=4, max_edges=5)
+    leg = _start_leg(rng)
+    cfg = EvalConfig(collect_mode=mode, max_len=2, lenient_unify=lenient)
+    try:
+        infer_schema(leg)
+        validate_for_mode(leg, mode)
+    except TypeCheckError:
+        return
+    assert eval_query(g, leg, cfg) == brute_force_query(g, leg, cfg)
+    assert eval_pattern(g, leg.pattern, cfg) == _oracle_pattern(g, leg.pattern, cfg)
+
+
+def test_list_branches_hold_distinct_rows(monkeypatch):
+    # The atom, endpoint-filter and condition branches return lists; every
+    # memo entry, lists and sets alike, holds each row once.
+    checked = []
+
+    class Checking(engine._Evaluator):
+        def _compute(self, pat, k):
+            rows = super()._compute(pat, k)
+            assert len(set(rows)) == len(rows)
+            checked.append(type(rows))
+            return rows
+
+    monkeypatch.setattr(engine, "_Evaluator", Checking)
+    for i in range(300):
+        rng = random.Random(f"distinct-rows:{i}")
+        g = gen.rand_graph(rng)
+        query = gen.well_typed_query(rng, 3)
+        cfg = EvalConfig(collect_mode=COLLECT_MODES[i % 3], max_len=rng.choice((2, 3, None)))
+        try:
+            eval_query(g, query, cfg)
+        except (TypeCheckError, ResourceLimitError):
+            continue
+    assert list in checked and set in checked

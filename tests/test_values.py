@@ -254,6 +254,8 @@ def test_records_reject_garbage():
         (Maybe(NODE), 5),
         (Group(NODE), 5),
         (Group(NODE), ((("n1",), NodeVal("n1")),)),
+        (Group(NODE), ((("n1",), "n1", "n1"),)),  # an item of three
+        (Group(NODE), ("n1",)),  # an item that is no tuple
     ]
     for t, raw in garbage:
         with pytest.raises(TypeError):
