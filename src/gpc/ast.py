@@ -280,41 +280,42 @@ def _condition_size(theta: Condition) -> int:
     return 1 + _condition_size(theta.left) + _condition_size(theta.right)
 
 
-def match_lengths(
-    pattern: Pattern, memo: Optional[dict] = None
-) -> tuple[int, Optional[int]]:
+def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
     """Static (lo, hi) window holding the length of every match of the pattern.
 
     hi is None when an open repetition leaves the length unbounded. A
     repetition of an edgeless body matches only edgeless paths, whatever
-    its counts. `memo`, keyed by node identity, keeps the windows of
-    subpatterns across calls.
+    its counts.
     """
-    if memo is None:
-        memo = {}
-    window = memo.get(id(pattern))
-    if window is not None:
-        return window
-    if isinstance(pattern, (NodePat, EdgePat)):
-        window = (0, 0) if isinstance(pattern, NodePat) else (1, 1)
-    elif isinstance(pattern, Cond):
-        window = match_lengths(pattern.pattern, memo)
-    elif isinstance(pattern, (Concat, Union_)):
-        lo1, hi1 = match_lengths(pattern.left, memo)
-        lo2, hi2 = match_lengths(pattern.right, memo)
-        if isinstance(pattern, Concat):
-            window = lo1 + lo2, None if hi1 is None or hi2 is None else hi1 + hi2
-        else:
-            window = min(lo1, lo2), None if hi1 is None or hi2 is None else max(hi1, hi2)
-    elif isinstance(pattern, Repeat):
-        lo, hi = match_lengths(pattern.pattern, memo)
-        if hi == 0:
-            window = 0, 0
-        elif hi is None or pattern.hi is None:
-            window = lo * pattern.lo, None
-        else:
-            window = lo * pattern.lo, hi * pattern.hi
+    if isinstance(pattern, (Concat, Union_)):
+        operands = (pattern.left, pattern.right)
+    elif isinstance(pattern, (Cond, Repeat)):
+        operands = (pattern.pattern,)
     else:
+        operands = ()
+    return window_of(pattern, [match_lengths(operand) for operand in operands])
+
+
+def window_of(
+    pattern: Pattern, operands: list[tuple[int, Optional[int]]]
+) -> tuple[int, Optional[int]]:
+    """The pattern's window (see `match_lengths`) from its operands' windows,
+    in order; an atom has none."""
+    if isinstance(pattern, (NodePat, EdgePat)):
+        return (0, 0) if isinstance(pattern, NodePat) else (1, 1)
+    if isinstance(pattern, Cond):
+        return operands[0]
+    if isinstance(pattern, Repeat):
+        ((lo, hi),) = operands
+        if hi == 0:
+            return 0, 0
+        if hi is None or pattern.hi is None:
+            return lo * pattern.lo, None
+        return lo * pattern.lo, hi * pattern.hi
+    if not isinstance(pattern, (Concat, Union_)):
         raise TypeError(f"not a pattern: {pattern!r}")
-    memo[id(pattern)] = window
-    return window
+    (lo1, hi1), (lo2, hi2) = operands
+    unbounded = hi1 is None or hi2 is None
+    if isinstance(pattern, Concat):
+        return lo1 + lo2, None if unbounded else hi1 + hi2
+    return min(lo1, lo2), None if unbounded else max(hi1, hi2)

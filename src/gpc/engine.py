@@ -1,46 +1,49 @@
 """Set-semantics evaluation of patterns and queries over a property graph.
 
-One evaluator serves a whole query or rule set. It computes a pattern's
-answers by exact path length, memoized per (subpattern, length), so the
-`shortest` strata of a leg share the shorter lengths, and all legs and
-rules share one work budget, which also pays for the pair analysis, and
-one answer ceiling. Inside the evaluator values are raw: a path is its
-element tuple, a node or edge is its id, a group is a tuple of (element
-tuple, raw value) pairs, and Nothing is `NOTHING`. An answer's binding is
-a tuple of raw values in the order of the subpattern's sorted variables.
-The typing rules fix each subpattern's schema, so every operator gets a
-plan once per node: the positions a concatenation or a join shares and
-the order it gathers its output in, a union's padding with Nothing, the
-positions a condition reads. Shared variables are node or edge
-singletons, so two bindings agree exactly when their shared positions
-hold equal ids. `query_rows`, `pattern_rows` and `ruleset_rows` return
-raw rows with the schema that types them. Value objects (`Path`,
-`NodeVal`, `Assignment`, ...) exist only at the boundary: `eval_query`,
-`eval_pattern` and `eval_ruleset` wrap the rows they return once, by
-schema (`values.wrapper`), and `gpc run` encodes raw rows without
-building any. Concatenation at length k joins left answers of length i
-with right answers of length k - i, for the splits that both operands'
-static match-length windows (`match_lengths`) admit. A node atom beside
-a path matches one node, at length 0, so it is no operand
-there but a filter (`_endpoint_filter`): the concatenation keeps the
-path's answers whose endpoint on the atom's side has the atom's label,
-and binds the atom's variable to that node, or keeps only the answers
-that already bind it there. The pair analysis filters its witnesses
-with the same filter, and the atom's matches are built in neither. A
-labelled atom on the source side also names where the repetitions on
-the path's left spine start (`_start_sets`): their length-0 states, and
-the pair analysis's powers, start only at nodes with the label. The
-filter still runs, so this only drops answers it would drop.
-Every memo entry holds distinct rows. The atom, endpoint-filter and
-condition branches return lists, since an atom matches each path once,
-the filter maps distinct rows to distinct rows, and a condition only
-drops rows; a union, a merging concatenation and a repetition keep
-sets, since different sides, splits or counts can build one row twice.
-One repetition worklist serves all three collect modes: the states of
-length k extend shorter ones by a positive segment, and in grouping mode
-then merge edgeless segments into an open run. A state that holds an
-edgeless run matches every count from its own upwards, since `_merge_run`
-is absorptive, so huge repetition counts cost nothing. A leg's restrictor
+One evaluator serves a whole query or rule set, and all legs and rules
+share its work budget, which also pays for the pair analysis, and its
+answer ceiling. It compiles each leg's pattern once into a tree of
+records (`_Sub`), one per occurrence of a subpattern, and computes each
+record's answers by exact path length, kept on the record while the leg
+runs, so the `shortest` strata of a leg share the shorter lengths.
+Inside the evaluator values are raw: a path is its element tuple, a node
+or edge is its id, a group is a tuple of (element tuple, raw value)
+pairs, and Nothing is `NOTHING`. An answer's binding is a tuple of raw
+values in the order of the subpattern's sorted variables. The typing
+rules fix each subpattern's schema, so every operator gets a plan once
+per record: the positions a concatenation or a join shares and the order
+it gathers its output in, a union's padding with Nothing, the positions
+a condition reads. Shared variables are node or edge singletons, so two
+bindings agree exactly when their shared positions hold equal ids.
+`query_rows`, `pattern_rows` and `ruleset_rows` return raw rows with the
+schema that types them. Value objects (`Path`, `NodeVal`, `Assignment`,
+...) exist only at the boundary: `eval_query`, `eval_pattern` and
+`eval_ruleset` wrap the rows they return once, by schema
+(`values.wrapper`), and `gpc run` encodes raw rows without building any.
+Concatenation at length k joins left answers of length i with right
+answers of length k - i, for the splits that both operands' static
+match-length windows admit; each record holds its window, built from its
+operands' (`window_of`). A node atom beside a path matches one node, at
+length 0, so it is no operand there but a filter (`_endpoint_filter`):
+the concatenation keeps the path's answers whose endpoint on the atom's
+side has the atom's label, and binds the atom's variable to that node,
+or keeps only the answers that already bind it there. The pair analysis
+filters its witnesses with the same filter, and the atom's matches are
+built in neither. A labelled atom on the source side also names where
+the repetitions on the path's left spine start (their records' start
+sets, see `_Evaluator.compile`): their length-0 states, and the pair
+analysis's powers, start only at nodes with the label. The filter still
+runs, so this only drops answers it would drop. A record's answers at
+each length are distinct rows. The atom, endpoint-filter and condition
+branches return lists, since an atom matches each path once, the filter
+maps distinct rows to distinct rows, and a condition only drops rows; a
+union, a merging concatenation and a repetition keep sets, since
+different sides, splits or counts can build one row twice. One
+repetition worklist serves all three collect modes: the states of length
+k extend shorter ones by a positive segment, and in grouping mode then
+merge edgeless segments into an open run. A state that holds an edgeless
+run matches every count from its own upwards, since `_merge_run` is
+absorptive, so huge repetition counts cost nothing. A leg's restrictor
 prunes partial paths where they are built. Trails and simple paths are
 closed under subpaths, so under `trail` or `simple` (with or without
 `shortest`) an atom, a concatenation or a repetition state that breaks
@@ -52,17 +55,16 @@ answers for the same endpoint pairs. The window caps each leg's bound
 stratum and stops once every pair that the pattern can connect has one;
 an exact pair analysis (`satisfiable_pairs`) names those pairs. It
 carries only the bindings that an operator above compares.
-`eval_pattern` and the pair analysis prune nothing.
-One walk over a query's joins (`_rows`) serves queries and rule bodies,
-and one function (`_eval_restricted`) chooses how each leg is answered.
-Joins hash-partition the right operand's answers on the values of the
-shared variables. A rule set's head keeps no paths, so `ruleset_rows`
-walks each body projected onto its head: each leg keeps only the
-variables that the head names or another leg shares. A plain SHORTEST
-leg that runs the pair analysis anyway, under no explicit length bound,
-and of which only endpoint variables are kept, is answered by the
-analysis alone: its pairs are those variables' values, and it lists no
-path.
+`eval_pattern` and the pair analysis prune nothing. One walk over a
+query's joins (`_rows`) serves queries and rule bodies, and one function
+(`_eval_restricted`) chooses how each leg is answered. Joins
+hash-partition the right operand's answers on the values of the shared
+variables. A rule set's head keeps no paths, so `ruleset_rows` walks
+each body projected onto its head: each leg keeps only the variables
+that the head names or another leg shares. A plain SHORTEST leg that
+runs the pair analysis anyway, under no explicit length bound, and of
+which only endpoint variables are kept, is answered by the analysis
+alone: its pairs are those variables' values, and it lists no path.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -100,6 +102,7 @@ from .ast import (
     expr_vars,
     match_lengths,
     pattern_size,
+    window_of,
 )
 from .graph import Path, PropertyGraph, const_eq
 from .typecheck import (
@@ -335,17 +338,6 @@ def _atom_matches(
                 yield (pair[1], e, pair[0]), mu
 
 
-def _endpoint_atom(pat: Concat) -> Optional[tuple[NodePat, Pattern, bool]]:
-    """A node atom beside a path: the atom, the other operand, and whether
-    the atom is on the left (so it filters the other's source, else its
-    target). None unless exactly one operand of `pat` is a node pattern.
-    """
-    left = isinstance(pat.left, NodePat)
-    if left == isinstance(pat.right, NodePat):
-        return None
-    return (pat.left, pat.right, True) if left else (pat.right, pat.left, False)
-
-
 def _endpoint_filter(
     graph: PropertyGraph, atom: NodePat, names: tuple[str, ...], out: tuple[str, ...]
 ) -> Callable[[str, tuple], Optional[tuple]]:
@@ -375,53 +367,6 @@ def _endpoint_filter(
         return gather(mu)
 
     return bind
-
-
-def _start_sets(graph: PropertyGraph, pattern: Pattern) -> dict[int, frozenset]:
-    """The nodes each repetition of `pattern` needs to start at, by the
-    repetition's id; a repetition that is not named may start anywhere.
-
-    A labelled node atom on the source side of an endpoint filter keeps
-    only the answers whose source has its label, so the repetitions whose
-    states start where the filtered operand's answers start need start
-    nowhere else. Those are the repetitions on the operand's left spine:
-    a concatenation's left operand (or the path beside a source atom),
-    both sides of a union, and a condition's pattern. Nested source atoms
-    intersect their sets. A repetition reached in two places keeps the
-    union of their sets, or none if one place has none, since its answers
-    are memoized by its identity. The filter still runs, so answers are
-    unchanged.
-    """
-    sets: dict[int, Optional[frozenset]] = {}
-    seen: set = set()
-    todo: list[tuple[Pattern, Optional[frozenset]]] = [(pattern, None)]  # None: anywhere
-    while todo:
-        pat, within = todo.pop()
-        if (id(pat), within) in seen:
-            continue
-        seen.add((id(pat), within))
-        if isinstance(pat, Repeat):
-            if id(pat) in sets and within is not None:
-                old = sets[id(pat)]
-                within = None if old is None else old | within
-            sets[id(pat)] = within
-            todo.append((pat.pattern, None))
-        elif isinstance(pat, Concat):
-            beside = _endpoint_atom(pat)
-            if beside is None:
-                todo += [(pat.left, within), (pat.right, None)]
-                continue
-            atom, other, at_src = beside
-            label = atom.descriptor.label
-            if at_src and label is not None:
-                nodes = frozenset(n for n in graph.nodes if label in graph.label_set(n))
-                within = nodes if within is None else within & nodes
-            todo.append((other, within))
-        elif isinstance(pat, Union_):
-            todo += [(pat.left, within), (pat.right, within)]
-        elif isinstance(pat, Cond):
-            todo.append((pat.pattern, within))
-    return {key: nodes for key, nodes in sets.items() if nodes is not None}
 
 
 # -- satisfiable endpoint pairs ----------------------------------------------
@@ -513,79 +458,123 @@ def satisfiable_pairs(
     """
     if evaluator is None:
         evaluator = _Evaluator(graph, EvalConfig(collect_mode=collect_mode))
-    return {(s, t) for s, t, _, _ in evaluator.witnesses(pattern)}
+    return {(s, t) for s, t, _, _ in evaluator.witnesses(evaluator.tree(pattern))}
 
 
 # -- pattern evaluation -------------------------------------------------------
 
 
+class _Sub:
+    """One occurrence of a subpattern in the pattern being evaluated, and all
+    that the evaluator keeps for it (see `_Evaluator.compile`). A node that
+    a library caller uses in two places gets a record in each."""
+
+    __slots__ = (
+        "pat", "kids", "schema", "names", "lo", "hi", "plan", "start",
+        "rows", "index", "size", "levels", "first",
+    )
+
+    def __init__(self, pat: Pattern, kids: tuple, schema: Schema, names: tuple, plan, start):
+        self.pat = pat
+        self.kids: tuple[_Sub, ...] = kids  # its operands' records, in order
+        self.schema = schema
+        self.names = names  # the layout of its bindings: its sorted variables
+        self.lo, self.hi = window_of(pat, [(kid.lo, kid.hi) for kid in kids])
+        self.plan = plan
+        self.start: Optional[frozenset] = start  # None: its answers may start anywhere
+        self.rows: dict[int, Collection] = {}  # answers by length, never mutated once stored
+        self.index: dict[int, dict] = {}  # the same, by source node
+        self.size = 0  # answers over every length so far, for the ceiling
+        self.levels: list = []  # a repetition's states by length
+        self.first: dict = {}  # a repetition's dominance table (see `_repeat`)
+
+    def kept(self, need: frozenset) -> tuple[str, ...]:
+        """The layout of the pair analysis's witnesses under `need`."""
+        return tuple(sorted(need.intersection(self.schema)))
+
+
 class _Evaluator:
     """One bottom-up evaluation per query or rule set, by exact path length.
 
-    `answers(pat, k)` holds the answers of length exactly k, as distinct
+    Each leg's pattern is compiled once into a tree of records (`compile`),
+    and its pair analysis and its strata read that tree. `answers(sub, k)`
+    holds, on the record, its answers of length exactly k, as distinct
     rows (path elements, binding) with the binding laid out over
-    `names(pat)`, in a list or a set. Its memo keys use node identity,
-    since the AST dataclasses hash recursively. `witnesses` is the pair
-    analysis, charged to the same work budget. `starts` holds the start
-    sets of the leg or pattern being evaluated (`_start_sets`).
+    `sub.names`, in a list or a set. The leg's tree is dropped when the
+    leg ends, and its memo with it. `witnesses` is the pair analysis,
+    charged to the same work budget.
     """
 
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
         self.graph = graph
         self.cfg = cfg
-        self.memo: dict[tuple[int, int], Collection] = {}  # never mutated once stored
-        self.index: dict[tuple[int, int], dict] = {}
-        self.levels: dict[int, list] = {}  # repetition states by length
-        self.sizes: dict[int, int] = {}
-        self.schemas: dict[int, Schema] = {}
-        self.layouts: dict[int, tuple[str, ...]] = {}
-        self.plans: dict[int, object] = {}
-        self.windows: dict = {}
-        self.starts: dict[int, frozenset] = {}  # per pattern, see `_start_sets`
-        # Per leg (see `reset`): where the elements start that a joined
-        # path must not repeat, and under plain SHORTEST the first length of
-        # each repetition state key. `eval_pattern` prunes nothing.
+        self.schemas: dict = {}  # the typing memo that `infer_schema` fills
+        self.root: Optional[_Sub] = None  # the leg's tree (`tree`)
+        # Per leg (see `restrict`): where the elements start that a joined
+        # path must not repeat, and whether plain SHORTEST dominance prunes
+        # repetition states. `eval_pattern` prunes nothing.
         self.fresh_from = 0
-        self.first: Optional[dict[int, dict[tuple, int]]] = None
+        self.dominance = False
         self.work = 0
         self.work_limit = max(cfg.max_answers * 20, 1_000_000)
 
-    def schema(self, pat: Pattern) -> Schema:
-        schema = self.schemas.get(id(pat))
-        return infer_schema(pat, self.schemas) if schema is None else schema
+    def compile(self, pat: Pattern, within: Optional[frozenset] = None) -> _Sub:
+        """The tree of records of `pat`, one per occurrence of a subpattern,
+        each with its layout, schema, window, plan and start set.
 
-    def names(self, pat: Pattern) -> tuple[str, ...]:
-        """The layout of the pattern's bindings: its sorted variables."""
-        if id(pat) not in self.layouts:
-            self.layouts[id(pat)] = tuple(sorted(self.schema(pat)))
-        return self.layouts[id(pat)]
+        A plan says how `_compute` combines the operands' bindings: an
+        endpoint filter or a `_Merge` for a concatenation, the operands'
+        padding for a union, the positional condition for `Cond`.
 
-    def kept(self, pat: Pattern, need: frozenset) -> tuple[str, ...]:
-        """The layout of the pattern's witnesses under `need`."""
-        return tuple(sorted(need.intersection(self.schema(pat))))
-
-    def plan(self, pat: Pattern):
-        """How `_compute` combines its operands' bindings, built once per
-        node: an endpoint filter or a `_Merge` for a concatenation, the
-        operands' padding for a union, the positional condition for `Cond`.
+        `within` names the nodes where the answers of `pat` need to start,
+        or None for anywhere; it is the record's start set. A labelled node
+        atom on the source side of an endpoint filter keeps only the
+        answers whose source has its label, so the path beside it needs to
+        start nowhere else. The set descends the operands whose answers
+        start where the path's do: a concatenation's left operand (or the
+        path beside a source atom), both sides of a union, and a
+        condition's pattern. Nested source atoms intersect their sets. A
+        repetition builds its length-0 states, and the pair analysis starts
+        its powers, at its start set only. The filter still runs, so
+        answers are unchanged.
         """
-        plan = self.plans.get(id(pat))
-        if plan is not None:
-            return plan
-        out = self.names(pat)
+        graph = self.graph
+        schema = infer_schema(pat, self.schemas)
+        names = tuple(sorted(schema))
+        plan = None
         if isinstance(pat, Concat):
-            beside = _endpoint_atom(pat)
-            if beside is None:
-                plan = _merge(self.names(pat.left), self.names(pat.right), out)
+            at_src = isinstance(pat.left, NodePat)
+            if at_src == isinstance(pat.right, NodePat):  # no node atom beside a path
+                kids = (self.compile(pat.left, within), self.compile(pat.right))
+                plan = _merge(kids[0].names, kids[1].names, names)
             else:
-                atom, other, at_src = beside
-                plan = other, at_src, _endpoint_filter(self.graph, atom, self.names(other), out)
+                atom, other = (pat.left, pat.right) if at_src else (pat.right, pat.left)
+                label = atom.descriptor.label
+                if at_src and label is not None:
+                    nodes = frozenset(n for n in graph.nodes if label in graph.label_set(n))
+                    within = nodes if within is None else within & nodes
+                path = self.compile(other, within)
+                kids = (self.compile(atom), path) if at_src else (path, self.compile(atom))
+                plan = path, at_src, _endpoint_filter(graph, atom, path.names, names)
         elif isinstance(pat, Union_):
-            plan = _gather(self.names(pat.left), out), _gather(self.names(pat.right), out)
+            kids = (self.compile(pat.left, within), self.compile(pat.right, within))
+            plan = _gather(kids[0].names, names), _gather(kids[1].names, names)
+        elif isinstance(pat, Cond):
+            kids = (self.compile(pat.pattern, within),)
+            plan = _by_position(pat.condition, names)
+        elif isinstance(pat, Repeat):
+            kids = (self.compile(pat.pattern),)
+        elif isinstance(pat, (NodePat, EdgePat)):
+            kids = ()
         else:
-            plan = _by_position(pat.condition, out)
-        self.plans[id(pat)] = plan
-        return plan
+            raise TypeError(f"not a pattern: {pat!r}")
+        return _Sub(pat, kids, schema, names, plan, within)
+
+    def tree(self, pattern: Pattern) -> _Sub:
+        """The leg's tree, compiled on its first use."""
+        if self.root is None or self.root.pat is not pattern:
+            self.root = self.compile(pattern)
+        return self.root
 
     def charge(self, amount: int = 1) -> None:
         self.work += amount
@@ -601,32 +590,28 @@ class _Evaluator:
                 f"answer set exceeded the ceiling of {self.cfg.max_answers}"
             )
 
-    def answers(self, pat: Pattern, k: int) -> Collection:
-        key = (id(pat), k)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(pat, k)
-        # The ceiling counts a subpattern's answers over every length so far.
-        size = self.sizes[id(pat)] = self.sizes.get(id(pat), 0) + len(result)
-        self.check_ceiling(size)
-        self.memo[key] = result
-        return result
+    def answers(self, sub: _Sub, k: int) -> Collection:
+        rows = sub.rows.get(k)
+        if rows is None:
+            rows = self._compute(sub, k)
+            # The ceiling counts a subpattern's answers over every length so far.
+            sub.size += len(rows)
+            self.check_ceiling(sub.size)
+            sub.rows[k] = rows
+        return rows
 
-    def by_src(self, pat: Pattern, k: int) -> dict:
+    def by_src(self, sub: _Sub, k: int) -> dict:
         """The answers of length k, indexed by their path's source node."""
-        key = (id(pat), k)
-        index = self.index.get(key)
+        index = sub.index.get(k)
         if index is None:
             index = {}
-            for answer in self.answers(pat, k):
+            for answer in self.answers(sub, k):
                 index.setdefault(answer[0][0], []).append(answer)
-            self.index[key] = index
+            sub.index[k] = index
         return index
 
-    def reset(self, restrictor: Optional[Restrictor] = None) -> None:
-        """Forget the memo and the answer counts, and prune the paths built
-        next for `restrictor`.
+    def restrict(self, restrictor: Restrictor) -> None:
+        """Prune the paths built next, for a leg under `restrictor`.
 
         Under TRAIL a path joined on must not repeat the edges of the path
         it extends: its elements from 1, every second one. Under SIMPLE it
@@ -634,56 +619,52 @@ class _Evaluator:
         ids never coincide, so each is looked up in the extended path's
         whole element tuple. Both paths already satisfy the restrictor, so
         nothing else can break it, and an edgeless one adds nothing to look
-        up. `fresh_from` 0 means no check, and `first` None no dominance.
+        up. `fresh_from` 0 means no check. Under plain SHORTEST, dominance
+        prunes repetition states.
         """
-        self.memo.clear()
-        self.index.clear()
-        self.levels.clear()
-        self.sizes.clear()
-        base = restrictor and restrictor.base
+        base = restrictor.base
         self.fresh_from = 1 if base is Restrictor.TRAIL else 2 if base is Restrictor.SIMPLE else 0
-        self.first = {} if restrictor is Restrictor.SHORTEST else None
+        self.dominance = restrictor is Restrictor.SHORTEST
 
-    def _compute(self, pat: Pattern, k: int) -> Collection[tuple[Elements, tuple]]:
+    def _compute(self, sub: _Sub, k: int) -> Collection[tuple[Elements, tuple]]:
+        pat = sub.pat
         if isinstance(pat, (NodePat, EdgePat)):
-            if match_lengths(pat, self.windows) != (k, k):
+            if sub.lo != k:
                 return []
             matches = _atom_matches(self.graph, pat)
             if k and self.fresh_from == 2:  # a self-loop is not simple
                 return [(el, mu) for el, mu in matches if el[0] != el[2]]
             return list(matches)
         if isinstance(pat, Concat):
-            plan = self.plan(pat)
+            plan = sub.plan
             if not isinstance(plan, _Merge):
-                other, at_src, bind = plan
+                path, at_src, bind = plan
                 # The one split the loop below would admit, if any.
-                lo, hi = match_lengths(other, self.windows)
-                if k < lo or (hi is not None and k > hi):
+                if k < path.lo or (path.hi is not None and k > path.hi):
                     return []
                 out = [
                     (p, merged)
-                    for p, mu in self.answers(other, k)
+                    for p, mu in self.answers(path, k)
                     if (merged := bind(p[0] if at_src else p[-1], mu)) is not None
                 ]
                 self.charge(len(out))
                 return out
             shared, left_key, right_key, gather = plan
+            left, right = sub.kids
             # Only the splits that both operands' windows admit.
-            lo1, hi1 = match_lengths(pat.left, self.windows)
-            lo2, hi2 = match_lengths(pat.right, self.windows)
-            first = lo1 if hi2 is None else max(lo1, k - hi2)
-            last = k - lo2 if hi1 is None else min(hi1, k - lo2)
+            first = left.lo if right.hi is None else max(left.lo, k - right.hi)
+            last = k - right.lo if left.hi is None else min(left.hi, k - right.lo)
             start = self.fresh_from
             out = set()
             for i in range(first, last + 1):
-                left = self.answers(pat.left, i)
-                right = self.by_src(pat.right, k - i)
-                if not left or not right:
+                lefts = self.answers(left, i)
+                rights = self.by_src(right, k - i)
+                if not lefts or not rights:
                     continue
                 check = start and i and i < k
-                for p1, mu1 in left:
+                for p1, mu1 in lefts:
                     key = left_key(mu1)
-                    for p2, mu2 in right.get(p1[-1], ()):
+                    for p2, mu2 in rights.get(p1[-1], ()):
                         self.charge()
                         if check and any(map(p1.__contains__, p2[start::2])):
                             continue
@@ -692,31 +673,30 @@ class _Evaluator:
                         out.add((p1 + p2[1:], gather(mu1 + mu2)))
             return out
         if isinstance(pat, Union_):
-            pad_left, pad_right = self.plan(pat)
-            out = {(p, pad_left(mu)) for p, mu in self.answers(pat.left, k)}
-            out.update((p, pad_right(mu)) for p, mu in self.answers(pat.right, k))
+            (left, right), (pad_left, pad_right) = sub.kids, sub.plan
+            out = {(p, pad_left(mu)) for p, mu in self.answers(left, k)}
+            out.update((p, pad_right(mu)) for p, mu in self.answers(right, k))
             return out
         if isinstance(pat, Cond):
-            theta = self.plan(pat)
+            theta = sub.plan
             return [
                 (p, mu)
-                for p, mu in self.answers(pat.pattern, k)
+                for p, mu in self.answers(sub.kids[0], k)
                 if _holds(self.graph, mu, theta)
             ]
-        if isinstance(pat, Repeat):
-            return self._repeat(pat, k)
-        raise TypeError(f"not a pattern: {pat!r}")
+        return self._repeat(sub, k)
 
-    def witnesses(self, pat: Pattern, need: frozenset = frozenset()) -> frozenset:
+    def witnesses(self, sub: _Sub, need: frozenset = frozenset()) -> frozenset:
         """The pair analysis: entries (src, tgt, binding, edgeless?).
 
-        An entry's binding is laid out over `kept(pat, need)`: it holds a
+        An entry's binding is laid out over `sub.kept(need)`: it holds a
         variable only if an operator above compares it, which is what
         `need` names. So a leg's top call needs nothing. The endpoint
         filter and the atom matcher are the evaluator's. A composed
         relation is charged to the work budget by its size.
         """
-        out_names = self.kept(pat, need)
+        pat = sub.pat
+        out_names = sub.kept(need)
         if isinstance(pat, (NodePat, EdgePat)):
             keep = bool(out_names)
             return frozenset(
@@ -725,12 +705,13 @@ class _Evaluator:
             )
         if isinstance(pat, Cond):
             inner = need | condition_vars(pat.condition)
-            names = self.kept(pat.pattern, inner)
+            body = sub.kids[0]
+            names = body.kept(inner)
             theta = _by_position(pat.condition, names)
             gather = _gather(names, out_names)
             return frozenset(
                 (s, t, gather(mu), z)
-                for s, t, mu, z in self.witnesses(pat.pattern, inner)
+                for s, t, mu, z in self.witnesses(body, inner)
                 if _holds(self.graph, mu, theta)
             )
         if isinstance(pat, Repeat):
@@ -738,53 +719,50 @@ class _Evaluator:
             grouping = self.cfg.collect_mode == "grouping"
             steps = frozenset(
                 (s, t, z)
-                for s, t, _, z in self.witnesses(pat.pattern)
+                for s, t, _, z in self.witnesses(sub.kids[0])
                 if grouping or not z
             )
-            start = self.starts.get(id(pat))
-            pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes, start)
+            pairs = _z_power_range(steps, pat.lo, pat.hi, self.graph.nodes, sub.start)
             out = frozenset((s, t, (), z) for s, t, z in pairs)
         elif isinstance(pat, Union_):
             out = frozenset()
-            for side in (pat.left, pat.right):
-                gather = _gather(self.kept(side, need), out_names)
+            for side in sub.kids:
+                gather = _gather(side.kept(need), out_names)
                 out |= {(s, t, gather(mu), z) for s, t, mu, z in self.witnesses(side, need)}
-        elif isinstance(pat, Concat):
-            beside = _endpoint_atom(pat)
-            if beside is not None:
-                atom, other, at_src = beside
-                # The atom re-checks its variable where the other binds it.
-                var = atom.descriptor.var
-                inner = need if var is None else need | {var}
-                bind = _endpoint_filter(self.graph, atom, self.kept(other, inner), out_names)
-                # The atom's own entries are edgeless, so `z` is the other's.
-                out = frozenset(
-                    (s, t, merged, z)
-                    for s, t, mu, z in self.witnesses(other, inner)
-                    if (merged := bind(s if at_src else t, mu)) is not None
-                )
-            else:
-                inner = need | (self.schema(pat.left).keys() & self.schema(pat.right).keys())
-                shared, left_key, right_key, gather = _merge(
-                    self.kept(pat.left, inner), self.kept(pat.right, inner), out_names
-                )
-                by_src: dict = {}
-                for s, t, mu, z in self.witnesses(pat.right, inner):
-                    by_src.setdefault(s, []).append((t, mu, z))
-                out = frozenset(
-                    (s, u, gather(mu1 + mu2), z1 and z2)
-                    for s, t, mu1, z1 in self.witnesses(pat.left, inner)
-                    for u, mu2, z2 in by_src.get(t, ())
-                    if not shared or left_key(mu1) == right_key(mu2)
-                )
+        elif not isinstance(sub.plan, _Merge):  # a node atom beside a path
+            path, at_src, _ = sub.plan
+            atom = sub.kids[0 if at_src else 1].pat
+            # The atom re-checks its variable where the other binds it.
+            var = atom.descriptor.var
+            inner = need if var is None else need | {var}
+            bind = _endpoint_filter(self.graph, atom, path.kept(inner), out_names)
+            # The atom's own entries are edgeless, so `z` is the other's.
+            out = frozenset(
+                (s, t, merged, z)
+                for s, t, mu, z in self.witnesses(path, inner)
+                if (merged := bind(s if at_src else t, mu)) is not None
+            )
         else:
-            raise TypeError(f"not a pattern: {pat!r}")
+            left, right = sub.kids
+            inner = need | (left.schema.keys() & right.schema.keys())
+            shared, left_key, right_key, gather = _merge(
+                left.kept(inner), right.kept(inner), out_names
+            )
+            by_src: dict = {}
+            for s, t, mu, z in self.witnesses(right, inner):
+                by_src.setdefault(s, []).append((t, mu, z))
+            out = frozenset(
+                (s, u, gather(mu1 + mu2), z1 and z2)
+                for s, t, mu1, z1 in self.witnesses(left, inner)
+                for u, mu2, z2 in by_src.get(t, ())
+                if not shared or left_key(mu1) == right_key(mu2)
+            )
         self.charge(len(out))
         return out
 
     # -- repetition -----------------------------------------------------------
 
-    def _repeat(self, pat: Repeat, k: int) -> set[tuple[Elements, tuple]]:
+    def _repeat(self, sub: _Sub, k: int) -> set[tuple[Elements, tuple]]:
         """Collect over segment splits, as one worklist for every mode.
 
         A state is (path so far, groups, open edgeless run, count, pumped);
@@ -801,10 +779,10 @@ class _Evaluator:
         every count stays finite. With an open upper bound only "reached lo"
         matters, so the count is capped there.
 
-        The leg's restrictor prunes states (see `reset`). Under plain
+        The leg's restrictor prunes states (see `restrict`). Under plain
         SHORTEST with an open upper bound, a state is kept only at the
-        first length where its key (repetition, endpoints, capped count,
-        pumped, edgeless?) appears. A repetition's answers bind only group
+        first length where its key (endpoints, capped count, pumped,
+        edgeless?) enters its dominance table. Its answers bind only group
         variables, which no sibling shares and no condition reads. So
         wherever a longer state completes to an answer of the leg, a
         shorter state with the same key completes to a shorter answer with
@@ -814,16 +792,15 @@ class _Evaluator:
         positive one. Under SHORTEST TRAIL or SIMPLE the shorter answer
         need not satisfy the restrictor, so the rule does not apply.
         """
-        body = pat.pattern
-        longest = match_lengths(body, self.windows)[1]
-        levels = self.levels.setdefault(id(pat), [])
+        pat, body, levels = sub.pat, sub.kids[0], sub.levels
+        longest = body.hi
 
         while len(levels) < k:  # build each shorter length once, in order
             recent = levels[max(len(levels) - (longest or 0), 0):]
             if longest is not None and levels and not any(recent):
                 return set()  # a state extends one at most `longest` shorter
-            self.answers(pat, len(levels))
-        width = len(self.names(body))
+            self.answers(sub, len(levels))
+        width = len(body.names)
         lo, hi = pat.lo, pat.hi
         grouping = self.cfg.collect_mode == "grouping"
         # Only edgeless merges or unrecorded groups reach a state twice;
@@ -832,9 +809,7 @@ class _Evaluator:
         states: list = []
         seen: set = set()
         start = self.fresh_from
-        first = None
-        if hi is None and self.first is not None:
-            first = self.first.setdefault(id(pat), {})
+        first = sub.first if hi is None and self.dominance else None
         zero = k == 0
 
         def push(state) -> bool:
@@ -852,7 +827,7 @@ class _Evaluator:
             return True
 
         if k == 0:
-            for n in self.starts.get(id(pat), self.graph.nodes):
+            for n in self.graph.nodes if sub.start is None else sub.start:
                 push(((n,), (), None, 0, False))
         for j in range(0 if longest is None else max(k - longest, 0), k):
             segments = self.by_src(body, k - j)
@@ -905,9 +880,9 @@ def pattern_rows(
     evaluator = _Evaluator(graph, cfg)
     schema = infer_schema(pattern, evaluator.schemas)
     validate_for_mode(pattern, cfg.collect_mode)
-    evaluator.starts = _start_sets(graph, pattern)
-    rows = [row for k in range(cfg.max_len + 1) for row in evaluator.answers(pattern, k)]
-    return evaluator.names(pattern), schema, rows
+    root = evaluator.compile(pattern)
+    rows = [row for k in range(cfg.max_len + 1) for row in evaluator.answers(root, k)]
+    return root.names, schema, rows
 
 
 def eval_pattern(
@@ -946,12 +921,22 @@ def length_bound(
     longer, so the caps leave the answers unchanged, and strata past them
     would be empty and cost no work that the budget could stop.
     """
+    return _bound(restrictor, graph, pattern, cfg, match_lengths(pattern)[1])
+
+
+def _bound(
+    restrictor: Restrictor,
+    graph: PropertyGraph,
+    pattern: Pattern,
+    cfg: EvalConfig,
+    hi: Optional[int],
+) -> int:
+    """`length_bound`, given the pattern's longest match `hi`."""
     if cfg.max_len is None:
         bound = default_length_bound(restrictor, graph, pattern)
     else:
         structural = _structural_bound(restrictor, graph)
         bound = cfg.max_len if structural is None else min(cfg.max_len, structural)
-    hi = match_lengths(pattern)[1]
     return bound if hi is None else min(bound, hi)
 
 
@@ -997,10 +982,10 @@ def _eval_restricted(
     """
     graph, cfg = evaluator.graph, evaluator.cfg
     restrictor, pattern = leg.restrictor, leg.pattern
-    evaluator.starts = _start_sets(graph, pattern)
+    root = evaluator.tree(pattern)  # the pair analysis reads it too
+    lo, hi = root.lo, root.hi
     shortest = restrictor.has_shortest
-    bound = length_bound(restrictor, graph, pattern, cfg)
-    lo, hi = match_lengths(pattern)
+    bound = _bound(restrictor, graph, pattern, cfg, hi)
     # The bound never exceeds the longest match, so `hi != bound` is "short of it".
     cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
     sat: Optional[set[tuple[str, str]]] = None
@@ -1017,12 +1002,13 @@ def _eval_restricted(
             names = tuple(sorted(need))
             pick = _picker([0 if var == src else 1 for var in names])
             loop = src is not None and src == tgt
+            evaluator.root = None
             return names, {((), pick(pair)) for pair in sat if not loop or pair[0] == pair[1]}
     best: dict[tuple[str, str], int] = {}
     kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
-    evaluator.reset(restrictor)
+    evaluator.restrict(restrictor)
     for level in range(lo, bound + 1):
-        for p, mu in evaluator.answers(pattern, level):
+        for p, mu in evaluator.answers(root, level):
             if shortest and best.setdefault((p[0], p[-1]), level) != level:
                 continue
             kept.append((p, mu))
@@ -1032,9 +1018,9 @@ def _eval_restricted(
         raise ResourceLimitError(
             f"SHORTEST needs paths longer than the bound ceiling of {bound}"
         )
-    # No other leg holds this leg's nodes; kept, its answers slow later legs.
-    evaluator.reset()
-    names = evaluator.names(pattern)
+    names = root.names
+    # No other leg holds this leg's records; kept, its answers slow later legs.
+    evaluator.root = root = None
     if leg.var is None:
         rows = [((p,), mu) for p, mu in kept]
     else:
@@ -1062,7 +1048,7 @@ def _rows(
     and projecting first loses no binding of `keep`.
     """
     if isinstance(query, Restricted):
-        need = None if keep is None else keep.intersection(evaluator.schema(query))
+        need = None if keep is None else keep.intersection(infer_schema(query, evaluator.schemas))
         return _eval_restricted(evaluator, query, need)
     if isinstance(query, Join):
         if keep is None:
@@ -1070,7 +1056,8 @@ def _rows(
             names2, right = _rows(evaluator, query.right)
             names = tuple(sorted(set(names1 + names2)))
         else:
-            schema1, schema2 = evaluator.schema(query.left), evaluator.schema(query.right)
+            schema1 = infer_schema(query.left, evaluator.schemas)
+            schema2 = infer_schema(query.right, evaluator.schemas)
             names1, left = _rows(evaluator, query.left, keep.union(schema2))
             names2, right = _rows(evaluator, query.right, keep.union(schema1))
             names = tuple(sorted(keep.intersection(names1 + names2)))

@@ -6,17 +6,16 @@ from gpc import engine, validate_graph
 @pytest.fixture
 def listed_legs(monkeypatch):
     """The restrictor of each leg that lists its strata, in order: such a
-    leg resets the evaluator for its restrictor once, before its first
-    stratum, and a leg that the pair analysis answers never does."""
+    leg sets the evaluator's pruning for its restrictor once, before its
+    first stratum, and a leg that the pair analysis answers never does."""
     calls: list = []
-    original = engine._Evaluator.reset
+    original = engine._Evaluator.restrict
 
-    def counting(self, restrictor=None):
-        if restrictor is not None:
-            calls.append(restrictor)
+    def counting(self, restrictor):
+        calls.append(restrictor)
         return original(self, restrictor)
 
-    monkeypatch.setattr(engine._Evaluator, "reset", counting)
+    monkeypatch.setattr(engine._Evaluator, "restrict", counting)
     return calls
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import random
 import time
@@ -1185,10 +1186,10 @@ def test_source_label_starts_the_repetition(monkeypatch, text):
     starts, sources = [], []
 
     class Recording(engine._Evaluator):
-        def _repeat(self, pat, k):
-            rows = super()._repeat(pat, k)
+        def _repeat(self, sub, k):
+            rows = super()._repeat(sub, k)
             if k == 0:
-                starts.extend(state[0] for state in self.levels[id(pat)][0])
+                starts.extend(state[0] for state in sub.levels[0])
             return rows
 
     power_range = engine._z_power_range
@@ -1199,13 +1200,12 @@ def test_source_label_starts_the_repetition(monkeypatch, text):
 
     monkeypatch.setattr(engine, "_Evaluator", Recording)
     monkeypatch.setattr(engine, "_z_power_range", recording_range)
-    g, query = _one_a_graph(), parse_query(text)
-    answers = eval_query(g, query)
+    g, query, cfg = _one_a_graph(), parse_query(text), EvalConfig(max_len=4)
+    answers = eval_query(g, query, cfg)
     assert answers
     assert set(starts) == {("n1",)}
     assert sources == [frozenset({"n1"})]
-    monkeypatch.setattr(engine, "_start_sets", lambda graph, pattern: {})
-    assert eval_query(g, query) == answers
+    assert answers == brute_force_query(g, query, cfg)
 
 
 @pytest.mark.parametrize(
@@ -1228,19 +1228,57 @@ def test_start_sets_stay_on_the_left_spine(text):
         assert answers == brute_force_query(g, query, cfg)
 
 
-def test_a_repetition_in_two_places_starts_where_either_needs():
-    # One Repeat object sits beside a source atom and, in the other
-    # union branch, alone: it keeps every start node.
-    g = _one_a_graph()
-    shared = Repeat(EdgePat(Direction.FORWARD, Descriptor("e")), 1, None)
-    atom = NodePat(Descriptor(label="A"))
-    copy = Repeat(EdgePat(Direction.FORWARD, Descriptor("e")), 1, None)
-    cfg = EvalConfig(max_len=3)
-    for restrictor in (Restrictor.SHORTEST, Restrictor.TRAIL):
-        got = eval_query(g, Restricted(restrictor, Union_(Concat(atom, shared), shared)), cfg)
-        want = eval_query(g, Restricted(restrictor, Union_(Concat(atom, copy), shared)), cfg)
-        assert got == want
-        assert {a.paths[0].elements[0] for a in got} == set(g.nodes)
+def _unshared(pat):
+    """A structurally equal copy of `pat` in which no node sits in two places."""
+    if isinstance(pat, (Union_, Concat)):
+        return dataclasses.replace(pat, left=_unshared(pat.left), right=_unshared(pat.right))
+    if isinstance(pat, (Cond, Repeat)):
+        return dataclasses.replace(pat, pattern=_unshared(pat.pattern))
+    return dataclasses.replace(pat)
+
+
+def _outcome(run):
+    """What `run()` returns, or the class of the limit or type error it raises."""
+    try:
+        return run()
+    except (ResourceLimitError, TypeCheckError) as error:
+        return type(error)
+
+
+def test_a_subpattern_in_two_places_answers_as_its_copy():
+    # A library caller can build one node into two places of a pattern.
+    # Each place gets its own record, so a repetition beside a source atom
+    # starts there alone, and the same repetition elsewhere starts
+    # everywhere: the answers equal those of an unshared copy.
+    answered = 0
+    for i in range(200):
+        rng = random.Random(f"two-places:{i}")
+        g = gen.rand_graph(rng, max_nodes=4, max_edges=5)
+        r = gen.rand_pattern(rng, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            r = Repeat(r, rng.randint(0, 1), rng.choice((None, 2)))
+        atom = NodePat(Descriptor(label=rng.choice(gen.NODE_LABELS)))
+        shared = (
+            Union_(Concat(atom, r), r),
+            Concat(r, r),
+            Concat(Concat(atom, r), r),
+            Union_(r, Concat(atom, r)),
+        )[i % 4]
+        copy = _unshared(shared)
+        for mode in COLLECT_MODES:
+            for restrictor in Restrictor:
+                cfg = EvalConfig(collect_mode=mode)
+                got = _outcome(lambda: eval_query(g, Restricted(restrictor, shared), cfg))
+                assert got == _outcome(lambda: eval_query(g, Restricted(restrictor, copy), cfg))
+                answered += isinstance(got, set) and bool(got)
+            cfg = EvalConfig(collect_mode=mode, max_len=2)
+            assert _outcome(lambda: eval_pattern(g, shared, cfg)) == _outcome(
+                lambda: eval_pattern(g, copy, cfg)
+            )
+            assert _outcome(lambda: satisfiable_pairs(g, shared, mode)) == _outcome(
+                lambda: satisfiable_pairs(g, copy, mode)
+            )
+    assert answered > 600
 
 
 def _spine(rng: random.Random, depth: int):
@@ -1306,12 +1344,15 @@ def test_start_sets_match_oracle(seed, mode, lenient):
 
 def test_list_branches_hold_distinct_rows(monkeypatch):
     # The atom, endpoint-filter and condition branches return lists; every
-    # memo entry, lists and sets alike, holds each row once.
-    checked = []
+    # record's answers, lists and sets alike, hold each row once. No record
+    # computes a length twice.
+    checked, computed = [], set()
 
     class Checking(engine._Evaluator):
-        def _compute(self, pat, k):
-            rows = super()._compute(pat, k)
+        def _compute(self, sub, k):
+            assert (sub, k) not in computed
+            computed.add((sub, k))
+            rows = super()._compute(sub, k)
             assert len(set(rows)) == len(rows)
             checked.append(type(rows))
             return rows
@@ -1322,6 +1363,7 @@ def test_list_branches_hold_distinct_rows(monkeypatch):
         g = gen.rand_graph(rng)
         query = gen.well_typed_query(rng, 3)
         cfg = EvalConfig(collect_mode=COLLECT_MODES[i % 3], max_len=rng.choice((2, 3, None)))
+        computed.clear()
         try:
             eval_query(g, query, cfg)
         except (TypeCheckError, ResourceLimitError):
