@@ -27,7 +27,6 @@ from .engine import (
     EvalConfig,
     ResourceLimitError,
     default_length_bound,
-    length_bound,
     pattern_rows,
     query_rows,
     ruleset_rows,
@@ -124,14 +123,6 @@ def _config_from(args) -> EvalConfig:
     )
 
 
-def _bound_used(cfg: EvalConfig, graph, expr) -> int:
-    """The longest path length the engine evaluated any leg to."""
-    return max(
-        length_bound(restrictor, graph, pattern, cfg)
-        for restrictor, pattern in query_patterns(expr)
-    )
-
-
 def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
     # The oracle's path budget ignores the engine's match-length window, so
     # that the two stay independent. Its answer budget is its own default,
@@ -164,7 +155,7 @@ def cmd_run(args) -> int:
     if isinstance(expr, RuleSet):
         # A rule's lines are encoded by its head's types; the union of the
         # lines is the union of the tuples, since the encoding is injective.
-        lines = ruleset_rows(graph, expr, cfg, tuple_encoder())
+        lines, bound = ruleset_rows(graph, expr, cfg, tuple_encoder())
         if args.oracle:
             budget = _oracle_budget(cfg, graph, expr)
             expected = {
@@ -180,7 +171,7 @@ def cmd_run(args) -> int:
         records = sorted(lines)
         count = len(lines)
     elif isinstance(expr, (Restricted, Join)):
-        names, schema, rows = query_rows(graph, expr, cfg)
+        names, schema, rows, bound = query_rows(graph, expr, cfg)
         records = answer_records(names, schema, rows)
         if args.oracle:
             budget = _oracle_budget(cfg, graph, expr)
@@ -203,7 +194,7 @@ def cmd_run(args) -> int:
         "answer_count": count,
         "elapsed_ms": elapsed_ms,
         "mode": cfg.collect_mode,
-        "bound_used": _bound_used(cfg, graph, expr),
+        "bound_used": bound,
     }
     print(json.dumps(report, sort_keys=True), file=sys.stderr)
     return 0

@@ -50,21 +50,22 @@ closed under subpaths, so under `trail` or `simple` (with or without
 the restrictor is dropped. Under plain `shortest` an open repetition
 keeps a state only at the first length where its endpoints, count class,
 pumping and edgelessness appear: a later state could only build longer
-answers for the same endpoint pairs. The window caps each leg's bound
-(`length_bound`), and `shortest` keeps each endpoint pair's first
-stratum and stops once every pair that the pattern can connect has one;
-an exact pair analysis (`satisfiable_pairs`) names those pairs. It
-carries only the bindings that an operator above compares.
-`eval_pattern` and the pair analysis prune nothing. One walk over a
-query's joins (`_rows`) serves queries and rule bodies, and one function
-(`_eval_restricted`) chooses how each leg is answered. Joins
-hash-partition the right operand's answers on the values of the shared
-variables. A rule set's head keeps no paths, so `ruleset_rows` walks
-each body projected onto its head: each leg keeps only the variables
-that the head names or another leg shares. A plain SHORTEST leg that
-runs the pair analysis anyway, under no explicit length bound, and of
-which only endpoint variables are kept, is answered by the analysis
-alone: its pairs are those variables' values, and it lists no path.
+answers for the same endpoint pairs. The root record's window caps each
+leg's bound, and the evaluator keeps the largest of these for the run
+report. `shortest` keeps each endpoint pair's first stratum and stops
+once every pair that the pattern can connect has one; an exact pair
+analysis (`satisfiable_pairs`) names those pairs. It carries only the
+bindings that an operator above compares. `eval_pattern` and the pair
+analysis prune nothing. One walk over a query's joins (`_rows`) serves
+queries and rule bodies, and one function (`_eval_restricted`) chooses
+how each leg is answered. Joins hash-partition the right operand's
+answers on the values of the shared variables. A rule set's head keeps
+no paths, so `ruleset_rows` walks each body projected onto its head:
+each leg keeps only the variables that the head names or another leg
+shares. A plain SHORTEST leg that runs the pair analysis anyway, under
+no explicit length bound, and of which only endpoint variables are kept,
+is answered by the analysis alone: its pairs are those variables'
+values, and it lists no path.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -100,7 +101,6 @@ from .ast import (
     condition_vars,
     # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
-    match_lengths,
     pattern_size,
     window_of,
 )
@@ -517,6 +517,7 @@ class _Evaluator:
         self.dominance = False
         self.work = 0
         self.work_limit = max(cfg.max_answers * 20, 1_000_000)
+        self.bound = 0  # the largest of its legs' bounds (see `_eval_restricted`)
 
     def compile(self, pat: Pattern, within: Optional[frozenset] = None) -> _Sub:
         """The tree of records of `pat`, one per occurrence of a subpattern,
@@ -907,39 +908,6 @@ def power(
 # -- queries -------------------------------------------------------------
 
 
-def length_bound(
-    restrictor: Restrictor,
-    graph: PropertyGraph,
-    pattern: Pattern,
-    cfg: EvalConfig,
-) -> int:
-    """The longest path length a restricted leg is evaluated to.
-
-    This is `cfg.max_len`, or the restrictor's default bound without one,
-    capped at the longest match the pattern can have and at the longest
-    trail or simple path when the restrictor asks for one: no answer is
-    longer, so the caps leave the answers unchanged, and strata past them
-    would be empty and cost no work that the budget could stop.
-    """
-    return _bound(restrictor, graph, pattern, cfg, match_lengths(pattern)[1])
-
-
-def _bound(
-    restrictor: Restrictor,
-    graph: PropertyGraph,
-    pattern: Pattern,
-    cfg: EvalConfig,
-    hi: Optional[int],
-) -> int:
-    """`length_bound`, given the pattern's longest match `hi`."""
-    if cfg.max_len is None:
-        bound = default_length_bound(restrictor, graph, pattern)
-    else:
-        structural = _structural_bound(restrictor, graph)
-        bound = cfg.max_len if structural is None else min(cfg.max_len, structural)
-    return bound if hi is None else min(bound, hi)
-
-
 def _endpoint_vars(pattern: Pattern) -> tuple[Optional[str], Optional[str]]:
     """The variables of the leftmost and the rightmost node atoms of the
     pattern's concatenation spine, each None where that end is no node atom
@@ -979,13 +947,29 @@ def _eval_restricted(
     - else listed stratum by stratum, up to the bound or, once the
       analysis ran, until every pair it found is covered;
     - and refused if the bound was cut at the ceiling and a pair is left.
+
+    The leg's bound, the longest path length it is listed to, is
+    `cfg.max_len`, or the restrictor's default bound without one, capped
+    at the longest match the pattern can have and at the longest trail or
+    simple path when the restrictor asks for one. No answer is longer, so
+    the caps leave the answers unchanged, and strata past them would be
+    empty and cost no work that the budget could stop. It is fixed before
+    the plan, so a leg that the analysis answers alone has one too, and
+    the evaluator keeps the largest bound of its legs (`evaluator.bound`).
     """
     graph, cfg = evaluator.graph, evaluator.cfg
     restrictor, pattern = leg.restrictor, leg.pattern
     root = evaluator.tree(pattern)  # the pair analysis reads it too
     lo, hi = root.lo, root.hi
     shortest = restrictor.has_shortest
-    bound = _bound(restrictor, graph, pattern, cfg, hi)
+    if cfg.max_len is None:
+        bound = default_length_bound(restrictor, graph, pattern)
+    else:
+        structural = _structural_bound(restrictor, graph)
+        bound = cfg.max_len if structural is None else min(cfg.max_len, structural)
+    if hi is not None:
+        bound = min(bound, hi)
+    evaluator.bound = max(evaluator.bound, bound)
     # The bound never exceeds the longest match, so `hi != bound` is "short of it".
     cut = shortest and cfg.max_len is None and bound == cfg.bound_ceiling and hi != bound
     sat: Optional[set[tuple[str, str]]] = None
@@ -1068,24 +1052,25 @@ def _rows(
 
 def query_rows(
     graph: PropertyGraph, query: Query, cfg: Optional[EvalConfig] = None
-) -> tuple[tuple[str, ...], Schema, list[tuple[tuple[Elements, ...], tuple]]]:
-    """The query's sorted variables, its schema, and its answers as
-    distinct raw rows (paths, binding): each path is its element tuple,
-    and each binding is laid out over those variables."""
+) -> tuple[tuple[str, ...], Schema, list[tuple[tuple[Elements, ...], tuple]], int]:
+    """The query's sorted variables, its schema, its answers as distinct
+    raw rows (paths, binding), and the largest bound of its legs (see
+    `_eval_restricted`): each path is its element tuple, and each binding
+    is laid out over those variables."""
     cfg = cfg or EvalConfig()
     evaluator = _Evaluator(graph, cfg)
     schema = infer_schema(query, evaluator.schemas)
     validate_for_mode(query, cfg.collect_mode)
     # Each leg's pattern and each join check the answer ceiling themselves.
     names, rows = _rows(evaluator, query)
-    return names, schema, rows
+    return names, schema, rows, evaluator.bound
 
 
 def eval_query(
     graph: PropertyGraph, query: Query, cfg: Optional[EvalConfig] = None
 ) -> set[Answer]:
     """The answer set of a query: tuples of witness paths with bindings."""
-    names, schema, rows = query_rows(graph, query, cfg)
+    names, schema, rows, _ = query_rows(graph, query, cfg)
     # Popped, each raw row is freed as soon as it is wrapped.
     return wrap_answers(names, schema, (rows.pop() for _ in range(len(rows))))
 
@@ -1095,14 +1080,16 @@ def ruleset_rows(
     rules: RuleSet,
     cfg: Optional[EvalConfig],
     convert: Callable[[list[TypeExpr]], Callable[[tuple], Hashable]],
-) -> set:
-    """Union over rules of the head projections of each body's answers.
+) -> tuple[set, int]:
+    """Union over rules of the head projections of each body's answers,
+    and the largest bound of the bodies' legs (see `_eval_restricted`).
 
     `convert(types)` maps a raw head tuple of a rule whose head has those
     types to what the union holds, such as its value tuple or its output
     line; it must be injective on the values. Every rule runs on one
     evaluator, under its work budget, and the union meets the same answer
-    ceiling as a join's output.
+    ceiling as a join's output. The bodies are typed once, into the
+    evaluator's typing memo, which the evaluation then reads.
 
     A head keeps no paths, so each body is evaluated projected onto it
     (`_rows` with `keep`): a leg needs only the variables that the head
@@ -1110,9 +1097,9 @@ def ruleset_rows(
     the pair analysis alone.
     """
     cfg = cfg or EvalConfig()
-    schemas = check_ruleset(rules)
-    validate_for_mode(rules, cfg.collect_mode)
     evaluator = _Evaluator(graph, cfg)
+    schemas = check_ruleset(rules, evaluator.schemas)
+    validate_for_mode(rules, cfg.collect_mode)
     out: set = set()
     for rule, schema in zip(rules.rules, schemas):
         names, rows = _rows(evaluator, rule.body, frozenset(rule.head))
@@ -1120,7 +1107,7 @@ def ruleset_rows(
         as_row = convert([schema[var] for var in rule.head])
         out.update(map(as_row, {head(mu) for _, mu in rows}))
         evaluator.check_ceiling(len(out))
-    return out
+    return out, evaluator.bound
 
 
 def eval_ruleset(
@@ -1128,7 +1115,7 @@ def eval_ruleset(
 ) -> set[tuple[Value, ...]]:
     """Union over rules of the head projections of each body's answers, as
     value tuples (see `ruleset_rows`)."""
-    return ruleset_rows(graph, rules, cfg, wrapper()[1])
+    return ruleset_rows(graph, rules, cfg, wrapper()[1])[0]
 
 
 def _hash_join(evaluator: _Evaluator, left: Iterable, right: Iterable, merge: _Merge) -> list:

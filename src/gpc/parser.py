@@ -145,8 +145,8 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # `advance` never moves past EOF
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -155,15 +155,15 @@ class _Parser:
         return tok
 
     def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def accept(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
+        if self.tokens[self.pos].kind == kind:
             return self.advance()
         return None
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             self.fail(f"unexpected {self.describe(tok)}", {kind})
         return self.advance()
@@ -329,7 +329,7 @@ class _Parser:
         key = self.word()
         self.expect("=")
         where = (tok.line, tok.column)
-        if self.at("IDENT") and self.peek(1).kind == ".":
+        if self.at("IDENT") and self.tokens[self.pos + 1].kind == ".":
             other = self.var_name(self.advance())
             self.expect(".")
             other_key = self.word()
@@ -354,7 +354,7 @@ class _Parser:
         tok = self.peek()
         where = (tok.line, tok.column)
         var = None
-        if self.at("IDENT") and self.peek(1).kind == "=":
+        if self.at("IDENT") and self.tokens[self.pos + 1].kind == "=":
             var = self.var_name(self.advance())
             self.expect("=")
         restrictor = self.restrictor()

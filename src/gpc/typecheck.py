@@ -226,11 +226,16 @@ def check_condition(pattern: Pattern, theta: Condition) -> None:
     _check_condition_against(_pattern_schema(pattern, {}), theta)
 
 
-def check_ruleset(rules: RuleSet) -> list[Schema]:
-    """Type every rule body; head variables must be bound in the body."""
+def check_ruleset(rules: RuleSet, memo: Optional[dict] = None) -> list[Schema]:
+    """Type every rule body; head variables must be bound in the body.
+
+    `memo` is as in `infer_schema`, shared by every body: afterwards it
+    holds the schema of each body's subpatterns, so that an evaluation of
+    the rules types none of them again.
+    """
     schemas = []
     for rule in rules.rules:
-        schema = infer_schema(rule.body)
+        schema = infer_schema(rule.body, memo)
         for var in rule.head:
             if var not in schema:
                 raise TypeCheckError("unbound_condition_var", var, rule.pos,

@@ -45,12 +45,14 @@ from gpc import (
     eval_ruleset,
     infer_schema,
     load_graph,
+    parse,
     parse_nre,
     parse_pattern,
     parse_query,
     parse_ruleset,
     translate_source,
 )
+from gpc.ast import query_patterns
 from gpc.cli import COMMANDS, _as_table_row, _scan, build_arg_parser, main
 from gpc.engine import COLLECT_MODES, pattern_rows, query_rows, ruleset_rows
 from gpc.render import render
@@ -508,6 +510,11 @@ def test_run_deep_input_is_structured_error(capsys, graph_file, tmp_path, text, 
         ("SHORTEST (:A) -[x]->{0..2} (:B)", ["--max-len", "1"], 1),
         ("SHORTEST (x) -> (y), TRAIL (y) ->{1..2} (z)", [], 2),
         ("SHORTEST (:A) -[x]->{0..} (:B)", [], None),
+        # The pair analysis answers this leg alone; it reports the bound
+        # that the leg would have been listed to.
+        ("Ans(x, y) <- SHORTEST (x) ->{1..} (y)", [], None),
+        ("Ans(x) <- SHORTEST (x) ->{1..3} (); Ans(x) <- TRAIL (x) -> ()", [], 3),
+        ("Ans(x) <- TRAIL (x) -> (); Ans(x) <- SHORTEST (x) ->{1..3} ()", [], 3),
     ],
 )
 def test_run_reports_bound_used(capsys, graph_file, tmp_path, text, args, bound):
@@ -516,11 +523,32 @@ def test_run_reports_bound_used(capsys, graph_file, tmp_path, text, args, bound)
     code, _, err = run_cli(capsys, "run", graph_file, str(query), *args)
     assert code == 0
     if bound is None:  # an open repetition keeps the default SHORTEST bound
-        bound = default_length_bound(
-            Restrictor.SHORTEST, load_graph(graph_file), parse_query(text).pattern
-        )
+        ((restrictor, pattern),) = query_patterns(parse(text))
+        assert restrictor is Restrictor.SHORTEST
+        bound = default_length_bound(restrictor, load_graph(graph_file), pattern)
         assert bound > 2
     assert json.loads(err.strip().splitlines()[-1])["bound_used"] == bound
+
+
+def test_run_computes_no_window_after_the_run(capsys, graph_file, tmp_path, monkeypatch):
+    # Each leg's bound comes from its own evaluation, which reads the
+    # windows off its compiled records; no leg's window is computed again.
+    calls = []
+
+    def counting(pattern, _match_lengths=gpc.ast.match_lengths):
+        calls.append(pattern)
+        return _match_lengths(pattern)
+
+    for module in (gpc.engine, gpc.typecheck):
+        monkeypatch.setattr(module, "match_lengths", counting, raising=False)
+    query = tmp_path / "q.gpc"
+    query.write_text("SHORTEST (x) ->{1..} (y), TRAIL (y) ->{1..2} (z)")
+    code, out, err = run_cli(
+        capsys, "run", graph_file, str(query), "--collect-mode", "grouping"
+    )
+    assert code == 0 and out
+    assert json.loads(err)["bound_used"] > 2
+    assert calls == []
 
 
 def test_run_rejects_bare_pattern(capsys, graph_file, tmp_path):
@@ -743,8 +771,10 @@ def odd_run(tmp_path):
 
 def test_run_records_are_serialized_answers_in_sort_key_order(capsys, odd_run):
     graph, query, _, expected = odd_run
-    rows = query_rows(load_graph(graph), parse_query(ODD_QUERY), EvalConfig())
-    assert answer_records(*rows) == expected
+    names, schema, rows, _ = query_rows(
+        load_graph(graph), parse_query(ODD_QUERY), EvalConfig()
+    )
+    assert answer_records(names, schema, rows) == expected
     code, out, _ = run_cli(capsys, "run", graph, query)
     assert code == 0
     assert out == "".join(line + "\n" for line in expected)
@@ -794,7 +824,8 @@ def test_run_ruleset_lines_are_the_json_dumps_of_their_tuples(capsys, tmp_path, 
         json.dumps({"tuple": [serialize_value(v) for v in row]}, sort_keys=True)
         for row in rows
     )
-    assert sorted(ruleset_rows(graph, rules, EvalConfig(), tuple_encoder())) == expected
+    lines, _ = ruleset_rows(graph, rules, EvalConfig(), tuple_encoder())
+    assert sorted(lines) == expected
     code, out, _ = run_cli(capsys, "run", odd_graph, str(query))
     assert code == 0
     assert out == "".join(line + "\n" for line in expected)

@@ -53,8 +53,8 @@ from gpc import (
     validate_graph,
 )
 from gpc import engine, typecheck
-from gpc.ast import expr_vars
-from gpc.engine import COLLECT_MODES, match_lengths, satisfiable_pairs
+from gpc.ast import expr_vars, match_lengths, subpatterns
+from gpc.engine import COLLECT_MODES, ruleset_rows, satisfiable_pairs
 from gpc.values import EMPTY
 
 import gen
@@ -921,6 +921,26 @@ def test_each_subpattern_is_typed_once(monkeypatch):
     answers = eval_query(g, parse_query("SHORTEST " + " ".join(["()"] * n)))
     assert len(answers) == 1
     assert len(calls) < 10 * n
+
+
+def test_ruleset_rows_types_each_body_once(monkeypatch):
+    # The rule check types each body into the evaluator's memo, which the
+    # evaluation then reads: one typing, and one memo hit per record.
+    calls = []
+    pattern_schema = typecheck._pattern_schema
+
+    def counting(pat, memo):
+        calls.append(pat)
+        return pattern_schema(pat, memo)
+
+    monkeypatch.setattr(typecheck, "_pattern_schema", counting)
+    rules = parse_ruleset("Ans(x) <- SHORTEST (x) " + "() " * 50 + "(y)")
+    nodes = len(list(subpatterns(rules.rules[0].body.pattern)))
+    assert nodes == 103
+    g = validate_graph({"nodes": [{"id": "a"}]})
+    result = ruleset_rows(g, rules, EvalConfig(), lambda types: tuple)
+    assert len(calls) <= 2 * nodes + 1
+    assert result == ({("a",)}, 0)
 
 
 def test_lenient_unify_enlarges_grouping_answers():

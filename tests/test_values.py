@@ -194,7 +194,7 @@ def test_records_equal_their_json_dumps_reference(seed, mode, names):
     graph = gen.rand_graph(rng, max_nodes=4, max_edges=6)
     query = gen.well_typed_query(rng, depth=3)
     try:
-        variables, schema, rows = query_rows(
+        variables, schema, rows, _ = query_rows(
             graph, query, EvalConfig(collect_mode=mode, max_len=3)
         )
     except (TypeCheckError, ResourceLimitError):
