@@ -236,11 +236,8 @@ def expr_vars(expr: Expr) -> set[str]:
 def subpatterns(pat: Pattern):
     """Yield pat and all its subpatterns (conditions are not patterns)."""
     yield pat
-    if isinstance(pat, (Union_, Concat)):
-        yield from subpatterns(pat.left)
-        yield from subpatterns(pat.right)
-    elif isinstance(pat, (Cond, Repeat)):
-        yield from subpatterns(pat.pattern)
+    for operand in _operands(pat):
+        yield from subpatterns(operand)
 
 
 def query_patterns(expr: Union[Query, RuleSet]):
@@ -259,17 +256,22 @@ def query_patterns(expr: Union[Query, RuleSet]):
 
 def pattern_size(pat: Pattern) -> int:
     """Structural size: parse-tree node count plus bits of repetition bounds."""
-    if isinstance(pat, (NodePat, EdgePat)):
+    return size_of(pat, [pattern_size(operand) for operand in _operands(pat)])
+
+
+def size_of(pattern: Pattern, operands: list[int]) -> int:
+    """The pattern's size (see `pattern_size`) from its operands' sizes, in
+    order; an atom has none."""
+    if isinstance(pattern, (NodePat, EdgePat)):
         return 1
-    if isinstance(pat, (Union_, Concat)):
-        return 1 + pattern_size(pat.left) + pattern_size(pat.right)
-    if isinstance(pat, Cond):
-        return 1 + pattern_size(pat.pattern) + _condition_size(pat.condition)
-    if isinstance(pat, Repeat):
-        bits = max(pat.lo.bit_length(), 1)
-        bits += max(pat.hi.bit_length(), 1) if pat.hi is not None else 1
-        return 1 + pattern_size(pat.pattern) + bits
-    raise TypeError(f"not a pattern: {pat!r}")
+    if isinstance(pattern, (Concat, Union_)):
+        return 1 + operands[0] + operands[1]
+    if isinstance(pattern, Cond):
+        return 1 + operands[0] + _condition_size(pattern.condition)
+    if not isinstance(pattern, Repeat):
+        raise TypeError(f"not a pattern: {pattern!r}")
+    hi = pattern.hi or 0  # an open upper bound counts one bit, as 0 does
+    return 1 + operands[0] + max(pattern.lo.bit_length(), 1) + max(hi.bit_length(), 1)
 
 
 def _condition_size(theta: Condition) -> int:
@@ -287,13 +289,16 @@ def match_lengths(pattern: Pattern) -> tuple[int, Optional[int]]:
     repetition of an edgeless body matches only edgeless paths, whatever
     its counts.
     """
+    return window_of(pattern, [match_lengths(operand) for operand in _operands(pattern)])
+
+
+def _operands(pattern: Pattern) -> tuple:
+    """The pattern's operands, in order; an atom, or no pattern, has none."""
     if isinstance(pattern, (Concat, Union_)):
-        operands = (pattern.left, pattern.right)
-    elif isinstance(pattern, (Cond, Repeat)):
-        operands = (pattern.pattern,)
-    else:
-        operands = ()
-    return window_of(pattern, [match_lengths(operand) for operand in operands])
+        return pattern.left, pattern.right
+    if isinstance(pattern, (Cond, Repeat)):
+        return (pattern.pattern,)
+    return ()
 
 
 def window_of(

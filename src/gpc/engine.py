@@ -5,15 +5,18 @@ share its work budget, which also pays for the pair analysis, and its
 answer ceiling. It compiles each leg's pattern once into a tree of
 records (`_Sub`), one per occurrence of a subpattern, and computes each
 record's answers by exact path length, kept on the record while the leg
-runs, so the `shortest` strata of a leg share the shorter lengths.
+runs, so the `shortest` strata of a leg share the shorter lengths. Each
+length is kept once: as the rows or, where the record's parent reads
+them by source node (see `_Evaluator.compile`), in lists by source node.
 Inside the evaluator values are raw: a path is its element tuple, a node
 or edge is its id, a group is a tuple of (element tuple, raw value)
 pairs, and Nothing is `NOTHING`. An answer's binding is a tuple of raw
 values in the order of the subpattern's sorted variables. The typing
 rules fix each subpattern's schema, so every operator gets a plan once
 per record: the positions a concatenation or a join shares and the order
-it gathers its output in, a union's padding with Nothing, the positions
-a condition reads. Shared variables are node or edge singletons, so two
+it gathers its output in, a union's padding with Nothing, and a
+condition's test (`_test`), a closure with each property's key and
+position bound. Shared variables are node or edge singletons, so two
 bindings agree exactly when their shared positions hold equal ids.
 `query_rows`, `pattern_rows` and `ruleset_rows` return raw rows with the
 schema that types them. Value objects (`Path`, `NodeVal`, `Assignment`,
@@ -50,9 +53,10 @@ closed under subpaths, so under `trail` or `simple` (with or without
 the restrictor is dropped. Under plain `shortest` an open repetition
 keeps a state only at the first length where its endpoints, count class,
 pumping and edgelessness appear: a later state could only build longer
-answers for the same endpoint pairs. The root record's window caps each
-leg's bound, and the evaluator keeps the largest of these for the run
-report. `shortest` keeps each endpoint pair's first stratum and stops
+answers for the same endpoint pairs. The root record's size sets each
+leg's default SHORTEST bound, its window caps the bound, and the
+evaluator keeps the largest of the legs' bounds for the run report.
+`shortest` keeps each endpoint pair's first stratum and stops
 once every pair that the pattern can connect has one; an exact pair
 analysis (`satisfiable_pairs`) names those pairs. It carries only the
 bindings that an operator above compares. `eval_pattern` and the pair
@@ -74,7 +78,7 @@ graph concurrently since all inputs are immutable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, ClassVar, Collection, Hashable, Iterable, Iterator, NamedTuple, Optional
 
@@ -102,6 +106,7 @@ from .ast import (
     # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
     pattern_size,
+    size_of,
     window_of,
 )
 from .graph import Path, PropertyGraph, const_eq
@@ -151,43 +156,41 @@ class EvalConfig:
 
 
 def satisfies(graph: PropertyGraph, mu: Assignment, theta: Condition) -> bool:
-    """Boolean condition semantics; undefined properties make atoms false."""
+    """Boolean condition semantics; undefined properties make atoms false.
+    A variable of `theta` that `mu` binds to no node or edge is a KeyError."""
     ids = {var: val.id for var, val in mu.items() if isinstance(val, (NodeVal, EdgeVal))}
-    return _holds(graph, ids, theta)
+    names = tuple(condition_vars(theta))
+    return _test(graph, theta, names)(tuple(ids[var] for var in names))
 
 
-def _holds(graph: PropertyGraph, ids, theta: Condition) -> bool:
-    """`satisfies` where `ids[var]` is each variable's node or edge id. The
-    evaluator passes a positional binding with a condition whose variables
-    `_by_position` renamed to positions."""
+def _test(
+    graph: PropertyGraph, theta: Condition, names: tuple[str, ...]
+) -> Callable[[tuple], bool]:
+    """The condition as a test of a binding laid out over `names`, which
+    holds each of its variables' node or edge ids. Each property's key and
+    position are bound here, once."""
+    prop = graph.prop
     if isinstance(theta, PropEqConst):
-        value = graph.prop(ids[theta.var], theta.key)
-        return value is not None and const_eq(value, theta.const)
+        at, key, const = names.index(theta.var), theta.key, theta.const
+        return lambda mu: (value := prop(mu[at], key)) is not None and const_eq(value, const)
     if isinstance(theta, PropEqProp):
-        left = graph.prop(ids[theta.var], theta.key)
-        right = graph.prop(ids[theta.other_var], theta.other_key)
-        return left is not None and right is not None and const_eq(left, right)
-    if isinstance(theta, And):
-        return _holds(graph, ids, theta.left) and _holds(graph, ids, theta.right)
-    if isinstance(theta, Or):
-        return _holds(graph, ids, theta.left) or _holds(graph, ids, theta.right)
+        at, key = names.index(theta.var), theta.key
+        other_at, other_key = names.index(theta.other_var), theta.other_key
+        return lambda mu: (value := prop(mu[at], key)) is not None and const_eq(
+            value, prop(mu[other_at], other_key)
+        )
     if isinstance(theta, Not):
-        return not _holds(graph, ids, theta.operand)
+        operand = _test(graph, theta.operand, names)
+        return lambda mu: not operand(mu)
+    left, right = _test(graph, theta.left, names), _test(graph, theta.right, names)
+    if isinstance(theta, And):
+        return lambda mu: left(mu) and right(mu)
+    if isinstance(theta, Or):
+        return lambda mu: left(mu) or right(mu)
     raise TypeError(f"not a condition: {theta!r}")
 
 
 # -- length bounds -----------------------------------------------------------
-
-
-def _structural_bound(restrictor: Restrictor, graph: PropertyGraph) -> Optional[int]:
-    """The longest path the restrictor's base admits: |N| for simple
-    paths, |E| for trails, None for walks."""
-    base = restrictor.base
-    if base is Restrictor.SIMPLE:
-        return len(graph.nodes)
-    if base is Restrictor.TRAIL:
-        return graph.edge_count
-    return None
 
 
 def default_length_bound(
@@ -202,16 +205,28 @@ def default_length_bound(
     (|N| + |E|) * 2^size(pattern), capped at `ceiling`. Combined
     restrictors take the minimum of the applicable bounds.
     """
-    structural = _structural_bound(restrictor, graph)
-    bounds = [] if structural is None else [structural]
-    if restrictor.has_shortest:
-        size = pattern_size(pattern)
-        if size >= ceiling.bit_length():
-            bounds.append(ceiling)
-        else:
-            bounds.append(
-                min((len(graph.nodes) + graph.edge_count) << size, ceiling)
-            )
+    return _bound(restrictor, graph, pattern_size(pattern), None, ceiling)
+
+
+def _bound(
+    restrictor: Restrictor,
+    graph: PropertyGraph,
+    size: int,
+    max_len: Optional[int] = None,
+    ceiling: int = EvalConfig.bound_ceiling,
+) -> int:
+    """`max_len` if given, else the default SHORTEST bound for a pattern of
+    structural size `size`, and in both cases at most the longest trail or
+    simple path where the restrictor asks for one."""
+    base = restrictor.base
+    bounds = [] if max_len is None else [max_len]
+    if base is Restrictor.SIMPLE:
+        bounds.append(len(graph.nodes))
+    elif base is Restrictor.TRAIL:
+        bounds.append(graph.edge_count)
+    if max_len is None and restrictor.has_shortest:
+        elements = len(graph.nodes) + graph.edge_count
+        bounds.append(min(elements << size, ceiling) if size < ceiling.bit_length() else ceiling)
     return min(bounds)
 
 
@@ -261,22 +276,6 @@ def _merge(left: tuple[str, ...], right: tuple[str, ...], out: tuple[str, ...]) 
         _picker([left.index(var) for var in shared]),
         _picker([right.index(var) for var in shared]),
         _gather(left + right, out),
-    )
-
-
-def _by_position(theta: Condition, names: tuple[str, ...]) -> Condition:
-    """The condition with each variable renamed to its position in `names`,
-    so that `_holds` reads a binding laid out over `names`."""
-    if isinstance(theta, PropEqConst):
-        return replace(theta, var=names.index(theta.var))
-    if isinstance(theta, PropEqProp):
-        return replace(
-            theta, var=names.index(theta.var), other_var=names.index(theta.other_var)
-        )
-    if isinstance(theta, Not):
-        return replace(theta, operand=_by_position(theta.operand, names))
-    return replace(
-        theta, left=_by_position(theta.left, names), right=_by_position(theta.right, names)
     )
 
 
@@ -466,12 +465,13 @@ def satisfiable_pairs(
 
 class _Sub:
     """One occurrence of a subpattern in the pattern being evaluated, and all
-    that the evaluator keeps for it (see `_Evaluator.compile`). A node that
-    a library caller uses in two places gets a record in each."""
+    that the evaluator keeps for it (see `_Evaluator.compile`), its answers
+    included (`_Evaluator.answers`). A node that a library caller uses in
+    two places gets a record in each."""
 
     __slots__ = (
-        "pat", "kids", "schema", "names", "lo", "hi", "plan", "start",
-        "rows", "index", "size", "levels", "first",
+        "pat", "kids", "schema", "names", "lo", "hi", "size", "plan", "start",
+        "by_source", "memo", "count", "levels", "first",
     )
 
     def __init__(self, pat: Pattern, kids: tuple, schema: Schema, names: tuple, plan, start):
@@ -480,11 +480,12 @@ class _Sub:
         self.schema = schema
         self.names = names  # the layout of its bindings: its sorted variables
         self.lo, self.hi = window_of(pat, [(kid.lo, kid.hi) for kid in kids])
+        self.size = size_of(pat, [kid.size for kid in kids])  # see `default_length_bound`
         self.plan = plan
         self.start: Optional[frozenset] = start  # None: its answers may start anywhere
-        self.rows: dict[int, Collection] = {}  # answers by length, never mutated once stored
-        self.index: dict[int, dict] = {}  # the same, by source node
-        self.size = 0  # answers over every length so far, for the ceiling
+        self.by_source = False  # whether its parent reads its answers by source node
+        self.memo: dict[int, Collection | dict] = {}  # see `_Evaluator.answers`
+        self.count = 0  # answers over every length so far, for the ceiling
         self.levels: list = []  # a repetition's states by length
         self.first: dict = {}  # a repetition's dominance table (see `_repeat`)
 
@@ -500,9 +501,9 @@ class _Evaluator:
     and its pair analysis and its strata read that tree. `answers(sub, k)`
     holds, on the record, its answers of length exactly k, as distinct
     rows (path elements, binding) with the binding laid out over
-    `sub.names`, in a list or a set. The leg's tree is dropped when the
-    leg ends, and its memo with it. `witnesses` is the pair analysis,
-    charged to the same work budget.
+    `sub.names`, in a list or a set, or by source node. The leg's tree is
+    dropped when the leg ends, and its memos with it. `witnesses` is the
+    pair analysis, charged to the same work budget.
     """
 
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
@@ -521,11 +522,13 @@ class _Evaluator:
 
     def compile(self, pat: Pattern, within: Optional[frozenset] = None) -> _Sub:
         """The tree of records of `pat`, one per occurrence of a subpattern,
-        each with its layout, schema, window, plan and start set.
+        each with its layout, schema, window, size, plan and start set.
 
         A plan says how `_compute` combines the operands' bindings: an
         endpoint filter or a `_Merge` for a concatenation, the operands'
-        padding for a union, the positional condition for `Cond`.
+        padding for a union, the condition's test for `Cond` (`_test`). It
+        marks `by_source` a merging concatenation's right operand and a
+        repetition's body, whose answers their parents read by source node.
 
         `within` names the nodes where the answers of `pat` need to start,
         or None for anywhere; it is the record's start set. A labelled node
@@ -547,6 +550,7 @@ class _Evaluator:
             at_src = isinstance(pat.left, NodePat)
             if at_src == isinstance(pat.right, NodePat):  # no node atom beside a path
                 kids = (self.compile(pat.left, within), self.compile(pat.right))
+                kids[1].by_source = True
                 plan = _merge(kids[0].names, kids[1].names, names)
             else:
                 atom, other = (pat.left, pat.right) if at_src else (pat.right, pat.left)
@@ -562,9 +566,10 @@ class _Evaluator:
             plan = _gather(kids[0].names, names), _gather(kids[1].names, names)
         elif isinstance(pat, Cond):
             kids = (self.compile(pat.pattern, within),)
-            plan = _by_position(pat.condition, names)
+            plan = _test(graph, pat.condition, names)
         elif isinstance(pat, Repeat):
             kids = (self.compile(pat.pattern),)
+            kids[0].by_source = True
         elif isinstance(pat, (NodePat, EdgePat)):
             kids = ()
         else:
@@ -591,25 +596,23 @@ class _Evaluator:
                 f"answer set exceeded the ceiling of {self.cfg.max_answers}"
             )
 
-    def answers(self, sub: _Sub, k: int) -> Collection:
-        rows = sub.rows.get(k)
+    def answers(self, sub: _Sub, k: int) -> Collection | dict:
+        """The record's answers of length k, computed once: the memo keeps
+        the rows that `_compute` returned or, for a record marked
+        `by_source`, only those rows in lists by their source node."""
+        rows = sub.memo.get(k)
         if rows is None:
             rows = self._compute(sub, k)
             # The ceiling counts a subpattern's answers over every length so far.
-            sub.size += len(rows)
-            self.check_ceiling(sub.size)
-            sub.rows[k] = rows
+            sub.count += len(rows)
+            self.check_ceiling(sub.count)
+            if sub.by_source:
+                index: dict = {}
+                for row in rows:
+                    index.setdefault(row[0][0], []).append(row)
+                rows = index
+            sub.memo[k] = rows
         return rows
-
-    def by_src(self, sub: _Sub, k: int) -> dict:
-        """The answers of length k, indexed by their path's source node."""
-        index = sub.index.get(k)
-        if index is None:
-            index = {}
-            for answer in self.answers(sub, k):
-                index.setdefault(answer[0][0], []).append(answer)
-            sub.index[k] = index
-        return index
 
     def restrict(self, restrictor: Restrictor) -> None:
         """Prune the paths built next, for a leg under `restrictor`.
@@ -659,7 +662,7 @@ class _Evaluator:
             out = set()
             for i in range(first, last + 1):
                 lefts = self.answers(left, i)
-                rights = self.by_src(right, k - i)
+                rights = self.answers(right, k - i)
                 if not lefts or not rights:
                     continue
                 check = start and i and i < k
@@ -679,12 +682,8 @@ class _Evaluator:
             out.update((p, pad_right(mu)) for p, mu in self.answers(right, k))
             return out
         if isinstance(pat, Cond):
-            theta = sub.plan
-            return [
-                (p, mu)
-                for p, mu in self.answers(sub.kids[0], k)
-                if _holds(self.graph, mu, theta)
-            ]
+            test = sub.plan
+            return [(p, mu) for p, mu in self.answers(sub.kids[0], k) if test(mu)]
         return self._repeat(sub, k)
 
     def witnesses(self, sub: _Sub, need: frozenset = frozenset()) -> frozenset:
@@ -708,12 +707,10 @@ class _Evaluator:
             inner = need | condition_vars(pat.condition)
             body = sub.kids[0]
             names = body.kept(inner)
-            theta = _by_position(pat.condition, names)
+            test = _test(self.graph, pat.condition, names)
             gather = _gather(names, out_names)
             return frozenset(
-                (s, t, gather(mu), z)
-                for s, t, mu, z in self.witnesses(body, inner)
-                if _holds(self.graph, mu, theta)
+                (s, t, gather(mu), z) for s, t, mu, z in self.witnesses(body, inner) if test(mu)
             )
         if isinstance(pat, Repeat):
             # Its variables are groups, which no operator compares.
@@ -831,7 +828,7 @@ class _Evaluator:
             for n in self.graph.nodes if sub.start is None else sub.start:
                 push(((n,), (), None, 0, False))
         for j in range(0 if longest is None else max(k - longest, 0), k):
-            segments = self.by_src(body, k - j)
+            segments = self.answers(body, k - j)
             if not segments:
                 continue
             for path_so_far, groups, _, count, pumped in levels[j]:
@@ -843,7 +840,7 @@ class _Evaluator:
                         continue
                     ngroups = groups + (segment,) if width else ()
                     push((path_so_far + segment[0][1:], ngroups, None, nk, pumped))
-        edgeless = self.by_src(body, 0)
+        edgeless = self.answers(body, 0)
         lenient = self.cfg.lenient_unify
         queue = list(states) if grouping and edgeless else []
         while queue:
@@ -962,11 +959,7 @@ def _eval_restricted(
     root = evaluator.tree(pattern)  # the pair analysis reads it too
     lo, hi = root.lo, root.hi
     shortest = restrictor.has_shortest
-    if cfg.max_len is None:
-        bound = default_length_bound(restrictor, graph, pattern)
-    else:
-        structural = _structural_bound(restrictor, graph)
-        bound = cfg.max_len if structural is None else min(cfg.max_len, structural)
+    bound = _bound(restrictor, graph, root.size, cfg.max_len)
     if hi is not None:
         bound = min(bound, hi)
     evaluator.bound = max(evaluator.bound, bound)

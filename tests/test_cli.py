@@ -551,6 +551,30 @@ def test_run_computes_no_window_after_the_run(capsys, graph_file, tmp_path, monk
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["SHORTEST (x) ->{1..} (y)", "Ans(x, z) <- SHORTEST (x) ->{1..} (y), SHORTEST (y) -> (z)"],
+)
+def test_run_computes_no_pattern_size_after_compiling(
+    capsys, graph_file, tmp_path, monkeypatch, text
+):
+    # The default SHORTEST bound reads each leg's structural size off its
+    # compiled root record; no leg's pattern is walked again for it.
+    calls = []
+
+    def counting(pattern, _pattern_size=gpc.ast.pattern_size):
+        calls.append(pattern)
+        return _pattern_size(pattern)
+
+    monkeypatch.setattr(gpc.engine, "pattern_size", counting)
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    code, out, err = run_cli(capsys, "run", graph_file, str(query))
+    assert code == 0 and out
+    assert json.loads(err)["bound_used"] > 2
+    assert calls == []
+
+
 def test_run_rejects_bare_pattern(capsys, graph_file, tmp_path):
     query = tmp_path / "q.gpc"
     query.write_text("(x) -> (y)")

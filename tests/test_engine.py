@@ -53,7 +53,7 @@ from gpc import (
     validate_graph,
 )
 from gpc import engine, typecheck
-from gpc.ast import expr_vars, match_lengths, subpatterns
+from gpc.ast import And, Not, Or, PropEqConst, PropEqProp, expr_vars, match_lengths, subpatterns
 from gpc.engine import COLLECT_MODES, ruleset_rows, satisfiable_pairs
 from gpc.values import EMPTY
 
@@ -65,13 +65,105 @@ import gen
 
 def test_satisfies_examples(g_tiny):
     mu = Assignment({"x": NodeVal("n1")})
-    from gpc.ast import PropEqConst, Not
-
     assert satisfies(g_tiny, mu, PropEqConst("x", "k", "5"))
     assert not satisfies(g_tiny, mu, PropEqConst("x", "missing", "5"))
     assert satisfies(g_tiny, mu, Not(PropEqConst("x", "missing", "5")))
     # strict same-kind comparison: "5" is not 5
     assert not satisfies(g_tiny, mu, PropEqConst("x", "k", 5))
+    # every condition variable must be bound to a node or an edge
+    for y in ({}, {"y": NOTHING}, {"y": GroupVal(())}):
+        binding = Assignment({"x": NodeVal("n1"), **y})
+        for theta in (PropEqConst("y", "k", "5"), PropEqProp("x", "k", "y", "k")):
+            with pytest.raises(KeyError):
+                satisfies(g_tiny, binding, theta)
+
+
+def _nestings(theta) -> set:
+    """The (outer, inner) kinds of each And, Or or Not directly holding
+    another one in the condition."""
+    operands = (theta.operand,) if isinstance(theta, Not) else (
+        (theta.left, theta.right) if isinstance(theta, (And, Or)) else ()
+    )
+    out = {(type(theta), type(op)) for op in operands if isinstance(op, (And, Or, Not))}
+    for op in operands:
+        out |= _nestings(op)
+    return out
+
+
+def test_satisfies_agrees_with_the_oracle():
+    # The evaluator compiles each condition once into a test; `satisfies`
+    # runs that test, and the oracle interprets the condition itself.
+    from gpc.oracle import _holds
+
+    nestings, outcomes = set(), set()
+    for i in range(500):
+        rng = random.Random(f"satisfies:{i}")
+        g = gen.rand_graph(rng)
+        elements = sorted(g.nodes) + sorted(g.directed_edges) + sorted(g.undirected_edges)
+        mu = Assignment(
+            {
+                var: NodeVal(el) if el in g.nodes else EdgeVal(el)
+                for var in gen.VAR_POOL
+                for el in [rng.choice(elements)]
+            }
+        )
+        theta = gen.rand_condition(rng, list(gen.VAR_POOL), depth=4)
+        got = satisfies(g, mu, theta)
+        assert got == _holds(g, mu, theta), (i, theta, mu)
+        nestings |= _nestings(theta)
+        outcomes.add(got)
+    kinds = (And, Or, Not)
+    assert {(a, b) for a in kinds for b in kinds} <= nestings
+    assert outcomes == {True, False}
+
+
+def test_satisfies_compares_kinds_strictly_and_undefined_is_false():
+    from gpc.oracle import _holds
+
+    g = validate_graph(
+        {
+            "nodes": [
+                {"id": "n1", "properties": {"k": 1, "m": True}},
+                {"id": "n2", "properties": {"k": "1"}},
+            ],
+            "directed_edges": [
+                {"id": "d1", "src": "n1", "tgt": "n2", "properties": {"k": True}}
+            ],
+            "undirected_edges": [{"id": "u1", "endpoints": ["n2"], "properties": {"m": 1}}],
+        }
+    )
+    mu = Assignment(
+        {"x": NodeVal("n1"), "y": NodeVal("n2"), "e": EdgeVal("d1"), "u": EdgeVal("u1")}
+    )
+    one, one_str = PropEqConst("x", "k", 1), PropEqConst("y", "k", "1")
+    true = PropEqConst("e", "k", True)
+    cases = [
+        # 1 against 1, "1" and True
+        (one, True),
+        (PropEqConst("y", "k", 1), False),
+        (PropEqConst("e", "k", 1), False),
+        (PropEqConst("x", "m", 1), False),
+        (true, True),
+        (one_str, True),
+        (PropEqProp("x", "k", "u", "m"), True),
+        (PropEqProp("x", "k", "y", "k"), False),
+        (PropEqProp("x", "k", "e", "k"), False),
+        (PropEqProp("x", "m", "e", "k"), True),
+        # an undefined side, either one, or both
+        (PropEqProp("x", "none", "y", "k"), False),
+        (PropEqProp("y", "k", "x", "none"), False),
+        (PropEqProp("x", "none", "y", "none"), False),
+        (Not(PropEqProp("u", "k", "x", "k")), True),
+        (PropEqConst("u", "k", 1), False),
+        # nested connectives
+        (Or(Not(one_str), Not(And(one, true))), False),
+        (And(Not(PropEqConst("y", "k", 1)), Or(PropEqConst("x", "k", "1"), true)), True),
+        (Not(Or(Not(one), And(true, Not(one_str)))), True),
+        (Or(And(one, Not(true)), Not(Or(Not(one_str), Not(one)))), True),
+    ]
+    for theta, expected in cases:
+        assert satisfies(g, mu, theta) is expected, theta
+        assert _holds(g, mu, theta) is expected, theta
 
 
 # -- refactor and collect -----------------------------------------------------
@@ -1365,17 +1457,53 @@ def test_start_sets_match_oracle(seed, mode, lenient):
 def test_list_branches_hold_distinct_rows(monkeypatch):
     # The atom, endpoint-filter and condition branches return lists; every
     # record's answers, lists and sets alike, hold each row once. No record
-    # computes a length twice.
-    checked, computed = [], set()
+    # computes a length twice. Each record keeps one memo entry per length:
+    # the rows themselves, or, where its parent reads them by source node (a
+    # merging concatenation's right operand and a repetition's body), only
+    # those rows in lists by source node.
+    checked, computed, parents, keyed = [], {}, {}, []
+
+    def read_by_source(sub) -> bool:
+        parent = parents.get(sub)
+        if parent is None:
+            return False
+        if isinstance(parent.pat, Repeat):
+            return True
+        merging = isinstance(parent.pat, Concat) and isinstance(parent.plan, engine._Merge)
+        return merging and sub is parent.kids[1]
 
     class Checking(engine._Evaluator):
+        def compile(self, pat, within=None):
+            sub = super().compile(pat, within)
+            for kid in sub.kids:
+                parents[kid] = sub
+            return sub
+
         def _compute(self, sub, k):
             assert (sub, k) not in computed
-            computed.add((sub, k))
             rows = super()._compute(sub, k)
+            computed[sub, k] = rows
             assert len(set(rows)) == len(rows)
             checked.append(type(rows))
             return rows
+
+        def answers(self, sub, k):
+            fresh = (sub, k) not in computed
+            stored = super().answers(sub, k)
+            assert stored is sub.memo[k]
+            if not fresh:
+                return stored
+            rows = computed[sub, k]
+            if read_by_source(sub):
+                keyed.append(sub)
+                assert type(stored) is dict
+                assert all(type(held) is list for held in stored.values())
+                assert all(p[0] == src for src, held in stored.items() for p, _ in held)
+                flat = [row for held in stored.values() for row in held]
+                assert collections.Counter(flat) == collections.Counter(rows)
+            else:
+                assert stored is rows
+            return stored
 
     monkeypatch.setattr(engine, "_Evaluator", Checking)
     for i in range(300):
@@ -1384,8 +1512,10 @@ def test_list_branches_hold_distinct_rows(monkeypatch):
         query = gen.well_typed_query(rng, 3)
         cfg = EvalConfig(collect_mode=COLLECT_MODES[i % 3], max_len=rng.choice((2, 3, None)))
         computed.clear()
+        parents.clear()
         try:
             eval_query(g, query, cfg)
         except (TypeCheckError, ResourceLimitError):
             continue
+    assert {type(sub.pat) for sub in keyed} >= {NodePat, EdgePat, Concat, Union_, Repeat}
     assert list in checked and set in checked
