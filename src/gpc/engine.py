@@ -11,18 +11,18 @@ them by source node (see `_Evaluator.compile`), in lists by source node.
 Inside the evaluator values are raw: a path is its element tuple, a node
 or edge is its id, a group is a tuple of (element tuple, raw value)
 pairs, and Nothing is `NOTHING`. An answer's binding is a tuple of raw
-values in the order of the subpattern's sorted variables. The typing
-rules fix each subpattern's schema, so every operator gets a plan once
-per record: the positions a concatenation or a join shares and the order
-it gathers its output in, a union's padding with Nothing, and a
-condition's test (`_test`), a closure with each property's key and
-position bound. Shared variables are node or edge singletons, so two
-bindings agree exactly when their shared positions hold equal ids.
-`query_rows`, `pattern_rows` and `ruleset_rows` return raw rows with the
-schema that types them. Value objects (`Path`, `NodeVal`, `Assignment`,
-...) exist only at the boundary: `eval_query`, `eval_pattern` and
-`eval_ruleset` wrap the rows they return once, by schema
-(`values.wrapper`), and `gpc run` encodes raw rows without building any.
+values laid out over the subpattern's sorted variables. A record holds
+that layout, built from its operands' (see `_Evaluator.compile`), and no
+type, so every operator gets a plan once per record: the positions a
+concatenation or a join shares and the order it gathers its output in, a
+union's padding with Nothing, and a condition's test (`_test`), a closure
+with each property's key and position bound. Shared variables are node
+or edge singletons, so two bindings agree exactly when their shared
+positions hold equal ids. Types stay at the boundary: `query_rows`,
+`pattern_rows` and `ruleset_rows` type their input once, up front, and
+return raw rows with its schema. `eval_query`, `eval_pattern` and
+`eval_ruleset` wrap those by schema (`values.wrapper`), once per row;
+`gpc run` encodes them raw and builds no value object (`Path`, ...).
 Concatenation at length k joins left answers of length i with right
 answers of length k - i, for the splits that both operands' static
 match-length windows admit; each record holds its window, built from its
@@ -103,7 +103,6 @@ from .ast import (
     RuleSet,
     Union_,
     condition_vars,
-    # unused here; bench/baseline.py patches gpc.engine.expr_vars
     expr_vars,
     pattern_size,
     size_of,
@@ -452,10 +451,11 @@ def satisfiable_pairs(
     """Exactly the (src, tgt) pairs for which the pattern has an answer.
 
     The analysis charges its relations to `evaluator`'s work budget, or to
-    a fresh evaluator's, built with `collect_mode`, and raises
-    ResourceLimitError once that runs out.
+    a fresh evaluator's, built with `collect_mode` once the pattern has
+    type-checked, and raises ResourceLimitError once that runs out.
     """
-    if evaluator is None:
+    if evaluator is None:  # else the evaluator's caller typed the pattern
+        infer_schema(pattern)
         evaluator = _Evaluator(graph, EvalConfig(collect_mode=collect_mode))
     return {(s, t) for s, t, _, _ in evaluator.witnesses(evaluator.tree(pattern))}
 
@@ -466,18 +466,17 @@ def satisfiable_pairs(
 class _Sub:
     """One occurrence of a subpattern in the pattern being evaluated, and all
     that the evaluator keeps for it (see `_Evaluator.compile`), its answers
-    included (`_Evaluator.answers`). A node that a library caller uses in
-    two places gets a record in each."""
+    included (`_Evaluator.answers`). It keeps its layout, not its type. A
+    node that a library caller uses in two places gets a record in each."""
 
     __slots__ = (
-        "pat", "kids", "schema", "names", "lo", "hi", "size", "plan", "start",
+        "pat", "kids", "names", "lo", "hi", "size", "plan", "start",
         "by_source", "memo", "count", "levels", "first",
     )
 
-    def __init__(self, pat: Pattern, kids: tuple, schema: Schema, names: tuple, plan, start):
+    def __init__(self, pat: Pattern, kids: tuple, names: tuple, plan, start):
         self.pat = pat
         self.kids: tuple[_Sub, ...] = kids  # its operands' records, in order
-        self.schema = schema
         self.names = names  # the layout of its bindings: its sorted variables
         self.lo, self.hi = window_of(pat, [(kid.lo, kid.hi) for kid in kids])
         self.size = size_of(pat, [kid.size for kid in kids])  # see `default_length_bound`
@@ -491,7 +490,7 @@ class _Sub:
 
     def kept(self, need: frozenset) -> tuple[str, ...]:
         """The layout of the pair analysis's witnesses under `need`."""
-        return tuple(sorted(need.intersection(self.schema)))
+        return tuple(sorted(need.intersection(self.names)))
 
 
 class _Evaluator:
@@ -509,7 +508,6 @@ class _Evaluator:
     def __init__(self, graph: PropertyGraph, cfg: EvalConfig):
         self.graph = graph
         self.cfg = cfg
-        self.schemas: dict = {}  # the typing memo that `infer_schema` fills
         self.root: Optional[_Sub] = None  # the leg's tree (`tree`)
         # Per leg (see `restrict`): where the elements start that a joined
         # path must not repeat, and whether plain SHORTEST dominance prunes
@@ -522,13 +520,16 @@ class _Evaluator:
 
     def compile(self, pat: Pattern, within: Optional[frozenset] = None) -> _Sub:
         """The tree of records of `pat`, one per occurrence of a subpattern,
-        each with its layout, schema, window, size, plan and start set.
+        each with its layout, window, size, plan and start set.
 
-        A plan says how `_compute` combines the operands' bindings: an
-        endpoint filter or a `_Merge` for a concatenation, the operands'
-        padding for a union, the condition's test for `Cond` (`_test`). It
-        marks `by_source` a merging concatenation's right operand and a
-        repetition's body, whose answers their parents read by source node.
+        An atom's layout is its variable, if any; a concatenation's or a
+        union's is its operands' variables, sorted; a condition's or a
+        repetition's is its body's. A plan says how `_compute` combines the
+        operands' bindings: an endpoint filter or a `_Merge` for a
+        concatenation, the operands' padding for a union, the condition's
+        test for `Cond` (`_test`). It marks `by_source` a merging
+        concatenation's right operand and a repetition's body, whose answers
+        their parents read by source node.
 
         `within` names the nodes where the answers of `pat` need to start,
         or None for anywhere; it is the record's start set. A labelled node
@@ -543,14 +544,13 @@ class _Evaluator:
         answers are unchanged.
         """
         graph = self.graph
-        schema = infer_schema(pat, self.schemas)
-        names = tuple(sorted(schema))
         plan = None
         if isinstance(pat, Concat):
             at_src = isinstance(pat.left, NodePat)
             if at_src == isinstance(pat.right, NodePat):  # no node atom beside a path
                 kids = (self.compile(pat.left, within), self.compile(pat.right))
                 kids[1].by_source = True
+                names = tuple(sorted({*kids[0].names, *kids[1].names}))
                 plan = _merge(kids[0].names, kids[1].names, names)
             else:
                 atom, other = (pat.left, pat.right) if at_src else (pat.right, pat.left)
@@ -560,21 +560,25 @@ class _Evaluator:
                     within = nodes if within is None else within & nodes
                 path = self.compile(other, within)
                 kids = (self.compile(atom), path) if at_src else (path, self.compile(atom))
+                names = tuple(sorted({*kids[0].names, *kids[1].names}))
                 plan = path, at_src, _endpoint_filter(graph, atom, path.names, names)
         elif isinstance(pat, Union_):
             kids = (self.compile(pat.left, within), self.compile(pat.right, within))
+            names = tuple(sorted({*kids[0].names, *kids[1].names}))
             plan = _gather(kids[0].names, names), _gather(kids[1].names, names)
         elif isinstance(pat, Cond):
             kids = (self.compile(pat.pattern, within),)
+            names = kids[0].names
             plan = _test(graph, pat.condition, names)
         elif isinstance(pat, Repeat):
             kids = (self.compile(pat.pattern),)
             kids[0].by_source = True
+            names = kids[0].names
         elif isinstance(pat, (NodePat, EdgePat)):
-            kids = ()
+            kids, names = (), (pat.descriptor.var,) if pat.descriptor.var else ()
         else:
             raise TypeError(f"not a pattern: {pat!r}")
-        return _Sub(pat, kids, schema, names, plan, within)
+        return _Sub(pat, kids, names, plan, within)
 
     def tree(self, pattern: Pattern) -> _Sub:
         """The leg's tree, compiled on its first use."""
@@ -742,7 +746,7 @@ class _Evaluator:
             )
         else:
             left, right = sub.kids
-            inner = need | (left.schema.keys() & right.schema.keys())
+            inner = need | set(left.names).intersection(right.names)
             shared, left_key, right_key, gather = _merge(
                 left.kept(inner), right.kept(inner), out_names
             )
@@ -875,11 +879,13 @@ def pattern_rows(
     binding laid out over those variables."""
     if cfg.max_len is None:
         raise ValueError("pattern evaluation needs an explicit max_len")
-    evaluator = _Evaluator(graph, cfg)
-    schema = infer_schema(pattern, evaluator.schemas)
+    schema = infer_schema(pattern)
     validate_for_mode(pattern, cfg.collect_mode)
+    evaluator = _Evaluator(graph, cfg)
     root = evaluator.compile(pattern)
-    rows = [row for k in range(cfg.max_len + 1) for row in evaluator.answers(root, k)]
+    # No answer is shorter than the root's window or longer than its end.
+    last = cfg.max_len if root.hi is None else min(cfg.max_len, root.hi)
+    rows = [row for k in range(root.lo, last + 1) for row in evaluator.answers(root, k)]
     return root.names, schema, rows
 
 
@@ -1025,7 +1031,7 @@ def _rows(
     and projecting first loses no binding of `keep`.
     """
     if isinstance(query, Restricted):
-        need = None if keep is None else keep.intersection(infer_schema(query, evaluator.schemas))
+        need = None if keep is None else keep.intersection(expr_vars(query))
         return _eval_restricted(evaluator, query, need)
     if isinstance(query, Join):
         if keep is None:
@@ -1033,10 +1039,8 @@ def _rows(
             names2, right = _rows(evaluator, query.right)
             names = tuple(sorted(set(names1 + names2)))
         else:
-            schema1 = infer_schema(query.left, evaluator.schemas)
-            schema2 = infer_schema(query.right, evaluator.schemas)
-            names1, left = _rows(evaluator, query.left, keep.union(schema2))
-            names2, right = _rows(evaluator, query.right, keep.union(schema1))
+            names1, left = _rows(evaluator, query.left, keep.union(expr_vars(query.right)))
+            names2, right = _rows(evaluator, query.right, keep.union(expr_vars(query.left)))
             names = tuple(sorted(keep.intersection(names1 + names2)))
         joined = _hash_join(evaluator, left, right, _merge(names1, names2, names))
         return names, joined if keep is None else set(joined)
@@ -1051,9 +1055,9 @@ def query_rows(
     `_eval_restricted`): each path is its element tuple, and each binding
     is laid out over those variables."""
     cfg = cfg or EvalConfig()
-    evaluator = _Evaluator(graph, cfg)
-    schema = infer_schema(query, evaluator.schemas)
+    schema = infer_schema(query)
     validate_for_mode(query, cfg.collect_mode)
+    evaluator = _Evaluator(graph, cfg)
     # Each leg's pattern and each join check the answer ceiling themselves.
     names, rows = _rows(evaluator, query)
     return names, schema, rows, evaluator.bound
@@ -1081,8 +1085,7 @@ def ruleset_rows(
     types to what the union holds, such as its value tuple or its output
     line; it must be injective on the values. Every rule runs on one
     evaluator, under its work budget, and the union meets the same answer
-    ceiling as a join's output. The bodies are typed once, into the
-    evaluator's typing memo, which the evaluation then reads.
+    ceiling as a join's output. The bodies are typed once, up front.
 
     A head keeps no paths, so each body is evaluated projected onto it
     (`_rows` with `keep`): a leg needs only the variables that the head
@@ -1090,9 +1093,9 @@ def ruleset_rows(
     the pair analysis alone.
     """
     cfg = cfg or EvalConfig()
-    evaluator = _Evaluator(graph, cfg)
-    schemas = check_ruleset(rules, evaluator.schemas)
+    schemas = check_ruleset(rules)
     validate_for_mode(rules, cfg.collect_mode)
+    evaluator = _Evaluator(graph, cfg)
     out: set = set()
     for rule, schema in zip(rules.rules, schemas):
         names, rows = _rows(evaluator, rule.body, frozenset(rule.head))

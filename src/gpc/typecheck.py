@@ -111,60 +111,46 @@ class TypeCheckError(ValueError):
         self.location = location
 
 
-def infer_schema(expr, memo: Optional[dict] = None) -> Schema:
+def infer_schema(expr) -> Schema:
     """Schema of a pattern or query; raises TypeCheckError if not well-typed.
 
-    `memo`, keyed by node identity, keeps the schemas of subpatterns across
-    calls, so that typing every node of a tree walks each node once. The
-    schemas it holds are shared: a caller must not change them.
+    One walk types each node once. The evaluator reads no schema: it lays
+    bindings out over sorted variable names, so a caller types a query
+    here, at the boundary, and uses the schema to wrap or encode its rows.
     """
-    if memo is None:
-        memo = {}
     if isinstance(expr, (NodePat, EdgePat, Union_, Concat, Cond, Repeat)):
-        return _pattern_schema(expr, memo)
+        return _pattern_schema(expr)
     if isinstance(expr, (Restricted, Join)):
-        return _query_schema(expr, memo)
+        return _query_schema(expr)
     raise TypeError(f"not a pattern or query: {expr!r}")
 
 
-def _pattern_schema(pat: Pattern, memo: dict) -> Schema:
-    schema = memo.get(id(pat))
-    if schema is not None:
-        return schema
+def _pattern_schema(pat: Pattern) -> Schema:
     if isinstance(pat, NodePat):
-        schema = {pat.descriptor.var: NODE} if pat.descriptor.var else {}
-    elif isinstance(pat, EdgePat):
-        schema = {pat.descriptor.var: EDGE} if pat.descriptor.var else {}
-    elif isinstance(pat, Concat):
-        schema = _merge_conjunctive(
-            _pattern_schema(pat.left, memo), _pattern_schema(pat.right, memo), pat.pos
-        )
-    elif isinstance(pat, Union_):
-        schema = _merge_union(
-            _pattern_schema(pat.left, memo), _pattern_schema(pat.right, memo), pat.pos
-        )
-    elif isinstance(pat, Cond):
-        schema = _pattern_schema(pat.pattern, memo)
+        return {pat.descriptor.var: NODE} if pat.descriptor.var else {}
+    if isinstance(pat, EdgePat):
+        return {pat.descriptor.var: EDGE} if pat.descriptor.var else {}
+    if isinstance(pat, Concat):
+        return _merge_conjunctive(_pattern_schema(pat.left), _pattern_schema(pat.right), pat.pos)
+    if isinstance(pat, Union_):
+        return _merge_union(_pattern_schema(pat.left), _pattern_schema(pat.right), pat.pos)
+    if isinstance(pat, Cond):
+        schema = _pattern_schema(pat.pattern)
         _check_condition_against(schema, pat.condition)
-    elif isinstance(pat, Repeat):
-        inner = _pattern_schema(pat.pattern, memo)
-        schema = {var: Group(t) for var, t in inner.items()}
-    else:
-        raise TypeError(f"not a pattern: {pat!r}")
-    memo[id(pat)] = schema
-    return schema
+        return schema
+    if isinstance(pat, Repeat):
+        return {var: Group(t) for var, t in _pattern_schema(pat.pattern).items()}
+    raise TypeError(f"not a pattern: {pat!r}")
 
 
-def _query_schema(query: Query, memo: dict) -> Schema:
+def _query_schema(query: Query) -> Schema:
     if isinstance(query, Restricted):
         if query.var is not None and query.var in expr_vars(query.pattern):
             raise TypeCheckError("path_var_reuse", query.var, query.pos)
-        schema = _pattern_schema(query.pattern, memo)
+        schema = _pattern_schema(query.pattern)
         return schema if query.var is None else {**schema, query.var: PATH}
     if isinstance(query, Join):
-        return _merge_conjunctive(
-            _query_schema(query.left, memo), _query_schema(query.right, memo), query.pos
-        )
+        return _merge_conjunctive(_query_schema(query.left), _query_schema(query.right), query.pos)
     raise TypeError(f"not a query: {query!r}")
 
 
@@ -223,19 +209,15 @@ def _check_condition_against(schema: Schema, theta: Condition) -> None:
 
 def check_condition(pattern: Pattern, theta: Condition) -> None:
     """Raise unless theta type-checks as Bool over pattern's schema."""
-    _check_condition_against(_pattern_schema(pattern, {}), theta)
+    _check_condition_against(_pattern_schema(pattern), theta)
 
 
-def check_ruleset(rules: RuleSet, memo: Optional[dict] = None) -> list[Schema]:
-    """Type every rule body; head variables must be bound in the body.
-
-    `memo` is as in `infer_schema`, shared by every body: afterwards it
-    holds the schema of each body's subpatterns, so that an evaluation of
-    the rules types none of them again.
-    """
+def check_ruleset(rules: RuleSet) -> list[Schema]:
+    """Type every rule body, as `infer_schema` does; head variables must be
+    bound in the body. The schemas give the head's types."""
     schemas = []
     for rule in rules.rules:
-        schema = infer_schema(rule.body, memo)
+        schema = infer_schema(rule.body)
         for var in rule.head:
             if var not in schema:
                 raise TypeCheckError("unbound_condition_var", var, rule.pos,

@@ -18,6 +18,8 @@ from gpc import (
     NodePat,
     Repeat,
     Restricted,
+    Rule,
+    RuleSet,
     Union_,
     EdgeVal,
     EvalConfig,
@@ -55,6 +57,8 @@ from gpc import (
 from gpc import engine, typecheck
 from gpc.ast import And, Not, Or, PropEqConst, PropEqProp, expr_vars, match_lengths, subpatterns
 from gpc.engine import COLLECT_MODES, ruleset_rows, satisfiable_pairs
+from gpc.render import render
+from gpc.typecheck import check_ruleset
 from gpc.values import EMPTY
 
 import gen
@@ -997,42 +1001,166 @@ def test_one_evaluator_per_query(monkeypatch, g_intro):
     assert len(built) == 1
 
 
-def test_each_subpattern_is_typed_once(monkeypatch):
-    # The evaluator asks for the schema of every node; each must reuse the
-    # schemas of the node's operands rather than walk its subtree again.
-    n = 400
+def _count_typings(monkeypatch) -> list:
+    """The patterns that `_pattern_schema` is called on from now on, one
+    entry per call."""
     calls = []
     pattern_schema = typecheck._pattern_schema
 
-    def counting(pat, *memo):
+    def counting(pat):
         calls.append(pat)
-        return pattern_schema(pat, *memo)
+        return pattern_schema(pat)
 
     monkeypatch.setattr(typecheck, "_pattern_schema", counting)
+    return calls
+
+
+def test_each_subpattern_is_typed_once(monkeypatch):
+    # A query or pattern is typed once, up front, by one walk, and the
+    # evaluator reads no type: each pattern node is typed exactly once.
+    n = 400
     g = validate_graph({"nodes": [{"id": "a"}]})
-    answers = eval_query(g, parse_query("SHORTEST " + " ".join(["()"] * n)))
-    assert len(answers) == 1
-    assert len(calls) < 10 * n
+    query = parse_query("SHORTEST " + " ".join(["()"] * n))
+    nodes = sorted(map(id, subpatterns(query.pattern)))
+    assert len(set(nodes)) == 2 * n - 1
+    calls = _count_typings(monkeypatch)
+    assert len(eval_query(g, query)) == 1
+    assert sorted(map(id, calls)) == nodes
+    calls.clear()
+    assert len(eval_pattern(g, query.pattern, EvalConfig(max_len=0))) == 1
+    assert sorted(map(id, calls)) == nodes
 
 
 def test_ruleset_rows_types_each_body_once(monkeypatch):
-    # The rule check types each body into the evaluator's memo, which the
-    # evaluation then reads: one typing, and one memo hit per record.
-    calls = []
-    pattern_schema = typecheck._pattern_schema
-
-    def counting(pat, memo):
-        calls.append(pat)
-        return pattern_schema(pat, memo)
-
-    monkeypatch.setattr(typecheck, "_pattern_schema", counting)
+    # The rule check types each body once, up front; the evaluation types
+    # nothing again.
     rules = parse_ruleset("Ans(x) <- SHORTEST (x) " + "() " * 50 + "(y)")
-    nodes = len(list(subpatterns(rules.rules[0].body.pattern)))
-    assert nodes == 103
+    nodes = sorted(map(id, subpatterns(rules.rules[0].body.pattern)))
+    assert len(set(nodes)) == 103
     g = validate_graph({"nodes": [{"id": "a"}]})
+    calls = _count_typings(monkeypatch)
     result = ruleset_rows(g, rules, EvalConfig(), lambda types: tuple)
-    assert len(calls) <= 2 * nodes + 1
+    assert sorted(map(id, calls)) == nodes
     assert result == ({("a",)}, 0)
+
+
+def test_each_record_lays_out_its_schema():
+    # A record's layout is built from its operands' layouts alone, and no
+    # record holds a type; on a well-typed pattern that layout is its
+    # schema's variables, sorted.
+    typed = records = 0
+    for i in range(300):
+        rng = random.Random(f"layout:{i}")
+        g = gen.rand_graph(rng)
+        pattern = gen.rand_pattern(rng, rng.randint(1, 4))
+        if rng.random() < 0.3:  # an endpoint filter at the root
+            pattern = Concat(NodePat(gen.rand_descriptor(rng)), pattern)
+        try:
+            infer_schema(pattern)
+        except TypeCheckError:
+            continue
+        typed += 1
+        for mode in COLLECT_MODES:
+            stack = [engine._Evaluator(g, EvalConfig(collect_mode=mode)).compile(pattern)]
+            while stack:
+                sub = stack.pop()
+                assert sub.names == tuple(sorted(infer_schema(sub.pat)))
+                stack.extend(sub.kids)
+                records += 1
+    assert typed > 200
+    assert records > 2000
+
+
+def _type_error(run) -> tuple:
+    with pytest.raises(TypeCheckError) as caught:
+        run()
+    error = caught.value
+    return error.kind, error.variable, error.location, str(error)
+
+
+def test_evaluation_raises_the_typecheckers_error():
+    # Types are checked once, at the boundary, before anything else: every
+    # entry point raises the typechecker's error, with its kind, variable
+    # and location, in every collect mode.
+    seen = collections.Counter()
+    for i in range(400):
+        rng = random.Random(f"ill-typed:{i}")
+        g = gen.rand_graph(rng)
+        mode = COLLECT_MODES[i % 3]
+        cfg = EvalConfig(collect_mode=mode, max_len=2)
+        query = parse_query(render(gen.rand_query(rng)))
+        try:
+            infer_schema(query)
+        except TypeCheckError:
+            expected = _type_error(lambda: infer_schema(query))
+            assert _type_error(lambda: eval_query(g, query, cfg)) == expected
+            seen["query", expected[0]] += 1
+        pattern = parse_pattern(render(gen.rand_pattern(rng, 4)))
+        try:
+            infer_schema(pattern)
+        except TypeCheckError:
+            expected = _type_error(lambda: infer_schema(pattern))
+            assert _type_error(lambda: eval_pattern(g, pattern, cfg)) == expected
+            assert _type_error(lambda: satisfiable_pairs(g, pattern, mode)) == expected
+            seen["pattern", expected[0]] += 1
+        # The parser rejects a head variable that its body lacks; built
+        # directly, such a rule reaches the rule check.
+        bodies = [parse_query(render(gen.rand_query(rng))) for _ in range(rng.randint(1, 2))]
+        rules = RuleSet(tuple(Rule((rng.choice(gen.VAR_POOL),), body) for body in bodies))
+        try:
+            check_ruleset(rules)
+        except TypeCheckError:
+            expected = _type_error(lambda: check_ruleset(rules))
+            assert _type_error(lambda: eval_ruleset(g, rules, cfg)) == expected
+            seen["rules", expected[0]] += 1
+    kinds = {kind for _, kind in seen}
+    assert {"conflicting_types", "unbound_condition_var"} <= kinds
+    assert min(seen[what, "conflicting_types"] for what in ("query", "pattern", "rules")) > 10
+    assert seen["rules", "unbound_condition_var"] > 10
+
+
+def test_pattern_rows_asks_the_root_only_for_its_window(monkeypatch):
+    # No answer lies outside the root's match-length window, so
+    # `pattern_rows` asks the root for no other length, and a huge max_len
+    # costs nothing on a pattern of bounded length.
+    asked = []
+
+    class Recording(engine._Evaluator):
+        depth = 0
+
+        def answers(self, sub, k):
+            if not self.depth:  # not a repetition building its own shorter lengths
+                asked.append(k)
+            self.depth += 1
+            try:
+                return super().answers(sub, k)
+            finally:
+                self.depth -= 1
+
+    monkeypatch.setattr(engine, "_Evaluator", Recording)
+    cycle = validate_graph(
+        {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b"},
+                {"id": "e2", "src": "b", "tgt": "a"},
+            ],
+        }
+    )
+    cases = {
+        "(x) -> (y)": (1, 1),
+        "(x) -[]->{2..3} (y)": (2, 3),
+        "-[]->{2..}": (2, 50),
+        "[(x)] + [-[]->{4..5}]": (0, 5),
+        "(x)": (0, 0),
+    }
+    for text, (lo, hi) in cases.items():
+        asked.clear()
+        answers = eval_pattern(cycle, parse_pattern(text), EvalConfig(max_len=50))
+        assert answers and asked == list(range(lo, hi + 1)), text
+    asked.clear()
+    assert len(eval_pattern(cycle, parse_pattern("(x) -> (y)"), EvalConfig(max_len=10**9))) == 2
+    assert asked == [1]
 
 
 def test_lenient_unify_enlarges_grouping_answers():
