@@ -21,12 +21,11 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional
 
-from .ast import Join, Restricted, RuleSet, query_patterns
+from .ast import Join, Restricted, RuleSet
 from .engine import (
     COLLECT_MODES,
     EvalConfig,
     ResourceLimitError,
-    default_length_bound,
     pattern_rows,
     query_rows,
     ruleset_rows,
@@ -123,28 +122,30 @@ def _config_from(args) -> EvalConfig:
     )
 
 
-def _oracle_budget(cfg: EvalConfig, graph, expr) -> OracleBudget:
-    # The oracle's path budget ignores the engine's match-length window, so
+def _oracle_lines(graph, expr, cfg: EvalConfig) -> set[str]:
+    """The oracle's answers to `expr`, as the lines `gpc run` prints."""
+    # The oracle bounds each leg itself, by `cfg.max_len` or by the leg's
+    # own default bound, and ignores the engine's match-length window, so
     # that the two stay independent. Its answer budget is its own default,
     # raised to the engine's ceiling: the oracle enumerates every path up to
     # the bound, however few answers the engine may return.
-    if cfg.max_len is not None:
-        bound = cfg.max_len
-    else:
-        bound = max(
-            default_length_bound(restrictor, graph, pattern, cfg.bound_ceiling)
-            for restrictor, pattern in query_patterns(expr)
-        )
-    return OracleBudget(
-        max_path_len=max(bound, 1),
+    budget = OracleBudget(
+        max_path_len=sys.maxsize,
         max_answers=max(cfg.max_answers, OracleBudget.max_answers),
     )
-
-
-def _oracle_mismatch(what: str, engine: int, oracle: int) -> int:
-    message = f"engine produced {engine} {what}, oracle {oracle}"
-    print(_error_json("oracle-mismatch", ValueError(message)), file=sys.stderr)
-    return 3
+    if isinstance(expr, RuleSet):
+        return {
+            json.dumps(
+                {"tuple": [serialize_value(ans.bindings[v]) for v in rule.head]},
+                sort_keys=True,
+            )
+            for rule in expr.rules
+            for ans in brute_force_query(graph, rule.body, cfg, budget)
+        }
+    return {
+        json.dumps(serialize_answer(ans), sort_keys=True)
+        for ans in brute_force_query(graph, expr, cfg, budget)
+    }
 
 
 def cmd_run(args) -> int:
@@ -156,34 +157,19 @@ def cmd_run(args) -> int:
         # A rule's lines are encoded by its head's types; the union of the
         # lines is the union of the tuples, since the encoding is injective.
         lines, bound = ruleset_rows(graph, expr, cfg, tuple_encoder())
-        if args.oracle:
-            budget = _oracle_budget(cfg, graph, expr)
-            expected = {
-                json.dumps(
-                    {"tuple": [serialize_value(ans.bindings[v]) for v in rule.head]},
-                    sort_keys=True,
-                )
-                for rule in expr.rules
-                for ans in brute_force_query(graph, rule.body, cfg, budget)
-            }
-            if expected != lines:
-                return _oracle_mismatch("tuples", len(lines), len(expected))
         records = sorted(lines)
-        count = len(lines)
     elif isinstance(expr, (Restricted, Join)):
         names, schema, rows, bound = query_rows(graph, expr, cfg)
         records = answer_records(names, schema, rows)
-        if args.oracle:
-            budget = _oracle_budget(cfg, graph, expr)
-            expected = {
-                json.dumps(serialize_answer(ans), sort_keys=True)
-                for ans in brute_force_query(graph, expr, cfg, budget)
-            }
-            if expected != set(records):
-                return _oracle_mismatch("answers", len(records), len(expected))
-        count = len(rows)
     else:
         raise ParseError("run expects a query or rule set, not a bare pattern", 1, 1, set())
+    if args.oracle:
+        expected = _oracle_lines(graph, expr, cfg)
+        if expected != set(records):
+            what = "tuples" if isinstance(expr, RuleSet) else "answers"
+            message = f"engine produced {len(records)} {what}, oracle {len(expected)}"
+            print(_error_json("oracle-mismatch", ValueError(message)), file=sys.stderr)
+            return 3
     elapsed_ms = int((time.monotonic() - started) * 1000)
     for line in records:
         if args.format == "table":
@@ -191,7 +177,7 @@ def cmd_run(args) -> int:
         else:
             sys.stdout.write(line + "\n")
     report = {
-        "answer_count": count,
+        "answer_count": len(records),
         "elapsed_ms": elapsed_ms,
         "mode": cfg.collect_mode,
         "bound_used": bound,

@@ -452,10 +452,12 @@ def satisfiable_pairs(
 
     The analysis charges its relations to `evaluator`'s work budget, or to
     a fresh evaluator's, built with `collect_mode` once the pattern has
-    type-checked, and raises ResourceLimitError once that runs out.
+    type-checked and passed that mode's checks, and raises
+    ResourceLimitError once that runs out.
     """
-    if evaluator is None:  # else the evaluator's caller typed the pattern
+    if evaluator is None:  # else the evaluator's caller checked the pattern
         infer_schema(pattern)
+        validate_for_mode(pattern, collect_mode)
         evaluator = _Evaluator(graph, EvalConfig(collect_mode=collect_mode))
     return {(s, t) for s, t, _, _ in evaluator.witnesses(evaluator.tree(pattern))}
 
@@ -946,7 +948,8 @@ def _eval_restricted(
       explicit length bound and `need` holds only endpoint variables:
       every pair has a shortest path, and its answers bind those
       variables to the pair's source and target, so it lists no stratum
-      and never meets the bound ceiling;
+      and never meets the bound ceiling (the analysis is exact, so a
+      variable that names both endpoints has only loop pairs);
     - else listed stratum by stratum, up to the bound or, once the
       analysis ran, until every pair it found is covered;
     - and refused if the bound was cut at the ceiling and a pair is left.
@@ -984,9 +987,8 @@ def _eval_restricted(
         ):
             names = tuple(sorted(need))
             pick = _picker([0 if var == src else 1 for var in names])
-            loop = src is not None and src == tgt
             evaluator.root = None
-            return names, {((), pick(pair)) for pair in sat if not loop or pair[0] == pair[1]}
+            return names, {((), pick(pair)) for pair in sat}
     best: dict[tuple[str, str], int] = {}
     kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
     evaluator.restrict(restrictor)
@@ -1004,18 +1006,20 @@ def _eval_restricted(
     names = root.names
     # No other leg holds this leg's records; kept, its answers slow later legs.
     evaluator.root = root = None
+    if need is not None:
+        # Each binding and its path, laid out over `names` and the path
+        # variable, give the variables of `need` at once.
+        out = tuple(sorted(need))
+        pick = _picker([(names + (leg.var,)).index(var) for var in out])
+        if leg.var is None:
+            return out, {((), pick(mu)) for _, mu in kept}
+        return out, {((), pick(mu + (p,))) for p, mu in kept}
     if leg.var is None:
-        rows = [((p,), mu) for p, mu in kept]
-    else:
-        with_path = names + (leg.var,)
-        names = tuple(sorted(with_path))
-        gather = _gather(with_path, names)
-        rows = [((p,), gather(mu + (p,))) for p, mu in kept]
-    if need is None:
-        return names, rows
-    out = tuple(sorted(need))
-    pick = _picker([names.index(var) for var in out])
-    return out, {((), pick(mu)) for _, mu in rows}
+        return names, [((p,), mu) for p, mu in kept]
+    with_path = names + (leg.var,)
+    names = tuple(sorted(with_path))
+    gather = _gather(with_path, names)
+    return names, [((p,), gather(mu + (p,))) for p, mu in kept]
 
 
 def _rows(

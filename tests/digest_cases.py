@@ -9,12 +9,18 @@ rule set or pattern from `gen.py`, writes them to a temporary directory,
 and runs `gpc run`, `gpc match` or `gpc check` through `cli.main`
 in-process. The cases cycle the collect modes and mix default and
 explicit `--max-len`, `--lenient-unify` and `--max-answers 5`. About 30%
-of the `run` cases add `--oracle` with a `--max-len` of at most 3 and the
-default answer ceiling, so a changed oracle shows up too: a disagreement
-exits 3, whether in the answers or in how the encoder prints them. About 10% of the cases check a rendered query with one token
-deleted, doubled or replaced, some by a non-ASCII character, so that the
-lexer's and the parser's errors show up too. About 2% check a query
-whose path variable starts with the letters `ans`, such as `answer`.
+of the `run` cases add `--oracle` with the default answer ceiling, so a
+changed oracle shows up too: a disagreement exits 3, whether in the
+answers or in how the encoder prints them. Most of them take a
+`--max-len` of at most 3. Those whose number is 3 more than a multiple
+of 5 and whose legs all have a TRAIL or SIMPLE base and no open
+repetition (65 of the first 3000 cases) drop it, so that the oracle is
+compared at each leg's own default bound, |E| or |N|, too; the bound is
+drawn all the same, so no other case changes. About 10% of the cases
+check a rendered query with one token deleted, doubled or replaced, some
+by a non-ASCII character, so that the lexer's and the parser's errors
+show up too. About 2% check a query whose path variable starts with the
+letters `ans`, such as `answer`.
 About 5% run `gpc translate` on a `#nre` or `#c2rpq` source that
 `gen.py` draws and prints; labels include keywords, and some C2RPQs
 take a keyword or a reserved `_v` name as a variable. About 3% `run`
@@ -59,7 +65,8 @@ import re
 import sys
 import tempfile
 
-from gpc import Concat, Descriptor, Join, NodePat, Restricted, Restrictor, infer_schema
+from gpc import Concat, Descriptor, Join, NodePat, Repeat, Restricted, Restrictor, infer_schema, parse
+from gpc.ast import query_patterns, subpatterns
 from gpc.cli import main
 from gpc.engine import COLLECT_MODES
 from gpc.render import render
@@ -139,6 +146,17 @@ def with_source_atom(query, atom: Descriptor):
     return replace(query, pattern=Concat(NodePat(atom), query.pattern))
 
 
+def short_default_bounds(text: str) -> bool:
+    """Whether every leg of the query or rule set `text` has a TRAIL or
+    SIMPLE base and no open repetition. Plain SHORTEST's default bound
+    reaches 10^6, and the oracle matches open repetitions slowly."""
+    return all(
+        restrictor.base is not None
+        and not any(isinstance(sub, Repeat) and sub.hi is None for sub in subpatterns(pattern))
+        for restrictor, pattern in query_patterns(parse(text))
+    )
+
+
 def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]]:
     """(graph document, command, source text, flags) of case `index`."""
     graph = gen.rand_graph_data(rng)
@@ -169,9 +187,14 @@ def rand_case(rng: random.Random, index: int) -> tuple[dict, str, str, list[str]
     flags = ["--collect-mode", COLLECT_MODES[index % len(COLLECT_MODES)]]
     # The oracle enumerates every path up to the bound, so keep it short;
     # its path budget is the answer ceiling, so leave that at its default.
+    # Case 3 of every 5 drops the bound where each leg's own default bound,
+    # |E| or |N|, is short too; the bound is drawn all the same.
     oracle = command == "run" and rng.random() < 0.3
     if oracle:
-        flags += ["--oracle", "--max-len", str(rng.choice((0, 1, 2, 3)))]
+        flags.append("--oracle")
+        max_len = str(rng.choice((0, 1, 2, 3)))
+        if index % 5 != 3 or not short_default_bounds(text):
+            flags += ["--max-len", max_len]
     elif rng.random() < 0.6:
         flags += ["--max-len", str(rng.choice((0, 1, 2, 3, 5, 1000)))]
     if rng.random() < 0.25:

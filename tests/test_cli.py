@@ -484,6 +484,25 @@ def test_run_oracle_under_a_zero_answer_ceiling(capsys, graph_file, tmp_path, te
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "TRAIL (x) -[e]->{1..} (y)",
+        "SIMPLE (x) <-{0..} (y)",
+        "SHORTEST TRAIL (x:A) -[e]->{1..} (y)",
+        "Ans(x, y) <- TRAIL (x) ->{1..} (y); Ans(x, y) <- SHORTEST SIMPLE (x) ->{1..3} (y)",
+    ],
+)
+def test_run_oracle_at_the_default_bound(capsys, graph_file, tmp_path, text):
+    # No --max-len: the oracle enumerates each leg to that leg's own
+    # default bound, |E| under TRAIL and |N| under SIMPLE. Plain SHORTEST's,
+    # (|N| + |E|) * 2^size, is too long for the oracle's walks on any graph
+    # with two edges at a node.
+    code, out, err = _run_oracle(capsys, graph_file, tmp_path, text)
+    assert code == 0, err
+    assert json.loads(err)["answer_count"] == len(out.splitlines()) > 0
+
+
+@pytest.mark.parametrize(
     "text, category",
     [
         ("SHORTEST " + "[" * 600 + "(x)" + "]" * 600, "parse"),

@@ -1079,9 +1079,9 @@ def _type_error(run) -> tuple:
 
 
 def test_evaluation_raises_the_typecheckers_error():
-    # Types are checked once, at the boundary, before anything else: every
-    # entry point raises the typechecker's error, with its kind, variable
-    # and location, in every collect mode.
+    # Types and the collect mode are checked once, at the boundary, before
+    # anything else: every entry point raises the typechecker's error, with
+    # its kind, variable and location, in every collect mode.
     seen = collections.Counter()
     for i in range(400):
         rng = random.Random(f"ill-typed:{i}")
@@ -1103,6 +1103,14 @@ def test_evaluation_raises_the_typecheckers_error():
             assert _type_error(lambda: eval_pattern(g, pattern, cfg)) == expected
             assert _type_error(lambda: satisfiable_pairs(g, pattern, mode)) == expected
             seen["pattern", expected[0]] += 1
+        else:
+            try:
+                validate_for_mode(pattern, mode)
+            except TypeCheckError:
+                expected = _type_error(lambda: validate_for_mode(pattern, mode))
+                assert _type_error(lambda: eval_pattern(g, pattern, cfg)) == expected
+                assert _type_error(lambda: satisfiable_pairs(g, pattern, mode)) == expected
+                seen["pattern", expected[0]] += 1
         # The parser rejects a head variable that its body lacks; built
         # directly, such a rule reaches the rule check.
         bodies = [parse_query(render(gen.rand_query(rng))) for _ in range(rng.randint(1, 2))]
@@ -1117,6 +1125,7 @@ def test_evaluation_raises_the_typecheckers_error():
     assert {"conflicting_types", "unbound_condition_var"} <= kinds
     assert min(seen[what, "conflicting_types"] for what in ("query", "pattern", "rules")) > 10
     assert seen["rules", "unbound_condition_var"] > 10
+    assert seen["pattern", "edgeless_repetition"] > 10
 
 
 def test_pattern_rows_asks_the_root_only_for_its_window(monkeypatch):

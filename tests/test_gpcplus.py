@@ -5,10 +5,12 @@ import pytest
 from gpc import (
     C2rpq,
     Concat,
+    Descriptor,
     EvalConfig,
     Inverse,
     Label,
     Nest,
+    NodePat,
     NodeVal,
     NreConcat,
     NrePlus,
@@ -16,6 +18,8 @@ from gpc import (
     NreUnion,
     Repeat,
     ResourceLimitError,
+    Restricted,
+    Restrictor,
     Rule,
     RuleSet,
     TypeCheckError,
@@ -23,6 +27,7 @@ from gpc import (
     eval_ruleset,
     parse_c2rpq,
     parse_nre,
+    parse_pattern,
     parse_ruleset,
     parse_query,
     product_2rpq,
@@ -35,7 +40,7 @@ from gpc import (
     validate_graph,
 )
 from gpc.ast import Direction, EdgePat, expr_vars, query_patterns
-from gpc.engine import COLLECT_MODES
+from gpc.engine import COLLECT_MODES, satisfiable_pairs
 
 import gen
 
@@ -346,6 +351,56 @@ def test_ruleset_equals_the_head_projection_of_its_bodies(listed_legs):
         pair_answered += len(list(query_patterns(rules))) - len(listed_legs)
     assert compared > 300
     assert pair_answered > 100 and listed > 100
+
+
+def _endpoint_leg(pattern, tgt):
+    """`SHORTEST (s) pattern (tgt)`."""
+    return Restricted(
+        Restrictor.SHORTEST,
+        Concat(Concat(NodePat(Descriptor("s")), pattern), NodePat(Descriptor(tgt))),
+    )
+
+
+def test_loop_legs_answer_from_the_pair_analysis(listed_legs):
+    # A head that names the one variable of both endpoints is answered by
+    # the pair analysis alone, which must keep only loops: the endpoint
+    # atom re-checks the variable where the other end binds it. Legs over
+    # a random pattern of one length list their one stratum instead.
+    rng = random.Random(3131)
+    fixed = [
+        parse_pattern("-[:a]->{1..}"),
+        parse_pattern("->{1..} () ->{1..}"),
+        parse_pattern("[-[:a]-> + <-[:b]-]{1..}"),
+    ]
+    compared = pair_answered = answered = open_ended = 0
+    for i in range(300):
+        g = gen.rand_graph(rng)
+        pattern = fixed[i // 6 % 3] if i % 2 else gen.rand_pattern(rng, 3)
+        cfg = EvalConfig(collect_mode=COLLECT_MODES[i % 3])
+        rules = RuleSet((Rule(("s",), _endpoint_leg(pattern, "s")),))
+        # The patterns name neither s nor t, so `(s) π (s)` answers the
+        # loops of `(s) π (t)`. That is checked first: a pair analysis that
+        # keeps other pairs also keeps the body's listing from stopping.
+        pairs = RuleSet((Rule(("s", "t"), _endpoint_leg(pattern, "t")),))
+        listed_legs.clear()
+        try:
+            loop_pairs = satisfiable_pairs(g, rules.rules[0].body.pattern, cfg.collect_mode)
+            assert all(a == b for a, b in loop_pairs), (render(rules), cfg)
+            got = eval_ruleset(g, rules, cfg)
+            listed = list(listed_legs)
+            between = eval_ruleset(g, pairs, cfg)
+            assert got == {(a,) for a, b in between if a == b}, (render(rules), cfg)
+            expected = _body_projection(g, rules, cfg)
+        except (ResourceLimitError, TypeCheckError):
+            continue
+        assert got == expected, (render(rules), cfg)
+        assert listed == [] or i % 2 == 0
+        compared += 1
+        pair_answered += not listed
+        answered += bool(expected)
+        open_ended += any(a != b for a, b in _pairs(between))
+    assert compared > 250
+    assert pair_answered > 150 and answered > 100 and open_ended > 75
 
 
 def _two_cycle():
