@@ -2,74 +2,74 @@
 
 One evaluator serves a whole query or rule set, and all legs and rules
 share its work budget, which also pays for the pair analysis, and its
-answer ceiling. It compiles each leg's pattern once into a tree of
-records (`_Sub`), one per occurrence of a subpattern, and computes each
-record's answers by exact path length, kept on the record while the leg
-runs, so the `shortest` strata of a leg share the shorter lengths. Each
-length is kept once: as the rows or, where the record's parent reads
-them by source node (see `_Evaluator.compile`), in lists by source node.
-Inside the evaluator values are raw: a path is its element tuple, a node
-or edge is its id, a group is a tuple of (element tuple, raw value)
-pairs, and Nothing is `NOTHING`. An answer's binding is a tuple of raw
-values laid out over the subpattern's sorted variables. A record holds
-that layout, built from its operands' (see `_Evaluator.compile`), and no
-type, so every operator gets a plan once per record: the positions a
-concatenation or a join shares and the order it gathers its output in, a
-union's padding with Nothing, and a condition's test (`_test`), a closure
-with each property's key and position bound. Shared variables are node
-or edge singletons, so two bindings agree exactly when their shared
-positions hold equal ids. Types stay at the boundary: `query_rows`,
-`pattern_rows` and `ruleset_rows` type their input once, up front, and
-return raw rows with its schema. `eval_query`, `eval_pattern` and
-`eval_ruleset` wrap those by schema (`values.wrapper`), once per row;
-`gpc run` encodes them raw and builds no value object (`Path`, ...).
-Concatenation at length k joins left answers of length i with right
-answers of length k - i, for the splits that both operands' static
-match-length windows admit; each record holds its window, built from its
-operands' (`window_of`). A node atom beside a path matches one node, at
-length 0, so it is no operand there but a filter (`_endpoint_filter`):
-the concatenation keeps the path's answers whose endpoint on the atom's
-side has the atom's label, and binds the atom's variable to that node,
-or keeps only the answers that already bind it there. The pair analysis
-filters its witnesses with the same filter, and the atom's matches are
-built in neither. A labelled atom on the source side also names where
-the repetitions on the path's left spine start (their records' start
-sets, see `_Evaluator.compile`): their length-0 states, and the pair
-analysis's powers, start only at nodes with the label. The filter still
-runs, so this only drops answers it would drop. A record's answers at
-each length are distinct rows. The atom, endpoint-filter and condition
-branches return lists, since an atom matches each path once, the filter
-maps distinct rows to distinct rows, and a condition only drops rows; a
-union, a merging concatenation and a repetition keep sets, since
-different sides, splits or counts can build one row twice. One
-repetition worklist serves all three collect modes: the states of length
-k extend shorter ones by a positive segment, and in grouping mode then
-merge edgeless segments into an open run. A state that holds an edgeless
-run matches every count from its own upwards, since `_merge_run` is
-absorptive, so huge repetition counts cost nothing. A leg's restrictor
-prunes partial paths where they are built. Trails and simple paths are
-closed under subpaths, so under `trail` or `simple` (with or without
-`shortest`) an atom, a concatenation or a repetition state that breaks
-the restrictor is dropped. Under plain `shortest` an open repetition
-keeps a state only at the first length where its endpoints, count class,
-pumping and edgelessness appear: a later state could only build longer
-answers for the same endpoint pairs. The root record's size sets each
-leg's default SHORTEST bound, its window caps the bound, and the
+answer ceiling. It compiles each leg's pattern once into a tree of records
+(`_Sub`), one per occurrence of a subpattern, and computes each record's
+answers by exact path length, kept on the record while the leg runs, so
+the `shortest` strata of a leg share the shorter lengths. Each length is
+kept once: as the rows or, where the record's parent reads them by source
+node (see `_Evaluator.compile`), in lists by source node. Inside the
+evaluator values are raw: a path is its element tuple, a node or edge is
+its id, a group is a tuple of (element tuple, raw value) pairs, and
+Nothing is `NOTHING`. An answer's binding is a tuple of raw values laid
+out over the subpattern's sorted variables. A record holds that layout,
+built from its operands' (see `_Evaluator.compile`), and no type, so every
+operator gets a plan once per record: the positions a concatenation or a
+join shares and the order it gathers its output in, a union's padding with
+Nothing, and a condition's test (`_test`), a closure with each property's
+key and position bound. Shared variables are node or edge singletons, so
+two bindings agree exactly when their shared positions hold equal ids.
+Types stay at the boundary: `query_rows`, `pattern_rows` and
+`ruleset_rows` type their input once, up front, and return raw rows with
+its schema. `eval_query`, `eval_pattern` and `eval_ruleset` wrap those by
+schema (`values.wrapper`), once per row; `gpc run` encodes them raw and
+builds no value object (`Path`, ...). Concatenation at length k joins left
+answers of length i with right answers of length k - i, for the splits
+that both operands' windows admit; each record holds its window, built
+from its operands' (`window_of`), and has no answer past its end
+(`_Sub.end`). A node atom beside a path matches one node, at length 0, so
+it is no operand there but a filter (`_endpoint_filter`): the
+concatenation keeps the path's answers whose endpoint on the atom's side
+has the atom's label, and binds the atom's variable to that node, or keeps
+only the answers that already bind it there. The pair analysis filters its
+witnesses with the same filter, and the atom's matches are built in
+neither. A labelled atom on the source side also names where the
+repetitions on the path's left spine start (their records' start sets, see
+`_Evaluator.compile`): their length-0 states, and the pair analysis's
+powers, start only at nodes with the label. The filter still runs, so this
+only drops answers it would drop. A record's answers at each length are
+distinct rows. The atom, endpoint-filter and condition branches return
+lists, since an atom matches each path once, the filter maps distinct rows
+to distinct rows, and a condition only drops rows; a union, a merging
+concatenation and a repetition keep sets, since different sides, splits or
+counts can build one row twice. One repetition worklist serves all three
+collect modes: the states of length k extend shorter ones by a positive
+segment, and in grouping mode then merge edgeless segments into an open
+run, until it runs dry. A state that holds an edgeless run matches every
+count from its own upwards, since `_merge_run` is absorptive, so huge
+repetition counts cost nothing. A leg's restrictor prunes partial paths
+where they are built. Trails and simple paths are closed under subpaths,
+so under `trail` or `simple` (with or without `shortest`) an atom, a
+concatenation or a repetition state that breaks the restrictor is dropped.
+Under plain `shortest` an open repetition keeps a state only at the first
+length where its endpoints, count class, pumping and edgelessness appear:
+a later state could only build longer answers for the same endpoint pairs.
+The root record's size sets each leg's default SHORTEST bound, its
+compiled window caps the bound, its end stops the strata, and the
 evaluator keeps the largest of the legs' bounds for the run report.
-`shortest` keeps each endpoint pair's first stratum and stops
-once every pair that the pattern can connect has one; an exact pair
-analysis (`satisfiable_pairs`) names those pairs. It carries only the
-bindings that an operator above compares. `eval_pattern` and the pair
-analysis prune nothing. One walk over a query's joins (`_rows`) serves
-queries and rule bodies, and one function (`_eval_restricted`) chooses
-how each leg is answered. Joins hash-partition the right operand's
-answers on the values of the shared variables. A rule set's head keeps
-no paths, so `ruleset_rows` walks each body projected onto its head:
-each leg keeps only the variables that the head names or another leg
-shares. A plain SHORTEST leg that runs the pair analysis anyway, under
-no explicit length bound, and of which only endpoint variables are kept,
-is answered by the analysis alone: its pairs are those variables'
-values, and it lists no path.
+`shortest` keeps each endpoint pair's first stratum and stops once every
+pair that the pattern can connect has one; an exact pair analysis
+(`satisfiable_pairs`) names those pairs. It carries only the bindings that
+an operator above compares. `eval_pattern` and the pair analysis prune
+nothing. One walk over a query's joins (`_rows`) serves queries and rule
+bodies, and one function (`_eval_restricted`) chooses how each leg is
+answered. Joins hash-partition the right operand's answers on the values
+of the shared variables. A rule set's head keeps no paths, so
+`ruleset_rows` walks each body projected onto its head: each leg keeps
+only the variables that the head names or another leg shares. A plain
+SHORTEST leg that runs the pair analysis anyway, under no explicit length
+bound, and of which only endpoint variables are kept, is answered by the
+analysis alone: its pairs are those variables' values, and it lists no
+path.
 
 A single evaluation is sequential; distinct evaluations may share one
 graph concurrently since all inputs are immutable.
@@ -468,8 +468,8 @@ def satisfiable_pairs(
 class _Sub:
     """One occurrence of a subpattern in the pattern being evaluated, and all
     that the evaluator keeps for it (see `_Evaluator.compile`), its answers
-    included (`_Evaluator.answers`). It keeps its layout, not its type. A
-    node that a library caller uses in two places gets a record in each."""
+    and end included (`_Evaluator.answers`, `end`). It keeps its layout,
+    not its type. A node that a library caller uses twice gets two records."""
 
     __slots__ = (
         "pat", "kids", "names", "lo", "hi", "size", "plan", "start",
@@ -480,7 +480,7 @@ class _Sub:
         self.pat = pat
         self.kids: tuple[_Sub, ...] = kids  # its operands' records, in order
         self.names = names  # the layout of its bindings: its sorted variables
-        self.lo, self.hi = window_of(pat, [(kid.lo, kid.hi) for kid in kids])
+        self.lo, self.hi = window_of(pat, [(kid.lo, kid.hi) for kid in kids])  # see `end`
         self.size = size_of(pat, [kid.size for kid in kids])  # see `default_length_bound`
         self.plan = plan
         self.start: Optional[frozenset] = start  # None: its answers may start anywhere
@@ -489,6 +489,13 @@ class _Sub:
         self.count = 0  # answers over every length so far, for the ceiling
         self.levels: list = []  # a repetition's states by length
         self.first: dict = {}  # a repetition's dominance table (see `_repeat`)
+
+    def end(self) -> Optional[int]:
+        """Its window's `hi`, the last length at which it can have an answer,
+        or None; closed by `_repeat`, else derived again from its operands'."""
+        if self.hi is None and self.kids:
+            self.hi = window_of(self.pat, [(kid.lo, kid.end()) for kid in self.kids])[1]
+        return self.hi
 
     def kept(self, need: frozenset) -> tuple[str, ...]:
         """The layout of the pair analysis's witnesses under `need`."""
@@ -603,11 +610,13 @@ class _Evaluator:
             )
 
     def answers(self, sub: _Sub, k: int) -> Collection | dict:
-        """The record's answers of length k, computed once: the memo keeps
-        the rows that `_compute` returned or, for a record marked
-        `by_source`, only those rows in lists by their source node."""
+        """The record's answers of length k: none past its end, else computed
+        once. The memo keeps the rows that `_compute` returned or, for a
+        record marked `by_source`, those rows in lists by source node."""
         rows = sub.memo.get(k)
         if rows is None:
+            if sub.hi is not None and k > sub.hi:
+                return ()
             rows = self._compute(sub, k)
             # The ceiling counts a subpattern's answers over every length so far.
             sub.count += len(rows)
@@ -619,6 +628,13 @@ class _Evaluator:
                 rows = index
             sub.memo[k] = rows
         return rows
+
+    def strata(self, root: _Sub, bound: int) -> Iterator[tuple[int, Collection | dict]]:
+        """The root's answers by length from its `lo`, up to `bound` or its end."""
+        for k in range(root.lo, bound + 1):
+            yield k, (rows := self.answers(root, k))
+            if (end := root.hi if rows else root.end()) is not None and end <= k:
+                return
 
     def restrict(self, restrictor: Restrictor) -> None:
         """Prune the paths built next, for a leg under `restrictor`.
@@ -649,9 +665,6 @@ class _Evaluator:
             plan = sub.plan
             if not isinstance(plan, _Merge):
                 path, at_src, bind = plan
-                # The one split the loop below would admit, if any.
-                if k < path.lo or (path.hi is not None and k > path.hi):
-                    return []
                 out = [
                     (p, merged)
                     for p, mu in self.answers(path, k)
@@ -776,12 +789,12 @@ class _Evaluator:
         Edgeless segments are undefined in dynamic mode and, after
         validation, cannot occur in syntactic mode, so both drop them. A
         variable-free body records no groups, and its open run is (). A
-        state that holds an edgeless run could merge that run's segment
-        again, raising its count by any
-        amount with the same bindings: it is pumped and matches even below
-        `lo`. So a merge that leaves the open run unchanged is skipped, and
-        every count stays finite. With an open upper bound only "reached lo"
-        matters, so the count is capped there.
+        state that holds an edgeless run could merge that run's segment again,
+        raising its count by any amount with the same bindings: it is pumped
+        and matches even below `lo`. So a merge that leaves the open run
+        unchanged is skipped, and every count stays finite. With an open upper
+        bound only "reached lo" matters, so the count is capped there. Once
+        its last lengths hold no state, it has run dry and closes its window.
 
         The leg's restrictor prunes states (see `restrict`). Under plain
         SHORTEST with an open upper bound, a state is kept only at the
@@ -797,13 +810,11 @@ class _Evaluator:
         need not satisfy the restrictor, so the rule does not apply.
         """
         pat, body, levels = sub.pat, sub.kids[0], sub.levels
-        longest = body.hi
-
         while len(levels) < k:  # build each shorter length once, in order
-            recent = levels[max(len(levels) - (longest or 0), 0):]
-            if longest is not None and levels and not any(recent):
-                return set()  # a state extends one at most `longest` shorter
             self.answers(sub, len(levels))
+            if sub.hi is not None and sub.hi < k:
+                return set()  # it ran dry below k
+        longest = body.end()  # read after the shorter lengths, which may close it
         width = len(body.names)
         lo, hi = pat.lo, pat.hi
         grouping = self.cfg.collect_mode == "grouping"
@@ -866,6 +877,8 @@ class _Evaluator:
         levels.append(states)
         if longest is not None and k >= longest:
             levels[k - longest] = None  # no later length extends these
+        if not states and longest is not None and not any(levels[max(k + 1 - longest, 0):]):
+            sub.hi = max(k - longest, 0)  # a state extends one at most `longest` shorter
         return {
             (path_so_far, tuple(tuple([(p, mu[i]) for p, mu in groups]) for i in range(width)))
             for path_so_far, groups, _, count, pumped in states
@@ -877,17 +890,15 @@ def pattern_rows(
     graph: PropertyGraph, pattern: Pattern, cfg: EvalConfig
 ) -> tuple[tuple[str, ...], Schema, list[tuple[Elements, tuple]]]:
     """The pattern's sorted variables, its schema, and its answers with
-    path length <= cfg.max_len as raw rows (path elements, binding), each
-    binding laid out over those variables."""
+    path length <= cfg.max_len, listed up to the root's end, as raw rows
+    (path elements, binding), each binding laid out over those variables."""
     if cfg.max_len is None:
         raise ValueError("pattern evaluation needs an explicit max_len")
     schema = infer_schema(pattern)
     validate_for_mode(pattern, cfg.collect_mode)
     evaluator = _Evaluator(graph, cfg)
     root = evaluator.compile(pattern)
-    # No answer is shorter than the root's window or longer than its end.
-    last = cfg.max_len if root.hi is None else min(cfg.max_len, root.hi)
-    rows = [row for k in range(root.lo, last + 1) for row in evaluator.answers(root, k)]
+    rows = [row for _, got in evaluator.strata(root, cfg.max_len) for row in got]
     return root.names, schema, rows
 
 
@@ -950,17 +961,16 @@ def _eval_restricted(
       variables to the pair's source and target, so it lists no stratum
       and never meets the bound ceiling (the analysis is exact, so a
       variable that names both endpoints has only loop pairs);
-    - else listed stratum by stratum, up to the bound or, once the
-      analysis ran, until every pair it found is covered;
+    - else listed stratum by stratum, up to the bound or the root's end
+      or, once the analysis ran, until every pair it found is covered;
     - and refused if the bound was cut at the ceiling and a pair is left.
 
-    The leg's bound, the longest path length it is listed to, is
+    The leg's bound, the longest path length it may be listed to, is
     `cfg.max_len`, or the restrictor's default bound without one, capped
     at the longest match the pattern can have and at the longest trail or
     simple path when the restrictor asks for one. No answer is longer, so
-    the caps leave the answers unchanged, and strata past them would be
-    empty and cost no work that the budget could stop. It is fixed before
-    the plan, so a leg that the analysis answers alone has one too, and
+    the caps leave the answers unchanged. It is fixed before the plan and
+    the strata, so a leg that the analysis answers alone has one too, and
     the evaluator keeps the largest bound of its legs (`evaluator.bound`).
     """
     graph, cfg = evaluator.graph, evaluator.cfg
@@ -992,8 +1002,8 @@ def _eval_restricted(
     best: dict[tuple[str, str], int] = {}
     kept: list[tuple[Elements, tuple]] = []  # distinct: strata hold distinct lengths
     evaluator.restrict(restrictor)
-    for level in range(lo, bound + 1):
-        for p, mu in evaluator.answers(root, level):
+    for level, rows in evaluator.strata(root, bound):
+        for p, mu in rows:
             if shortest and best.setdefault((p[0], p[-1]), level) != level:
                 continue
             kept.append((p, mu))

@@ -20,6 +20,28 @@ def listed_legs(monkeypatch):
 
 
 @pytest.fixture
+def root_asks(monkeypatch):
+    """The lengths that each leg's strata, or `pattern_rows`, ask the root
+    record for, in order: the calls to `answers` made outside any other."""
+    asked: list = []
+    original = engine._Evaluator.answers
+    depth = 0
+
+    def recording(self, sub, k):
+        nonlocal depth
+        if not depth:
+            asked.append(k)
+        depth += 1
+        try:
+            return original(self, sub, k)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(engine._Evaluator, "answers", recording)
+    return asked
+
+
+@pytest.fixture
 def g_tiny():
     """Two nodes, one labeled directed edge, one undirected self-loop."""
     return validate_graph(

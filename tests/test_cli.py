@@ -39,6 +39,7 @@ from gpc import (
     RuleSet,
     TypeCheckError,
     Union_,
+    brute_force_query,
     default_length_bound,
     eval_pattern,
     eval_query,
@@ -547,6 +548,37 @@ def test_run_reports_bound_used(capsys, graph_file, tmp_path, text, args, bound)
         bound = default_length_bound(restrictor, load_graph(graph_file), pattern)
         assert bound > 2
     assert json.loads(err.strip().splitlines()[-1])["bound_used"] == bound
+
+
+def test_run_leg_stops_at_its_roots_end(capsys, tmp_path, root_asks):
+    # A TRAIL leg is listed up to its bound, |E|, but its repetition runs
+    # dry past the b-chain's two edges and closes the root's end, so the
+    # leg asks its root for no later stratum. Its bound stays fixed before
+    # listing, and the long a-cycle keeps it far from the root's end.
+    n = 40
+    edges = [
+        {"id": f"a{i}", "src": f"c{i}", "tgt": f"c{(i + 1) % n}", "labels": ["a"]}
+        for i in range(n)
+    ]
+    edges += [
+        {"id": "b1", "src": "p", "tgt": "q", "labels": ["b"]},
+        {"id": "b2", "src": "q", "tgt": "r", "labels": ["b"]},
+    ]
+    nodes = [{"id": f"c{i}"} for i in range(n)] + [{"id": v} for v in "pqr"]
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"nodes": nodes, "directed_edges": edges}))
+    text = "TRAIL (x) -[:b]->{1..} (y)"
+    query = tmp_path / "q.gpc"
+    query.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(graph), str(query))
+    assert code == 0
+    assert len(root_asks) <= 4
+    assert json.loads(err.strip().splitlines()[-1])["bound_used"] == len(edges)
+    expected = {
+        json.dumps(serialize_answer(a), sort_keys=True)
+        for a in brute_force_query(load_graph(str(graph)), parse_query(text), EvalConfig(max_len=3))
+    }
+    assert set(out.splitlines()) == expected and len(expected) == 3
 
 
 def test_run_computes_no_window_after_the_run(capsys, graph_file, tmp_path, monkeypatch):

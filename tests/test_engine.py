@@ -1128,25 +1128,11 @@ def test_evaluation_raises_the_typecheckers_error():
     assert seen["pattern", "edgeless_repetition"] > 10
 
 
-def test_pattern_rows_asks_the_root_only_for_its_window(monkeypatch):
+def test_pattern_rows_asks_the_root_only_for_its_window(root_asks, g_two_plus_edge):
     # No answer lies outside the root's match-length window, so
     # `pattern_rows` asks the root for no other length, and a huge max_len
     # costs nothing on a pattern of bounded length.
-    asked = []
-
-    class Recording(engine._Evaluator):
-        depth = 0
-
-        def answers(self, sub, k):
-            if not self.depth:  # not a repetition building its own shorter lengths
-                asked.append(k)
-            self.depth += 1
-            try:
-                return super().answers(sub, k)
-            finally:
-                self.depth -= 1
-
-    monkeypatch.setattr(engine, "_Evaluator", Recording)
+    asked = root_asks
     cycle = validate_graph(
         {
             "nodes": [{"id": "a"}, {"id": "b"}],
@@ -1170,6 +1156,41 @@ def test_pattern_rows_asks_the_root_only_for_its_window(monkeypatch):
     asked.clear()
     assert len(eval_pattern(cycle, parse_pattern("(x) -> (y)"), EvalConfig(max_len=10**9))) == 2
     assert asked == [1]
+    # An open repetition that runs dry closes the root's end too.
+    asked.clear()
+    pattern = parse_pattern("(x) -[]->{1..} (y)")
+    assert len(eval_pattern(g_two_plus_edge, pattern, EvalConfig(max_len=10**5))) == 1
+    assert len(asked) <= 3
+
+
+@pytest.mark.parametrize(
+    "text, lengths",
+    [
+        ("(x) [-[]->{1..}]{1..} (y)", 4),
+        # The body's end is 1 + 2 = 3 by the window rule, though its longest
+        # answer has length 2, so the outer repetition closes one length later.
+        ("(x) [-[]-> -[]->{0..}]{1..} (y)", 5),
+    ],
+)
+def test_nested_repetitions_close_the_roots_end(root_asks, text, lengths):
+    # The inner repetition runs dry and closes its end; the outer one reads
+    # its body's end from it, runs dry in turn, and closes the root's. So
+    # `pattern_rows` stops there, whatever max_len allows.
+    chain = validate_graph(
+        {
+            "nodes": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b"},
+                {"id": "e2", "src": "b", "tgt": "c"},
+            ],
+        }
+    )
+    pattern = parse_pattern(text)
+    answers = eval_pattern(chain, pattern, EvalConfig(max_len=2000))
+    assert root_asks == list(range(1, lengths + 1))
+    # No answer is longer than the chain, so a short bound lists them all.
+    assert answers == _oracle_pattern(chain, pattern, EvalConfig(max_len=3))
+    assert len(answers) == 3
 
 
 def test_lenient_unify_enlarges_grouping_answers():
@@ -1594,11 +1615,13 @@ def test_start_sets_match_oracle(seed, mode, lenient):
 def test_list_branches_hold_distinct_rows(monkeypatch):
     # The atom, endpoint-filter and condition branches return lists; every
     # record's answers, lists and sets alike, hold each row once. No record
-    # computes a length twice. Each record keeps one memo entry per length:
-    # the rows themselves, or, where its parent reads them by source node (a
-    # merging concatenation's right operand and a repetition's body), only
-    # those rows in lists by source node.
-    checked, computed, parents, keyed = [], {}, {}, []
+    # computes a length twice. Each record keeps one memo entry per length
+    # up to its end: the rows themselves, or, where its parent reads them by
+    # source node (a merging concatenation's right operand and a
+    # repetition's body), only those rows in lists by source node. Past its
+    # end, which a repetition that runs dry closes, it returns no rows and
+    # stores no entry, and it has no answer there.
+    checked, computed, parents, keyed, static, refused = [], {}, {}, [], {}, []
 
     def read_by_source(sub) -> bool:
         parent = parents.get(sub)
@@ -1612,6 +1635,7 @@ def test_list_branches_hold_distinct_rows(monkeypatch):
     class Checking(engine._Evaluator):
         def compile(self, pat, within=None):
             sub = super().compile(pat, within)
+            static[sub] = sub.hi
             for kid in sub.kids:
                 parents[kid] = sub
             return sub
@@ -1626,7 +1650,12 @@ def test_list_branches_hold_distinct_rows(monkeypatch):
 
         def answers(self, sub, k):
             fresh = (sub, k) not in computed
+            past = sub.hi is not None and k > sub.hi
             stored = super().answers(sub, k)
+            if past and fresh:
+                assert not stored and k not in sub.memo
+                refused.append(sub)
+                return stored
             assert stored is sub.memo[k]
             if not fresh:
                 return stored
@@ -1654,5 +1683,21 @@ def test_list_branches_hold_distinct_rows(monkeypatch):
             eval_query(g, query, cfg)
         except (TypeCheckError, ResourceLimitError):
             continue
+    # A union reads the side that ran dry at every length of the other.
+    g = validate_graph(
+        {
+            "nodes": [{"id": "a"}, {"id": "b"}],
+            "directed_edges": [
+                {"id": "e1", "src": "a", "tgt": "b", "labels": ["x"]},
+                {"id": "e2", "src": "b", "tgt": "b", "labels": ["y"]},
+            ],
+        }
+    )
+    eval_pattern(g, parse_pattern("[-[:x]->{1..}] + [-[:y]->{1..}]"), EvalConfig(max_len=4))
     assert {type(sub.pat) for sub in keyed} >= {NodePat, EdgePat, Concat, Union_, Repeat}
+    # Some records were refused past an end that closed below their window.
+    assert Repeat in {type(sub.pat) for sub in refused if sub.hi != static[sub]}
+    # No record's end lies below a length at which it has answers.
+    for sub in static:
+        assert sub.hi is None or all(k <= sub.hi for k, rows in sub.memo.items() if rows)
     assert list in checked and set in checked
